@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "api/bus_spec.h"
 #include "api/spec_json.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
@@ -61,6 +62,16 @@ std::string render_link_report(const fs::path& spec_path) {
   const api::LinkSpec spec = api::link_spec_from_json(doc);
   EXPECT_EQ(api::validate_spec_with_paths(spec), "");
   const api::RunReport report = api::Simulator().run(spec);
+  return api::to_json(report).dump(2) + "\n";
+}
+
+/// Runs one BusSpec file (fixed thread count — reports are byte-identical
+/// for any) and renders the BusReport exactly as `serdes_cli run` would.
+std::string render_bus_report(const fs::path& spec_path) {
+  const util::Json doc = util::Json::parse(read_file(spec_path));
+  const api::BusSpec bus = api::bus_spec_from_json(doc);
+  EXPECT_EQ(bus.validate(), "");
+  const api::BusReport report = api::Simulator().run_bus(bus, 2);
   return api::to_json(report).dump(2) + "\n";
 }
 
@@ -120,6 +131,21 @@ TEST(StatGolden, TrainedCiRunReport) {
   // cancellation + burst factor) all pin in one report.
   check_golden("trained_ci", render_link_report(source_dir() / "examples" /
                                                 "specs" / "trained_ci.json"));
+}
+
+TEST(StatGolden, BusCiReport) {
+  // 4-lane PAM4 with FEXT/NEXT in "both" mode: the tri-threshold sink,
+  // crosstalk injection and the stat engine's interference terms, per lane.
+  check_golden("bus_ci", render_bus_report(source_dir() / "examples" /
+                                           "specs" / "bus_ci.json"));
+}
+
+TEST(StatGolden, Pam4DfeCiRunReport) {
+  // PAM4 with DFE feedback: the tri-comparator feedback symbol and the
+  // stat engine's PAM4 burst factor both pin here.
+  check_golden("pam4_dfe_ci",
+               render_link_report(source_dir() / "examples" / "specs" /
+                                  "pam4_dfe_ci.json"));
 }
 
 TEST(StatGolden, LossSweepReport) {
