@@ -252,7 +252,7 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
 
   {
     pipe::SamplerCdrSink::Config sc;
-    sc.bit_rate = cfg.bit_rate;
+    sc.symbol_rate = cfg.bit_rate;
     sc.oversampling = cfg.cdr.oversampling;
     sc.jitter.random_rms = cfg.rx_random_jitter;
     sc.total_samples = nsamp;
@@ -275,18 +275,19 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
     // per sampling instant, against the symbol clock (bit_rate / 2).  The
     // constant input sits inside the upper sub-eye so all three slicers
     // run their comparison path.
-    pipe::PamSamplerCdrSink::Config pc;
+    pipe::SamplerCdrSink::Config pc;
     pc.symbol_rate = util::hertz(cfg.bit_rate.value() / 2.0);
     pc.oversampling = cfg.cdr.oversampling;
     pc.jitter.random_rms = cfg.rx_random_jitter;
+    pc.pam4 = true;
     pc.threshold_low = 0.6;
-    pc.threshold_mid = 0.9;
+    pc.sampler.threshold = 0.9;
     pc.threshold_high = 1.2;
     pc.total_samples = nsamp;
     pc.dt = cfg.sample_period();
     pc.block_samples = block;
     run_bench(results, "stage_pam4_slicer_sample", nsamp, [&] {
-      pipe::PamSamplerCdrSink sink(pc);
+      pipe::SamplerCdrSink sink(pc);
       pipe::Block in;
       in.samples().assign(block, 1.1);
       for (std::size_t i = 0; i < nsamp; i += block) {
@@ -321,7 +322,7 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
       pipe::LaneAwgnStage awgn(0.001, lane_seeds);
       run_bench(results, "stage_awgn_lanes8_sample", nsamp * kLanes, [&] {
         for (std::size_t i = 0; i < nsamp; i += block) {
-          awgn.process(shared.view(), out_tile);
+          awgn.process(pipe::as_tile(shared.view()), out_tile);
         }
       });
     }
@@ -372,8 +373,8 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
                 });
     }
     {
-      pipe::LaneSamplerCdrSink::Config sc;
-      sc.bit_rate = cfg.bit_rate;
+      pipe::SamplerCdrSink::Config sc;
+      sc.symbol_rate = cfg.bit_rate;
       sc.oversampling = cfg.cdr.oversampling;
       sc.jitter.random_rms = cfg.rx_random_jitter;
       sc.jitter_seeds = lane_seeds;
@@ -384,7 +385,7 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
       fill_tile(0.9);
       run_bench(results, "stage_sampler_cdr_lanes8_sample", nsamp * kLanes,
                 [&] {
-                  pipe::LaneSamplerCdrSink sink(sc);
+                  pipe::SamplerCdrSink sink(sc);
                   for (std::size_t i = 0; i < nsamp; i += block) {
                     tile.shape(block, kLanes, i, util::seconds(0.0),
                                cfg.sample_period(), false);

@@ -1,0 +1,322 @@
+#include "core/chain_plan.h"
+
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <utility>
+
+#include "analog/driver.h"
+#include "channel/equalizer.h"
+#include "digital/deserializer.h"
+#include "digital/framing.h"
+
+namespace serdes::core {
+
+ChainPlan::ChainPlan(const LinkConfig& config, const Receiver& rx)
+    : config_(config),
+      rx_(&rx),
+      pam4_(config.modulation == LinkConfig::Modulation::kPam4),
+      has_xtalk_(std::any_of(config.xtalk.begin(), config.xtalk.end(),
+                             [](const XtalkPath& p) { return p.gain != 0.0; })),
+      use_ctle_(config.rx_ctle_boost.value() > 0.0),
+      vdd_(config.driver.vdd.value()),
+      sigma_(per_sample_noise_sigma(config)),
+      spu_(config.samples_per_ui),
+      ui_(config.unit_interval()),
+      dt_(config.sample_period()),
+      block_(std::max<std::size_t>(1, config.stream_block_samples)) {
+  const analog::InverterChainDriver driver(config.driver);
+  rise_ = driver.output_rise_time();
+  delay_ = driver.total_delay();
+}
+
+// ---- TX level mapping -------------------------------------------------------
+
+Launch ChainPlan::launch(const std::vector<std::uint8_t>& bits) const {
+  if (!pam4_) return nrz_launch(bits);
+  return pam4_launch(bits, static_cast<std::size_t>(
+                               std::max(0, config_.framing.preamble_bits)));
+}
+
+Launch ChainPlan::nrz_launch(const std::vector<std::uint8_t>& bits) const {
+  if (config_.tx_ffe_deemphasis != 0.0) {
+    const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
+        config_.tx_ffe_deemphasis, config_.driver.vdd);
+    return {ffe.levels(bits), util::seconds(0.0)};
+  }
+  return {rail_levels(bits), delay_};
+}
+
+Launch ChainPlan::pam4_launch(const std::vector<std::uint8_t>& bits,
+                              std::size_t preamble_bits) const {
+  const double step = vdd_ / 3.0;
+  const std::size_t preamble_syms = std::min(preamble_bits, bits.size()) / 2;
+  const std::size_t nsym = (bits.size() + 1) / 2;
+  std::vector<double> levels(nsym);
+  for (std::size_t s = 0; s < nsym; ++s) {
+    if (s < preamble_syms) {
+      levels[s] = (s % 2 == 0) ? vdd_ : 0.0;
+      continue;
+    }
+    const bool msb = bits[2 * s] != 0;
+    const bool lsb = 2 * s + 1 < bits.size() && bits[2 * s + 1] != 0;
+    levels[s] = static_cast<double>(gray_symbol(msb, lsb)) * step;
+  }
+  return {std::move(levels), delay_};
+}
+
+std::vector<double> ChainPlan::rail_levels(
+    const std::vector<std::uint8_t>& bits) const {
+  std::vector<double> levels(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    levels[i] = bits[i] ? vdd_ : 0.0;
+  }
+  return levels;
+}
+
+pipe::LevelPulseSource ChainPlan::source(const Launch& tx) const {
+  return pipe::LevelPulseSource(tx.levels, ui_, spu_, rise_, tx.t0, 0.0);
+}
+
+// ---- Chain instantiation ----------------------------------------------------
+
+std::vector<ChainPlan::Step> ChainPlan::steps(Stop stop, bool noise,
+                                              bool probes) const {
+  std::vector<Step> s{Step::kChannel};
+  if (has_xtalk_) s.push_back(Step::kXtalk);
+  if (noise) s.push_back(Step::kAwgn);
+  if (probes) s.push_back(Step::kNoisyProbe);
+  if (stop != Stop::kNoisy && use_ctle_) s.push_back(Step::kCtle);
+  if (stop == Stop::kSlicer && !pam4_) {
+    s.push_back(Step::kRfi);
+    if (probes) s.push_back(Step::kRfiProbe);
+    s.push_back(Step::kRestore);
+  }
+  // A pass that ends at the receiver input reads both probes off one tap.
+  if (probes && s.back() != Step::kNoisyProbe) s.push_back(Step::kOutProbe);
+  return s;
+}
+
+std::vector<pipe::XtalkInjectStage::Path> ChainPlan::xtalk_paths(
+    const channel::Channel& ch, const std::vector<double>& levels) const {
+  std::vector<pipe::XtalkInjectStage::Path> paths;
+  for (const XtalkPath& x : config_.xtalk) {
+    if (x.gain == 0.0) continue;
+    pipe::XtalkInjectStage::Path p;
+    p.levels.assign(static_cast<std::size_t>(std::max(0, x.delay_ui)), 0.0);
+    p.levels.insert(p.levels.end(), levels.begin(), levels.end());
+    p.gain = x.gain;
+    if (x.through_channel) p.channel_stream = ch.open_stream();
+    paths.push_back(std::move(p));
+  }
+  return paths;
+}
+
+ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
+                                const PassOptions& options) const {
+  Pass p;
+  const auto probe = [&] {
+    return static_cast<pipe::WaveformTapStage*>(&p.pipeline.add(
+        std::make_unique<pipe::WaveformTapStage>(*options.probes)));
+  };
+  for (const Step step : steps(options.stop, options.awgn_seed.has_value(),
+                               options.probes.has_value())) {
+    switch (step) {
+      case Step::kChannel:
+        p.pipeline.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
+        break;
+      case Step::kXtalk:
+        p.pipeline.add(std::make_unique<pipe::XtalkInjectStage>(
+            xtalk_paths(ch, tx.levels), ui_, spu_, rise_, tx.t0));
+        break;
+      case Step::kAwgn:
+        p.pipeline.add(
+            std::make_unique<pipe::AwgnStage>(sigma_, *options.awgn_seed));
+        break;
+      case Step::kCtle:
+        p.pipeline.add(std::make_unique<pipe::CtleStage>(
+            config_.rx_ctle_boost, config_.rx_ctle_pole, dt_));
+        break;
+      case Step::kRfi: {
+        auto rfi =
+            std::make_unique<pipe::RfiFrontEndStage>(rx_->rfi_stage(), dt_);
+        rfi->set_mean(options.mean);
+        p.pipeline.add(std::move(rfi));
+        break;
+      }
+      case Step::kRestore:
+        p.pipeline.add(
+            std::make_unique<pipe::RestoringStage>(rx_->restoring(), dt_));
+        break;
+      case Step::kNoisyProbe:
+        p.noisy = probe();
+        break;
+      case Step::kRfiProbe:
+        p.rfi = probe();
+        break;
+      case Step::kOutProbe:
+        p.out = probe();
+        break;
+    }
+  }
+  if (p.out == nullptr) p.out = p.noisy;
+  return p;
+}
+
+ChainPlan::TilePass ChainPlan::tile_pass(
+    const channel::Channel& ch, const Launch& tx,
+    const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
+    const std::vector<double>& means,
+    std::optional<std::size_t> probes) const {
+  TilePass p;
+  const std::size_t n = awgn_seeds.size();
+  const auto probe = [&] {
+    return static_cast<pipe::LaneWaveformTap*>(&p.lanes.add(
+        std::make_unique<pipe::LaneWaveformTap>(n, *probes)));
+  };
+  for (const Step step : steps(stop, /*noise=*/true, probes.has_value())) {
+    switch (step) {
+      case Step::kChannel:
+        p.shared.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
+        break;
+      case Step::kXtalk:
+        p.shared.add(std::make_unique<pipe::XtalkInjectStage>(
+            xtalk_paths(ch, tx.levels), ui_, spu_, rise_, tx.t0));
+        break;
+      case Step::kAwgn:
+        p.lanes.add(std::make_unique<pipe::LaneAwgnStage>(sigma_, awgn_seeds));
+        break;
+      case Step::kCtle:
+        p.lanes.add(std::make_unique<pipe::LaneCtleStage>(
+            config_.rx_ctle_boost, config_.rx_ctle_pole, dt_, n));
+        break;
+      case Step::kRfi: {
+        auto rfi =
+            std::make_unique<pipe::LaneRfiStage>(rx_->rfi_stage(), dt_, n);
+        for (std::size_t l = 0; l < n; ++l) rfi->set_mean(l, means[l]);
+        p.lanes.add(std::move(rfi));
+        break;
+      }
+      case Step::kRestore:
+        p.lanes.add(
+            std::make_unique<pipe::LaneRestoreStage>(rx_->restoring(), dt_, n));
+        break;
+      case Step::kNoisyProbe:
+        p.noisy = probe();
+        break;
+      case Step::kRfiProbe:
+        break;
+      case Step::kOutProbe:
+        p.out = probe();
+        break;
+    }
+  }
+  if (p.out == nullptr) p.out = p.noisy;
+  return p;
+}
+
+// ---- First pass -------------------------------------------------------------
+
+FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
+                                std::uint64_t awgn_seed) const {
+  Pass noisy = pass(ch, tx, {pam4_ ? Stop::kNoisy : Stop::kEqualized,
+                             awgn_seed, 0.0, 0});
+  std::optional<Pass> clean;
+  if (pam4_) clean = pass(ch, tx, {Stop::kEqualized, std::nullopt, 0.0, 0});
+  pipe::LevelPulseSource src = source(tx);
+  pipe::Block blk;
+  while (src.produce(blk, block_) > 0) {
+    (void)noisy.pipeline.process(blk.view());
+    if (clean) (void)clean->pipeline.process(blk.view());
+  }
+  FirstPass first;
+  const std::uint64_t total = src.total_samples();
+  if (total == 0) return first;
+  first.swing_pp = noisy.noisy->max() - noisy.noisy->min();
+  if (clean) {
+    first.clean_min = clean->out->min();
+    first.clean_max = clean->out->max();
+  } else {
+    first.mean = noisy.out->sum() / static_cast<double>(total);
+  }
+  return first;
+}
+
+std::vector<FirstPass> ChainPlan::first_pass(
+    const channel::Channel& ch, const Launch& tx,
+    const std::vector<std::uint64_t>& awgn_seeds) const {
+  if (pam4_) {
+    throw std::invalid_argument("ChainPlan: lane tiles run NRZ only");
+  }
+  TilePass p = tile_pass(ch, tx, awgn_seeds, Stop::kEqualized, {}, 0);
+  pipe::LevelPulseSource src = source(tx);
+  pipe::Block blk;
+  while (src.produce(blk, block_) > 0) (void)p.process(blk.view());
+  std::vector<FirstPass> first(awgn_seeds.size());
+  const std::uint64_t total = src.total_samples();
+  if (total == 0) return first;
+  for (std::size_t l = 0; l < first.size(); ++l) {
+    first[l].swing_pp = p.noisy->max(l) - p.noisy->min(l);
+    first[l].mean = p.out->sum(l) / static_cast<double>(total);
+  }
+  return first;
+}
+
+// ---- Sink -------------------------------------------------------------------
+
+double ChainPlan::decision_threshold(const FirstPass& first) const {
+  return pam4_ ? 0.5 * (first.clean_min + first.clean_max)
+               : rx_->decision_threshold();
+}
+
+pipe::SamplerCdrSink::Config ChainPlan::sink_config(
+    const FirstPass& first, const pipe::LevelPulseSource& source,
+    const std::vector<std::uint64_t>& noise_seeds) const {
+  pipe::SamplerCdrSink::Config c;
+  c.symbol_rate = util::hertz(config_.bit_rate.value() /
+                              static_cast<double>(config_.bits_per_ui()));
+  c.oversampling = config_.cdr.oversampling;
+  c.phase_offset = util::seconds(config_.rx_phase_offset_ui * ui_.value());
+  c.ppm_offset = config_.ppm_offset;
+  c.jitter.random_rms = config_.rx_random_jitter;
+  c.jitter.sinusoidal_amplitude = config_.rx_sinusoidal_jitter;
+  c.jitter.sinusoidal_freq =
+      util::hertz(config_.sj_freq_ratio * config_.bit_rate.value());
+  c.sampler = config_.sampler;
+  c.sampler.threshold = decision_threshold(first);
+  if (pam4_) {
+    // The outer slicers sit a third of the clean range from the middle:
+    // the boundaries between four equally spaced levels.
+    const double third = (first.clean_max - first.clean_min) / 3.0;
+    c.pam4 = true;
+    c.threshold_low = c.sampler.threshold - third;
+    c.threshold_high = c.sampler.threshold + third;
+    c.extra_thresholds = config_.pam4_extra_thresholds;
+  }
+  c.dfe_taps = config_.dfe_taps;
+  c.cdr = config_.cdr;
+  for (const std::uint64_t seed : noise_seeds) {
+    c.jitter_seeds.push_back(jitter_seed(seed));
+    c.sampler_seeds.push_back(sampler_seed(seed));
+  }
+  c.total_samples = source.total_samples();
+  c.stream_t0 = source.stream_t0();
+  c.dt = source.dt();
+  c.block_samples = block_;
+  return c;
+}
+
+ReceiveResult ChainPlan::recovered(const pipe::SamplerCdrSink& sink,
+                                   std::size_t lane) const {
+  ReceiveResult rx;
+  rx.recovered_bits = sink.recovered_bits(lane);
+  rx.payload = digital::deframe_stream(rx.recovered_bits, config_.framing);
+  rx.aligned = !rx.payload.empty();
+  rx.frames = digital::Deserializer::deserialize(rx.payload);
+  rx.cdr_decision_phase = sink.cdr(lane).decision_phase();
+  rx.cdr_phase_updates = sink.cdr(lane).phase_updates();
+  rx.metastable_samples = sink.metastable_count(lane);
+  return rx;
+}
+
+}  // namespace serdes::core

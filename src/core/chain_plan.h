@@ -1,0 +1,235 @@
+// Receive-chain plan: the one place that knows how a LinkConfig becomes
+// the streaming datapath.
+//
+// The paper's receiver is one chain — the resistive-feedback inverter
+// (RFI), the restoring inverter, the sampling flip-flops, then the digital
+// oversampling CDR — behind the channel, optional crosstalk, the
+// receiver-input AWGN and the optional CTLE.  A ChainPlan is lowered from
+// a LinkConfig and a borrowed Receiver (whose device characterization it
+// reuses and never repeats, so building one per training candidate is
+// cheap), and it alone decides:
+//
+//   * the TX level mapping — rail levels at the driver delay, TX-FFE
+//     levels at t0 = 0, and the PAM4 gray map with its 3,0 preamble;
+//   * the stage order — channel -> crosstalk -> AWGN -> CTLE ->
+//     RFI(mean) -> restore, where PAM4 slices the CTLE output — as a
+//     scalar pipe::Pipeline or as an N-lane tile of the lane stages;
+//   * the first-pass statistic — NRZ: the equalized stream's DC mean,
+//     which the RFI subtracts, and the receiver-input swing; PAM4: the
+//     swing and the noise-free range that places the three slicers;
+//   * the seed offsets from a lane's noise seed — +1 jitter, +2 sampler,
+//     +100+n the AWGN of run n, +500 training;
+//   * the pipe::SamplerCdrSink settings.
+//
+// SerDesLink, LaneLink, train_equalizer and the stat engine's pulse
+// extraction all instantiate their chains here.  Only the whole-waveform
+// batch reference (SerDesLink::run_batch, Receiver::receive) builds its
+// own.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "channel/channel.h"
+#include "core/config.h"
+#include "core/receiver.h"
+#include "pipe/lane_stages.h"
+#include "pipe/pam_stages.h"
+#include "pipe/stages.h"
+#include "util/units.h"
+
+namespace serdes::core {
+
+/// Per-UI launch levels and the stream time they launch at.
+struct Launch {
+  std::vector<double> levels;
+  util::Second t0{0.0};
+};
+
+/// First-pass statistics of one lane's stream (ChainPlan::first_pass).
+struct FirstPass {
+  /// Peak-to-peak of the noisy receiver input (before the CTLE).
+  double swing_pp = 0.0;
+  /// NRZ: DC mean of the equalized stream — what the RFI subtracts.
+  double mean = 0.0;
+  /// PAM4: range of the noise-free equalized stream — where the slicers
+  /// sit.
+  double clean_min = 0.0;
+  double clean_max = 0.0;
+};
+
+class ChainPlan {
+ public:
+  /// Where an instantiated pass stops.
+  enum class Stop {
+    kNoisy,      // the receiver input, after the AWGN
+    kEqualized,  // after the CTLE
+    kSlicer,     // what the slicers read: restored (NRZ), equalized (PAM4)
+  };
+
+  struct PassOptions {
+    Stop stop = Stop::kSlicer;
+    /// AWGN stream seed; nullopt replays the chain noise-free.
+    std::optional<std::uint64_t> awgn_seed;
+    /// NRZ: the stream mean the RFI subtracts (FirstPass::mean).
+    double mean = 0.0;
+    /// Probes after the AWGN, after the RFI and at the end, each retaining
+    /// this many samples (pipe::WaveformTapStage; one tap serves as both
+    /// the first and the last when the pass ends at the receiver input);
+    /// nullopt: no probes.
+    std::optional<std::size_t> probes;
+  };
+
+  /// An instantiated scalar pass and its probes (null when absent).
+  struct Pass {
+    pipe::Pipeline pipeline;
+    pipe::WaveformTapStage* noisy = nullptr;
+    pipe::WaveformTapStage* rfi = nullptr;
+    pipe::WaveformTapStage* out = nullptr;
+  };
+
+  /// An instantiated N-lane pass: the lane-invariant prefix (channel,
+  /// crosstalk) runs once on the shared stream, the AWGN fans it out into
+  /// a tile, and the rest runs per lane.  Nothing reads a tile's RFI
+  /// output, so it has no RFI probe.
+  struct TilePass {
+    pipe::Pipeline shared;
+    pipe::LanePipeline lanes;
+    pipe::LaneWaveformTap* noisy = nullptr;
+    pipe::LaneWaveformTap* out = nullptr;
+
+    [[nodiscard]] pipe::LaneView process(const pipe::BlockView& in) {
+      return lanes.process(pipe::as_tile(shared.process(in)));
+    }
+  };
+
+  /// Borrows `rx`, which must outlive the plan.
+  ChainPlan(const LinkConfig& config, const Receiver& rx);
+
+  // ---- Seeds: offsets from a lane's noise seed ------------------------------
+  [[nodiscard]] static std::uint64_t awgn_seed(std::uint64_t noise_seed,
+                                               std::uint64_t run) {
+    return noise_seed + 100 + run;
+  }
+  [[nodiscard]] static std::uint64_t jitter_seed(std::uint64_t noise_seed) {
+    return noise_seed + 1;
+  }
+  [[nodiscard]] static std::uint64_t sampler_seed(std::uint64_t noise_seed) {
+    return noise_seed + 2;
+  }
+  [[nodiscard]] static std::uint64_t training_seed(std::uint64_t noise_seed) {
+    return noise_seed + 500;
+  }
+
+  // ---- TX level mapping -----------------------------------------------------
+  /// The launch of on-wire bits under this config's modulation (the PAM4
+  /// preamble spans the framing preamble).
+  [[nodiscard]] Launch launch(const std::vector<std::uint8_t>& bits) const;
+  /// NRZ: TX-FFE levels at t0 = 0 when the FFE is on, rail levels at the
+  /// driver delay otherwise.
+  [[nodiscard]] Launch nrz_launch(const std::vector<std::uint8_t>& bits) const;
+  /// PAM4: bit pairs (MSB first) gray-mapped onto 4 levels at the driver
+  /// delay.  The first `preamble_bits` launch as alternating full-swing
+  /// 3,0 symbols instead: the 1010 preamble would gray-map to a constant
+  /// symbol 3, with no edges for the CDR to lock to (the deframer aligns
+  /// on the sync word, so recovery is unaffected).
+  [[nodiscard]] Launch pam4_launch(const std::vector<std::uint8_t>& bits,
+                                   std::size_t preamble_bits) const;
+  /// vdd for a 1, 0 V for a 0.
+  [[nodiscard]] std::vector<double> rail_levels(
+      const std::vector<std::uint8_t>& bits) const;
+  /// Gray code (0,0) (0,1) (1,1) (1,0) -> levels 0..3 in ascending voltage,
+  /// so every slicer error against an adjacent level costs exactly one bit.
+  [[nodiscard]] static int gray_symbol(bool msb, bool lsb) {
+    return msb ? (lsb ? 2 : 3) : (lsb ? 1 : 0);
+  }
+  [[nodiscard]] pipe::LevelPulseSource source(const Launch& tx) const;
+  /// Samples per streaming block.
+  [[nodiscard]] std::size_t block() const { return block_; }
+
+  // ---- Chain instantiation --------------------------------------------------
+  /// The chain for `tx` over `ch` (which must outlive the pass).
+  [[nodiscard]] Pass pass(const channel::Channel& ch, const Launch& tx,
+                          const PassOptions& options) const;
+  /// The chain as an N-lane tile, one lane per AWGN seed; `means` holds
+  /// the lanes' RFI means when the pass reaches the RFI.
+  [[nodiscard]] TilePass tile_pass(const channel::Channel& ch,
+                                   const Launch& tx,
+                                   const std::vector<std::uint64_t>& awgn_seeds,
+                                   Stop stop, const std::vector<double>& means,
+                                   std::optional<std::size_t> probes) const;
+
+  // ---- First pass -----------------------------------------------------------
+  /// Streams `tx` once through the front of the chain and measures what
+  /// the second pass needs.  NRZ: the swing at the receiver input and the
+  /// equalized stream's mean, accumulated in sample order (the exact sum
+  /// the batch path's mean_value() computes).  PAM4: the swing and the
+  /// range of a noise-free replay of the equalized stream — its midpoint,
+  /// unlike the mean, is immune to the duty skew of the leading and
+  /// trailing zero-level regions, and leaving the noise out keeps its
+  /// tails from pushing the outer slicers off the sub-eye boundaries.
+  [[nodiscard]] FirstPass first_pass(const channel::Channel& ch,
+                                     const Launch& tx,
+                                     std::uint64_t awgn_seed) const;
+  /// The NRZ first pass of every lane of a tile.
+  [[nodiscard]] std::vector<FirstPass> first_pass(
+      const channel::Channel& ch, const Launch& tx,
+      const std::vector<std::uint64_t>& awgn_seeds) const;
+
+  // ---- Sink -----------------------------------------------------------------
+  /// The sampler/CDR sink for `source`'s stream, one lane per noise seed.
+  [[nodiscard]] pipe::SamplerCdrSink::Config sink_config(
+      const FirstPass& first, const pipe::LevelPulseSource& source,
+      const std::vector<std::uint64_t>& noise_seeds) const;
+  /// The threshold the slicers run at: the restoring-stage midpoint under
+  /// NRZ, the calibrated middle threshold under PAM4.
+  [[nodiscard]] double decision_threshold(const FirstPass& first) const;
+  /// Lane `lane`'s recovered stream, aligned and deserialized.
+  [[nodiscard]] ReceiveResult recovered(const pipe::SamplerCdrSink& sink,
+                                        std::size_t lane) const;
+
+ private:
+  /// One stage of the chain, or a probe position.
+  enum class Step {
+    kChannel,
+    kXtalk,
+    kAwgn,
+    kNoisyProbe,
+    kCtle,
+    kRfi,
+    kRfiProbe,
+    kRestore,
+    kOutProbe
+  };
+  /// The stage order, written once: the steps this config runs up to
+  /// `stop` — crosstalk only when a path has gain, the AWGN unless `noise`
+  /// is off, the CTLE only when boosted, the RFI and restore only under
+  /// NRZ — with the probe positions when `probes` is set.
+  [[nodiscard]] std::vector<Step> steps(Stop stop, bool noise,
+                                        bool probes) const;
+  /// Crosstalk injection paths for one pass: every lane of a bus carries
+  /// the same framed stream, so an aggressor launches the victim's levels
+  /// shifted by its UI delay (idle zeros prepended).  FEXT paths get a
+  /// private stream of the victim's channel; zero-gain paths are dropped
+  /// so a zero-coupling bus lane stays byte-identical to a standalone link.
+  [[nodiscard]] std::vector<pipe::XtalkInjectStage::Path> xtalk_paths(
+      const channel::Channel& ch, const std::vector<double>& levels) const;
+
+  LinkConfig config_;
+  const Receiver* rx_;
+  bool pam4_;
+  bool has_xtalk_;
+  bool use_ctle_;
+  double vdd_;
+  double sigma_;
+  int spu_;
+  util::Second ui_;
+  util::Second dt_;
+  util::Second rise_;
+  util::Second delay_;
+  std::size_t block_;
+};
+
+}  // namespace serdes::core

@@ -4,14 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "channel/equalizer.h"
+#include "core/chain_plan.h"
 #include "core/receiver.h"
-#include "core/transmitter.h"
-#include "pipe/stages.h"
 #include "util/prbs.h"
 
 namespace serdes::core {
@@ -28,68 +25,23 @@ constexpr double kTapClampFraction = 0.45;
 constexpr double kMaxCtleBoostDb = 12.0;
 constexpr double kMaxFfeAlpha = 0.4;
 
-/// One training replay: streams `levels` through channel -> AWGN -> CTLE
-/// (-> RFI -> restore for NRZ) and returns the chain-output samples.  The
-/// NRZ tail needs the whole-stream DC mean first, so the front half runs
-/// twice — the same two-pass structure as SerDesLink::run_streaming, with
-/// fresh stages per pass so state never leaks between them.
-std::vector<double> run_training_chain(const LinkConfig& cfg,
-                                       channel::Channel& channel,
-                                       const Receiver& rx,
-                                       const std::vector<double>& levels,
-                                       util::Second stream_t0,
-                                       double boost_db,
-                                       std::uint64_t awgn_seed) {
-  const int spu = cfg.samples_per_ui;
-  const util::Second ui = cfg.unit_interval();
-  const Transmitter tx(cfg);
-  const util::Second rise = tx.driver().output_rise_time();
-  const double sigma = per_sample_noise_sigma(cfg);
-  const bool use_ctle = boost_db > 0.0;
-  const bool nrz = cfg.modulation == LinkConfig::Modulation::kNrz;
-  const std::size_t block = std::max<std::size_t>(1, cfg.stream_block_samples);
-
-  const auto make_front = [&](pipe::Pipeline& p) {
-    p.add(std::make_unique<pipe::ChannelStage>(channel.open_stream()));
-    p.add(std::make_unique<pipe::AwgnStage>(sigma, awgn_seed));
-    if (use_ctle) {
-      p.add(std::make_unique<pipe::CtleStage>(util::decibels(boost_db),
-                                              cfg.rx_ctle_pole,
-                                              cfg.sample_period()));
-    }
-  };
-
-  double mean = 0.0;
-  if (nrz) {
-    pipe::LevelPulseSource source(levels, ui, spu, rise, stream_t0, 0.0);
-    pipe::Pipeline front;
-    make_front(front);
-    double sum = 0.0;
-    pipe::Block blk;
-    while (source.produce(blk, block) > 0) {
-      const pipe::BlockView v = front.process(blk.view());
-      for (std::size_t i = 0; i < v.size; ++i) sum += v[i];
-    }
-    const std::uint64_t total = source.total_samples();
-    mean = total > 0 ? sum / static_cast<double>(total) : 0.0;
-  }
-
-  pipe::LevelPulseSource source(levels, ui, spu, rise, stream_t0, 0.0);
-  pipe::Pipeline pipeline;
-  make_front(pipeline);
-  if (nrz) {
-    auto rfi = std::make_unique<pipe::RfiFrontEndStage>(rx.rfi_stage(),
-                                                        cfg.sample_period());
-    rfi->set_mean(mean);
-    pipeline.add(std::move(rfi));
-    pipeline.add(std::make_unique<pipe::RestoringStage>(rx.restoring(),
-                                                        cfg.sample_period()));
-  }
+/// One training replay: streams `tx` through the crosstalk-free chain to
+/// the slicer input and returns its samples.  The NRZ tail needs the
+/// whole-stream DC mean first, so it takes the same first pass as a link
+/// run; the PAM4 chain ends at the CTLE and needs none.
+std::vector<double> replay(const ChainPlan& plan, bool nrz,
+                           channel::Channel& channel, const Launch& tx,
+                           std::uint64_t awgn_seed) {
+  ChainPlan::PassOptions options;
+  options.awgn_seed = awgn_seed;
+  if (nrz) options.mean = plan.first_pass(channel, tx, awgn_seed).mean;
+  ChainPlan::Pass chain = plan.pass(channel, tx, options);
+  pipe::LevelPulseSource source = plan.source(tx);
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(source.total_samples()));
   pipe::Block blk;
-  while (source.produce(blk, block) > 0) {
-    const pipe::BlockView v = pipeline.process(blk.view());
+  while (source.produce(blk, plan.block()) > 0) {
+    const pipe::BlockView v = chain.pipeline.process(blk.view());
     samples.insert(samples.end(), v.data, v.data + v.size);
   }
   return samples;
@@ -235,61 +187,42 @@ TrainingResult train_equalizer(const LinkConfig& config,
   }
   const bool nrz = config.modulation == LinkConfig::Modulation::kNrz;
   const int spu = config.samples_per_ui;
-  const double vdd = config.driver.vdd.value();
   const Receiver rx(config);
-  const Transmitter tx(config);
 
   // Known training symbols: the config's PRBS from its seed state.  NRZ
-  // maps bits onto +/-1; PAM4 gray-maps bit pairs onto the 4 launch levels
-  // exactly like the payload TX (link.cc) and trains in the symbol
-  // convention {-1, -1/3, +1/3, +1}.
+  // maps bits onto +/-1; PAM4 gray-maps bit pairs exactly like the payload
+  // TX and trains in the symbol convention {-1, -1/3, +1/3, +1}.
   util::PrbsGenerator prbs(config.prbs_order);
   const auto n_syms = static_cast<std::size_t>(training_uis);
   std::vector<double> symbols(n_syms);
-  std::vector<double> pam_levels(nrz ? 0 : n_syms);
   const std::vector<std::uint8_t> bits =
       prbs.next_bits(nrz ? n_syms : 2 * n_syms);
-  if (nrz) {
-    for (std::size_t n = 0; n < n_syms; ++n) {
-      symbols[n] = bits[n] ? 1.0 : -1.0;
-    }
-  } else {
-    const double step = vdd / 3.0;
-    for (std::size_t n = 0; n < n_syms; ++n) {
-      const bool msb = bits[2 * n] != 0;
-      const bool lsb = bits[2 * n + 1] != 0;
-      const int symbol = msb ? (lsb ? 2 : 3) : (lsb ? 1 : 0);
-      pam_levels[n] = static_cast<double>(symbol) * step;
-      symbols[n] = (2.0 * static_cast<double>(symbol) - 3.0) / 3.0;
-    }
+  for (std::size_t n = 0; n < n_syms; ++n) {
+    symbols[n] =
+        nrz ? (bits[n] ? 1.0 : -1.0)
+            : (2.0 * ChainPlan::gray_symbol(bits[2 * n] != 0,
+                                            bits[2 * n + 1] != 0) -
+               3.0) / 3.0;
   }
 
   // One full evaluation of a candidate (alpha, boost): replay the chain,
   // align, train the DFE taps by sign-sign LMS (warm-started), score the
-  // margin.  Every candidate replays against the same AWGN stream
-  // (noise_seed + 500 — disjoint from the payload chunks at +100+counter,
-  // the sampling jitter at +1 and the sampler noise at +2), so margin
-  // comparisons are paired, never noise-vs-noise.
-  const std::uint64_t train_seed = config.noise_seed + 500;
+  // margin.  Every candidate replays against the same AWGN stream (the
+  // training seed, disjoint from the payload, jitter and sampler streams),
+  // so margin comparisons are paired, never noise-vs-noise.  The replay is
+  // crosstalk-free: training sees the victim's own channel only.
+  const std::uint64_t train_seed = ChainPlan::training_seed(config.noise_seed);
   const auto evaluate = [&](double alpha, double boost_db,
                             const std::vector<double>& warm) {
-    std::vector<double> levels;
-    util::Second stream_t0 = tx.driver().total_delay();
-    if (!nrz) {
-      levels = pam_levels;
-    } else if (alpha != 0.0) {
-      const channel::TxFfe ffe =
-          channel::TxFfe::de_emphasis(alpha, config.driver.vdd);
-      levels = ffe.levels(bits);
-      stream_t0 = util::seconds(0.0);
-    } else {
-      levels.resize(n_syms);
-      for (std::size_t n = 0; n < n_syms; ++n) {
-        levels[n] = bits[n] ? vdd : 0.0;
-      }
-    }
-    const std::vector<double> y = run_training_chain(
-        config, channel, rx, levels, stream_t0, boost_db, train_seed);
+    LinkConfig candidate = config;
+    candidate.xtalk.clear();
+    candidate.tx_ffe_deemphasis = alpha;
+    candidate.rx_ctle_boost = util::decibels(boost_db);
+    const ChainPlan plan(candidate, rx);
+    const Launch tx =
+        nrz ? plan.nrz_launch(bits) : plan.pam4_launch(bits, /*preamble=*/0);
+    const std::vector<double> y =
+        replay(plan, nrz, channel, tx, train_seed);
     // Reference the symbol deviation is measured against: the sampler
     // threshold in the restored NRZ domain; the stream mean in the PAM4
     // CTLE domain (the slicer calibration midpoint converges to it).

@@ -18,10 +18,12 @@
 //                     the de-emphasis must shoulder the remainder); NRZ
 //                     only, since the PAM4 TX launches plain gray levels.
 //
-// Everything is deterministic given the config's noise seed: the training
-// AWGN draws from noise_seed + 500 + pass, a stream disjoint from the
-// payload chunks (+100 + counter), the sampling-clock jitter (+1) and the
-// sampler noise (+2), so training never perturbs the payload run's noise.
+// Everything is deterministic given the config's noise seed: every
+// candidate replays the crosstalk-free chain core::ChainPlan lays out
+// against the training AWGN stream (ChainPlan::training_seed, noise_seed +
+// 500), which is disjoint from the payload chunks (+100 + counter), the
+// sampling-clock jitter (+1) and the sampler noise (+2), so training never
+// perturbs the payload run's noise.
 #pragma once
 
 #include <cstddef>

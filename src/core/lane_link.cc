@@ -1,16 +1,12 @@
 #include "core/lane_link.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "channel/equalizer.h"
+#include "core/chain_plan.h"
 #include "core/link.h"
-#include "digital/framing.h"
-#include "pipe/lane_stages.h"
-#include "pipe/stages.h"
 
 namespace serdes::core {
 
@@ -33,207 +29,63 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
                          const std::vector<std::size_t>& lanes, bool capture,
                          std::vector<LinkResult>& results) {
   const std::size_t nl = lanes.size();
-  results.assign(nl, LinkResult{});
+  std::vector<std::uint64_t> noise_seeds(nl);
   std::vector<std::uint64_t> awgn_seeds(nl);
-  std::vector<std::uint64_t> jitter_seeds(nl);
-  std::vector<std::uint64_t> sampler_seeds(nl);
   for (std::size_t i = 0; i < nl; ++i) {
-    const std::uint64_t base = lane_seeds_[lanes[i]];
+    noise_seeds[i] = lane_seeds_[lanes[i]];
     // The scalar link derives one AWGN seed per run from its run counter;
     // each lane keeps its own counter so the sequence matches per lane.
-    awgn_seeds[i] = base + 100 + chunks_run_[lanes[i]]++;
-    jitter_seeds[i] = base + 1;
-    sampler_seeds[i] = base + 2;
-  }
-  for (LinkResult& r : results) r.payload_bits_sent = payload.size();
-
-  // ---- Shared TX prefix (lane-invariant, computed once per tile) ------------
-  // Identical to SerDesLink::run_streaming: per-bit launch levels and the
-  // stream time base.
-  const std::vector<std::uint8_t> bits = tx_.wire_bits(payload);
-  const int spu = config_.samples_per_ui;
-  const util::Second ui = config_.unit_interval();
-  const util::Second rise = tx_.driver().output_rise_time();
-
-  std::vector<double> levels(bits.size());
-  util::Second stream_t0 = util::seconds(0.0);
-  double fill = 0.0;
-  if (config_.tx_ffe_deemphasis != 0.0) {
-    const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
-        config_.tx_ffe_deemphasis, config_.driver.vdd);
-    levels = ffe.levels(bits);
-  } else {
-    const double vdd = config_.driver.vdd.value();
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      levels[i] = bits[i] ? vdd : 0.0;
-    }
-    stream_t0 = tx_.driver().total_delay();
+    awgn_seeds[i] =
+        ChainPlan::awgn_seed(noise_seeds[i], chunks_run_[lanes[i]]++);
   }
 
-  pipe::LevelPulseSource source(std::move(levels), ui, spu, rise, stream_t0,
-                                fill);
-  const std::uint64_t total = source.total_samples();
-  const util::Second dt = source.dt();
-  const std::size_t block =
-      std::max<std::size_t>(1, config_.stream_block_samples);
-  const double sigma = per_sample_noise_sigma(config_);
-  const bool use_ctle = config_.rx_ctle_boost.value() > 0.0;
+  // The TX launch is lane-invariant: computed once per tile, and the
+  // channel (and crosstalk) prefix of every pass runs once on it.
+  const ChainPlan plan(config_, rx_);
+  const Launch tx = plan.launch(tx_.wire_bits(payload));
+  const std::vector<FirstPass> first =
+      plan.first_pass(*channel_, tx, awgn_seeds);
+  std::vector<double> means(nl);
+  for (std::size_t i = 0; i < nl; ++i) means[i] = first[i].mean;
+
   const std::size_t capture_cap = config_.capture_max_samples > 0
                                       ? config_.capture_max_samples
                                       : static_cast<std::size_t>(-1);
-
-  // ---- Pass 1: per-lane DC mean and swing over the receiver input ----------
-  // The scalar path's first pass, lane-batched: the shared TX + channel
-  // front runs once, the AWGN fan-out and optional CTLE run per lane, and
-  // the mean accumulates per lane in sample order (the exact batch-path
-  // sum for that lane's stream).
-  std::vector<double> sum(nl, 0.0);
-  std::vector<double> min_v(nl, std::numeric_limits<double>::infinity());
-  std::vector<double> max_v(nl, -std::numeric_limits<double>::infinity());
-  {
-    pipe::ChannelStage chan(channel_->open_stream());
-    pipe::LaneAwgnStage awgn(sigma, awgn_seeds);
-    std::optional<pipe::LaneCtleStage> ctle;
-    if (use_ctle) {
-      ctle.emplace(config_.rx_ctle_boost, config_.rx_ctle_pole,
-                   config_.sample_period(), nl);
-    }
-    pipe::Block blk;
-    pipe::Block chan_blk;
-    pipe::LaneBlock noisy;
-    pipe::LaneBlock eq;
-    while (source.produce(blk, block) > 0) {
-      chan.process(blk.view(), chan_blk);
-      awgn.process(chan_blk.view(), noisy);
-      const pipe::LaneView nv = noisy.view();
-      if (!use_ctle) {
-        // No CTLE: swing and mean read the same samples — one traversal,
-        // per lane in sample order like the scalar fused loop.
-        for (std::size_t i = 0; i < nv.size; ++i) {
-          const double* row = nv.data + i * nl;
-          for (std::size_t l = 0; l < nl; ++l) {
-            const double v = row[l];
-            min_v[l] = std::min(min_v[l], v);
-            max_v[l] = std::max(max_v[l], v);
-            sum[l] += v;
-          }
-        }
-      } else {
-        ctle->process(nv, eq);
-        const pipe::LaneView ev = eq.view();
-        for (std::size_t i = 0; i < nv.size; ++i) {
-          const double* row = nv.data + i * nl;
-          for (std::size_t l = 0; l < nl; ++l) {
-            min_v[l] = std::min(min_v[l], row[l]);
-            max_v[l] = std::max(max_v[l], row[l]);
-          }
-        }
-        for (std::size_t i = 0; i < ev.size; ++i) {
-          const double* row = ev.data + i * nl;
-          for (std::size_t l = 0; l < nl; ++l) sum[l] += row[l];
-        }
-      }
-    }
-  }
-  std::vector<double> mean(nl, 0.0);
-  for (std::size_t i = 0; i < nl; ++i) {
-    results[i].rx_swing_pp = total > 0 ? max_v[i] - min_v[i] : 0.0;
-    mean[i] = total > 0 ? sum[i] / static_cast<double>(total) : 0.0;
-  }
-
-  // ---- Pass 2: full datapath into the lane sampler/CDR sink ----------------
-  source.reset();
-  pipe::ChannelStage chan(channel_->open_stream());
-  pipe::LaneAwgnStage awgn(sigma, awgn_seeds);
-  std::optional<pipe::LaneCtleStage> ctle;
-  if (use_ctle) {
-    ctle.emplace(config_.rx_ctle_boost, config_.rx_ctle_pole,
-                 config_.sample_period(), nl);
-  }
-  pipe::LaneRfiStage rfi(rx_.rfi_stage(), config_.sample_period(), nl);
-  for (std::size_t i = 0; i < nl; ++i) rfi.set_mean(i, mean[i]);
-  pipe::LaneRestoreStage restore(rx_.restoring(), config_.sample_period(), nl);
-  // Scalar capture points: tx pre-channel (lane-invariant, shared buffer),
-  // channel post-AWGN (per lane), restored (per lane).
-  std::optional<pipe::LaneWaveformTap> tap_channel;
-  std::optional<pipe::LaneWaveformTap> tap_restored;
-  if (capture) {
-    tap_channel.emplace(nl, capture_cap);
-    tap_restored.emplace(nl, capture_cap);
-  }
-
-  pipe::LaneSamplerCdrSink::Config sink_cfg;
-  sink_cfg.bit_rate = config_.bit_rate;
-  sink_cfg.oversampling = config_.cdr.oversampling;
-  sink_cfg.phase_offset = util::seconds(config_.rx_phase_offset_ui *
-                                        config_.unit_interval().value());
-  sink_cfg.ppm_offset = config_.ppm_offset;
-  sink_cfg.jitter.random_rms = config_.rx_random_jitter;
-  sink_cfg.jitter.sinusoidal_amplitude = config_.rx_sinusoidal_jitter;
-  sink_cfg.jitter.sinusoidal_freq =
-      util::hertz(config_.sj_freq_ratio * config_.bit_rate.value());
-  sink_cfg.sampler = config_.sampler;
-  sink_cfg.sampler.threshold = rx_.decision_threshold();
-  sink_cfg.dfe_taps = config_.dfe_taps;
-  sink_cfg.cdr = config_.cdr;
-  sink_cfg.jitter_seeds = std::move(jitter_seeds);
-  sink_cfg.sampler_seeds = std::move(sampler_seeds);
-  sink_cfg.total_samples = total;
-  sink_cfg.stream_t0 = stream_t0;
-  sink_cfg.dt = dt;
-  sink_cfg.block_samples = block;
-  pipe::LaneSamplerCdrSink sink(sink_cfg);
+  ChainPlan::TilePass chain =
+      plan.tile_pass(*channel_, tx, awgn_seeds, ChainPlan::Stop::kSlicer,
+                     means, capture ? std::optional(capture_cap)
+                                    : std::nullopt);
+  pipe::LevelPulseSource source = plan.source(tx);
+  // The slicer threshold is lane-invariant (the restoring-stage midpoint).
+  pipe::SamplerCdrSink sink(plan.sink_config(first[0], source, noise_seeds));
 
   std::vector<double> tx_capture;
   pipe::Block blk;
-  pipe::Block chan_blk;
-  pipe::LaneBlock noisy;
-  pipe::LaneBlock eq;
-  pipe::LaneBlock rfi_out;
-  pipe::LaneBlock restored;
-  while (source.produce(blk, block) > 0) {
+  while (source.produce(blk, plan.block()) > 0) {
     const pipe::BlockView tx_view = blk.view();
     if (capture && tx_capture.size() < capture_cap) {
       const std::size_t take =
           std::min(capture_cap - tx_capture.size(), tx_view.size);
       tx_capture.insert(tx_capture.end(), tx_view.data, tx_view.data + take);
     }
-    chan.process(tx_view, chan_blk);
-    awgn.process(chan_blk.view(), noisy);
-    pipe::LaneView v = noisy.view();
-    if (capture) tap_channel->record(v);
-    if (ctle) {
-      ctle->process(v, eq);
-      v = eq.view();
-    }
-    rfi.process(v, rfi_out);
-    restore.process(rfi_out.view(), restored);
-    const pipe::LaneView rv = restored.view();
-    if (capture) tap_restored->record(rv);
-    sink.consume(rv);
+    sink.consume(chain.process(tx_view));
   }
   sink.finish();
 
   LinkConfig finalize_cfg = config_;
   finalize_cfg.capture_waveforms = capture;
+  results.assign(nl, LinkResult{});
   for (std::size_t i = 0; i < nl; ++i) {
     LinkResult& result = results[i];
-    ReceiveResult rx;
-    rx.recovered_bits = sink.cdr(i).recovered();
-    rx.payload = digital::deframe_stream(rx.recovered_bits, config_.framing);
-    rx.aligned = !rx.payload.empty();
-    rx.frames = digital::Deserializer::deserialize(rx.payload);
-    rx.cdr_decision_phase = sink.cdr(i).decision_phase();
-    rx.cdr_phase_updates = sink.cdr(i).phase_updates();
-    rx.metastable_samples = sink.metastable_count(i);
+    result.payload_bits_sent = payload.size();
+    result.rx_swing_pp = first[i].swing_pp;
+    result.rx = plan.recovered(sink, i);
     if (capture) {
-      result.tx_out = analog::Waveform{stream_t0, dt, tx_capture};
-      result.channel_out = tap_channel->take(i);
-      rx.restored = tap_restored->take(i);
-      // The RFI probe tap is not materialized on the lane path (nothing
-      // downstream reads it); rx.rfi_out stays empty.
+      result.tx_out =
+          analog::Waveform{source.stream_t0(), source.dt(), tx_capture};
+      result.channel_out = chain.noisy->take(i);
+      result.rx.restored = chain.out->take(i);
     }
-    result.rx = std::move(rx);
     result.aligned = result.rx.aligned;
     SerDesLink::finalize_result(finalize_cfg, payload, result);
   }

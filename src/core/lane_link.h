@@ -4,10 +4,13 @@
 // The lanes of a tile share everything that is seed-independent — the PRBS
 // payload, TX wire bits and launch levels, the pulse-shaping source and
 // the channel stream — computed once per tile instead of once per lane.
-// The datapath fans out at the receiver-input AWGN (the first seeded
-// stage) into lane-major SoA tiles (pipe/lane_block.h) processed by the
+// core::ChainPlan lays the tile out in the scalar chain's stage order: the
+// datapath fans out at the receiver-input AWGN (the first seeded stage)
+// into lane-major SoA tiles (pipe/lane_block.h) processed by the
 // lane-batched stages in pipe/lane_stages.h, whose inner lane loops
-// vectorize across the lane axis.
+// vectorize across the lane axis, and ends in the same
+// pipe::SamplerCdrSink a scalar link uses — one sink, N lanes.  Tiles run
+// NRZ only.
 //
 // Hard contract: lane l of a tile run with seed s_l is bit-identical to a
 // scalar SerDesLink + measure_ber run whose config carries noise_seed s_l

@@ -49,8 +49,9 @@ class SerDesLink {
 
   /// Transmits `payload` and compares what the receiver recovered.
   /// Dispatches on LinkConfig::execution: the streaming block pipeline
-  /// (default, O(block) waveform memory) or the legacy whole-waveform
-  /// batch path.  Both are bit-identical.
+  /// core::ChainPlan lays out (default, O(block) waveform memory, NRZ and
+  /// PAM4) or the legacy whole-waveform batch path.  Both are
+  /// bit-identical.
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
 
   /// Convenience: PRBS payload of `nbits` using the config's pattern order.
@@ -80,8 +81,6 @@ class SerDesLink {
   [[nodiscard]] LinkResult run_batch(const std::vector<std::uint8_t>& payload,
                                      std::uint64_t noise_run_seed);
   [[nodiscard]] LinkResult run_streaming(
-      const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
-  [[nodiscard]] LinkResult run_streaming_pam4(
       const std::vector<std::uint8_t>& payload, std::uint64_t noise_run_seed);
   /// True when any configured crosstalk path has a nonzero gain (zero-gain
   /// paths are dropped so a zero-coupling bus lane stays byte-identical to

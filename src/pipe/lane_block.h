@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "pipe/block.h"
 #include "util/units.h"
 
 namespace serdes::pipe {
@@ -39,6 +40,12 @@ struct LaneView {
     return data[i * lanes + l];
   }
 };
+
+/// A scalar block as a one-lane tile (same samples, same stream metadata).
+[[nodiscard]] inline LaneView as_tile(const BlockView& in) {
+  return LaneView{in.data, in.size, 1, in.start_index, in.stream_t0, in.dt,
+                  in.last};
+}
 
 /// Owning lane-major tile buffer a lane stage writes its output into.
 class LaneBlock {

@@ -7,35 +7,35 @@
 // in arrays — one instruction stream, L lanes.  No cross-lane arithmetic
 // ever mixes values and each lane draws from its own RNG stream in the
 // scalar order, so lane l of a tile is bit-identical to the scalar
-// pipeline run over lane l alone.
+// pipeline run over lane l alone.  core::ChainPlan chains them in the same
+// order as the scalar stages, and the tile ends in the one
+// pipe::SamplerCdrSink (pipe/stages.h), which reads N-lane tiles natively.
 //
-//   LaneAwgnStage      — fans a shared (lane-invariant) channel block out
-//                        into a tile, adding per-lane AWGN streams
+//   LaneAwgnStage      — fans a shared (lane-invariant) channel block, a
+//                        one-lane tile, out into L lanes, adding per-lane
+//                        AWGN streams
 //   LaneCtleStage      — CTLE peaking with per-lane pole state
 //   LaneRfiStage       — RFI front end with per-lane DC means and poles
 //   LaneRestoreStage   — restoring inverter VTC + per-lane output pole
-//   LaneWaveformTap    — per-lane diagnostic-window capture
-//   LaneSamplerCdrSink — per-lane jitter/sampler/CDR over one shared
-//                        interleaved rolling window
+//   LaneWaveformTap    — per-lane probe: diagnostic window + range/sum
+//   LanePipeline       — chains lane stages over two scratch tiles
 //
-// The gaussian draw (ziggurat with a variable-draw edge path) and the
-// sampler decision (data-dependent metastability redraws) stay scalar per
-// lane by design: batching them across lanes would change each lane's
+// The gaussian draw (ziggurat with a variable-draw edge path) stays scalar
+// per lane by design: batching it across lanes would change each lane's
 // draw order and break bit-identity.  The filter recurrences and MACs —
 // where the cycles actually go — vectorize across the lane axis.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "analog/filters.h"
 #include "analog/rfi.h"
 #include "analog/sampler.h"
 #include "analog/waveform.h"
-#include "channel/noise.h"
-#include "digital/cdr.h"
-#include "digital/sampling.h"
 #include "pipe/block.h"
 #include "pipe/lane_block.h"
 #include "util/random.h"
@@ -43,15 +43,39 @@
 
 namespace serdes::pipe {
 
-/// Fan-out stage: replicates a shared scalar block (the lane-invariant
+/// Tile-to-tile stage: the lane counterpart of pipe::Stage.
+class LaneStage {
+ public:
+  virtual ~LaneStage() = default;
+  /// Transforms one tile; `out` is shaped by the stage.
+  virtual void process(const LaneView& in, LaneBlock& out) = 0;
+};
+
+/// Runs tiles through an ordered chain of lane stages, ping-ponging
+/// between two scratch tiles (pipe::Pipeline's contract, per lane).
+class LanePipeline {
+ public:
+  /// Appends a stage; returns it for optional post-wiring.
+  LaneStage& add(std::unique_ptr<LaneStage> stage);
+  /// Pushes one tile through every stage; the returned view aliases one of
+  /// the internal scratch tiles and is valid until the next call.
+  [[nodiscard]] LaneView process(const LaneView& in);
+
+ private:
+  std::vector<std::unique_ptr<LaneStage>> stages_;
+  LaneBlock ping_;
+  LaneBlock pong_;
+};
+
+/// Fan-out stage: replicates a shared one-lane tile (the lane-invariant
 /// TX + channel output) across L lanes, adding each lane's own AWGN
 /// stream — per lane, blockwise Waveform::add_noise with a carried RNG
 /// that advances one gaussian per sample exactly like AwgnStage.
-class LaneAwgnStage {
+class LaneAwgnStage final : public LaneStage {
  public:
   LaneAwgnStage(double sigma, const std::vector<std::uint64_t>& seeds);
 
-  void process(const BlockView& in, LaneBlock& out);
+  void process(const LaneView& in, LaneBlock& out) override;
 
  private:
   double sigma_;
@@ -60,12 +84,12 @@ class LaneAwgnStage {
 
 /// CTLE peaking across a tile: out = x + k*(x - LPF(x)) per lane, the
 /// pole state carried per lane (analog::OnePoleLowPass::process_lanes).
-class LaneCtleStage {
+class LaneCtleStage final : public LaneStage {
  public:
   LaneCtleStage(util::Decibel boost, util::Hertz pole, util::Second dt,
                 std::size_t lanes);
 
-  void process(const LaneView& in, LaneBlock& out);
+  void process(const LaneView& in, LaneBlock& out) override;
 
  private:
   double k_;
@@ -78,7 +102,7 @@ class LaneCtleStage {
 /// RFI front end across a tile: per-lane DC removal (each lane's stream
 /// mean, supplied via set_mean once measured), per-lane output pole, then
 /// the shared saturating VTC — blockwise RfiFrontEndStage per lane.
-class LaneRfiStage {
+class LaneRfiStage final : public LaneStage {
  public:
   LaneRfiStage(const analog::RfiStage& rfi, util::Second dt,
                std::size_t lanes);
@@ -86,7 +110,7 @@ class LaneRfiStage {
   /// Lane `lane`'s full-stream DC mean; must be set before the first tile.
   void set_mean(std::size_t lane, double mean) { deltas_[lane] = -mean; }
 
-  void process(const LaneView& in, LaneBlock& out);
+  void process(const LaneView& in, LaneBlock& out) override;
 
  private:
   const analog::RfiStage* rfi_;
@@ -98,12 +122,12 @@ class LaneRfiStage {
 
 /// Rail-restoring inverter across a tile: shared VTC lookup per value,
 /// then the per-lane output pole.
-class LaneRestoreStage {
+class LaneRestoreStage final : public LaneStage {
  public:
   LaneRestoreStage(const analog::RestoringInverter& inv, util::Second dt,
                    std::size_t lanes);
 
-  void process(const LaneView& in, LaneBlock& out);
+  void process(const LaneView& in, LaneBlock& out) override;
 
  private:
   const analog::RestoringInverter* inv_;
@@ -112,131 +136,32 @@ class LaneRestoreStage {
   std::vector<double> y1_;
 };
 
-/// Per-lane diagnostic-window capture: retains up to `max_samples` of each
-/// lane's stream flowing past (the per-lane analogue of WaveformTapStage,
-/// as a passive recorder — call record() before the sink consumes the
-/// tile).
-class LaneWaveformTap {
+/// Per-lane pass-through probe: retains up to `max_samples` of each
+/// lane's stream flowing past and keeps each lane's running minimum,
+/// maximum and sample-order sum (the per-lane WaveformTapStage).
+class LaneWaveformTap final : public LaneStage {
  public:
   LaneWaveformTap(std::size_t lanes, std::size_t max_samples);
 
-  void record(const LaneView& in);
+  void process(const LaneView& in, LaneBlock& out) override;
 
   /// Moves lane `lane`'s captured window out (stream t0 / dt stamped).
-  [[nodiscard]] analog::Waveform take(std::size_t lane);
+  [[nodiscard]] analog::Waveform take(std::size_t lane) {
+    return analog::Waveform{t0_, dt_, std::move(captured_[lane])};
+  }
+  [[nodiscard]] double min(std::size_t lane) const { return min_[lane]; }
+  [[nodiscard]] double max(std::size_t lane) const { return max_[lane]; }
+  [[nodiscard]] double sum(std::size_t lane) const { return sum_[lane]; }
 
  private:
   std::size_t max_samples_;
   std::vector<std::vector<double>> captured_;
+  std::vector<double> min_;
+  std::vector<double> max_;
+  std::vector<double> sum_;
   util::Second t0_{0.0};
   util::Second dt_{1e-12};
   bool stamped_ = false;
-};
-
-/// Terminal sink for a lane tile: per-lane jittered multiphase sampling,
-/// DFF decision and oversampling CDR, all fed from one shared interleaved
-/// rolling window.  Lane l reproduces the scalar SamplerCdrSink seeded
-/// with lane l's jitter/sampler seeds bit-for-bit: each lane keeps its own
-/// sampling cursor and drains independently, so a lane whose jittered
-/// instant still waits on the next block never stalls the others' RNG
-/// draw order.
-class LaneSamplerCdrSink {
- public:
-  struct Config {
-    util::Hertz bit_rate;
-    int oversampling = 5;
-    util::Second phase_offset{0.0};
-    double ppm_offset = 0.0;
-    /// Shared jitter/sampler settings; the per-lane seed vectors below
-    /// override the seed fields lane by lane (their common size is the
-    /// lane count).
-    channel::JitterModel::Config jitter{};
-    analog::DffSampler::Config sampler{};
-    digital::CdrConfig cdr{};
-    std::vector<std::uint64_t> jitter_seeds;
-    std::vector<std::uint64_t> sampler_seeds;
-    /// DFE post-cursor taps (volts in the sink's input domain), shared
-    /// across lanes; each lane carries its own feedback history so lane l
-    /// stays bit-identical to the scalar sink run over lane l alone.
-    /// Empty disables the feedback path.
-    std::vector<double> dfe_taps;
-    /// Stream geometry (known up front: framed bits x samples per UI).
-    std::uint64_t total_samples = 0;
-    util::Second stream_t0{0.0};
-    util::Second dt{1e-12};
-    /// Block size hint used to size the rolling window.
-    std::size_t block_samples = 16384;
-  };
-
-  explicit LaneSamplerCdrSink(const Config& config);
-
-  /// Appends one tile and evaluates, per lane, every sampling instant
-  /// whose needed neighbourhood is now available.
-  void consume(const LaneView& in);
-
-  /// Evaluates the remaining instants with end-of-stream clamping.
-  void finish();
-
-  [[nodiscard]] std::size_t lanes() const { return nlanes_; }
-  [[nodiscard]] const digital::OversamplingCdr& cdr(std::size_t lane) const {
-    return cdrs_[lane];
-  }
-  [[nodiscard]] std::uint64_t metastable_count(std::size_t lane) const {
-    return samplers_[lane].metastable_count();
-  }
-
- private:
-  /// Per-lane sampling cursor: the scalar sink's progress state, one copy
-  /// per lane so lanes drain independently.
-  struct LaneCursor {
-    double first_sample = 0.0;
-    double last_sample = 0.0;
-    bool has_first = false;
-    bool got_last = false;
-    std::uint64_t ui = 0;
-    int phase = 0;
-    std::optional<util::Second> pending;
-    bool done = false;
-    // Per-lane DFE feedback state (see SamplerCdrSink): correction latched
-    // at phase 0, decision from a pure comparator at the CDR pick phase,
-    // history shifted at the UI wrap.
-    std::vector<double> dfe_hist;  // w in {+1,-1}, 0 pre-stream
-    double dfe_corr = 0.0;
-    int dfe_fb_phase = 0;
-    bool dfe_fb_decided = false;
-    double dfe_fb_w = 0.0;
-  };
-
-  void drain_lane(std::size_t lane);
-  /// Scalar-identical fused availability test + interpolation for lane
-  /// `lane` (see SamplerCdrSink::fetch).
-  [[nodiscard]] bool fetch(std::size_t lane, const LaneCursor& cursor,
-                           util::Second t, double* v) const;
-
-  digital::MultiphaseClockGenerator clocks_;  // config-only: shared
-  std::vector<channel::JitterModel> jitters_;
-  std::vector<analog::DffSampler> samplers_;
-  std::vector<digital::OversamplingCdr> cdrs_;
-  std::vector<LaneCursor> cursors_;
-
-  std::size_t nlanes_;
-  std::uint64_t total_;
-  util::Second t0_;
-  util::Second dt_;
-  util::Second end_;
-  util::Second ap_half_;
-
-  /// Interleaved rolling window: stream sample i of lane l lives at
-  /// ring_[(i & mask_) * nlanes_ + l]; capacity is a power of two of
-  /// *entries* (sample indices), not values.
-  std::vector<double> ring_;
-  std::size_t mask_ = 0;  // entry count - 1
-  std::size_t back_samples_ = 0;
-  std::uint64_t appended_ = 0;
-
-  bool dfe_on_ = false;
-  std::vector<double> dfe_taps_;
-  double dfe_thr_ = 0.0;  // comparator threshold (the shared sampler's)
 };
 
 }  // namespace serdes::pipe

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "dsp/fft.h"
-
 namespace serdes::pipe {
 
 // ---- XtalkInjectStage -------------------------------------------------------
@@ -44,204 +42,6 @@ void XtalkInjectStage::reset() {
     lane.source.reset();
     if (lane.channel_stream) lane.channel_stream->reset();
   }
-}
-
-// ---- PamSamplerCdrSink ------------------------------------------------------
-
-namespace {
-
-analog::DffSampler::Config slicer_config(const analog::DffSampler::Config& t,
-                                         double threshold,
-                                         std::uint64_t seed_offset) {
-  analog::DffSampler::Config c = t;
-  c.threshold = threshold;
-  c.seed = t.seed + seed_offset;
-  return c;
-}
-
-}  // namespace
-
-PamSamplerCdrSink::PamSamplerCdrSink(const Config& config)
-    : clocks_(config.symbol_rate, config.oversampling, config.phase_offset,
-              config.ppm_offset),
-      jitter_(config.jitter),
-      sampler_mid_(slicer_config(config.sampler, config.threshold_mid, 0)),
-      sampler_low_(slicer_config(config.sampler, config.threshold_low, 1)),
-      sampler_high_(slicer_config(config.sampler, config.threshold_high, 2)),
-      extra_thresholds_(config.extra_thresholds),
-      cdr_(config.cdr),
-      total_(config.total_samples),
-      t0_(config.stream_t0),
-      dt_(config.dt),
-      end_(config.stream_t0 +
-           config.dt * static_cast<double>(config.total_samples)),
-      ap_half_(config.sampler.aperture * 0.5),
-      dfe_on_(!config.dfe_taps.empty()),
-      dfe_taps_(config.dfe_taps),
-      dfe_hist_(config.dfe_taps.size(), 0.0) {
-  if (dfe_on_ && !config.extra_thresholds) {
-    throw std::invalid_argument(
-        "PamSamplerCdrSink: the DFE needs the tri-threshold slicers");
-  }
-  // Same rolling-window sizing as SamplerCdrSink, against the symbol
-  // period (the PAM4 UI).
-  const double dt_s = config.dt.value();
-  const double back_span_s = config.sampler.aperture.value() +
-                             24.0 * config.jitter.random_rms.value() +
-                             2.0 * config.jitter.sinusoidal_amplitude.value() +
-                             4.0 * util::period(config.symbol_rate).value();
-  back_samples_ = static_cast<std::size_t>(back_span_s / dt_s) + 64;
-  ring_.assign(dsp::next_pow2(std::max<std::size_t>(config.block_samples, 1) +
-                              back_samples_),
-               0.0);
-  mask_ = ring_.size() - 1;
-  if (total_ == 0) done_ = true;
-}
-
-void PamSamplerCdrSink::consume(const BlockView& in) {
-  if (in.size + back_samples_ > ring_.size()) {
-    std::vector<double> bigger(dsp::next_pow2(in.size + back_samples_), 0.0);
-    const std::size_t new_mask = bigger.size() - 1;
-    const std::uint64_t live =
-        std::min<std::uint64_t>(appended_, ring_.size());
-    for (std::uint64_t k = appended_ - live; k < appended_; ++k) {
-      bigger[k & new_mask] = ring_[k & mask_];
-    }
-    ring_ = std::move(bigger);
-    mask_ = new_mask;
-  }
-  double* ring = ring_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t start = in.start_index;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    ring[(start + i) & mask] = in.data[i];
-  }
-  if (in.size > 0) {
-    if (in.start_index == 0) {
-      first_sample_ = in.data[0];
-      has_first_ = true;
-    }
-    appended_ = in.start_index + in.size;
-    if (appended_ == total_) {
-      last_sample_ = in.data[in.size - 1];
-      final_ = true;
-    }
-  }
-  drain();
-}
-
-void PamSamplerCdrSink::finish() {
-  if (!final_ && total_ > 0 && appended_ == total_) {
-    last_sample_ = ring_[(total_ - 1) & mask_];
-    final_ = true;
-  }
-  drain();
-}
-
-bool PamSamplerCdrSink::fetch(util::Second t, double* v) const {
-  const double idx = (t - t0_) / dt_;
-  if (idx <= 0.0) {
-    if (!has_first_) return false;
-    *v = first_sample_;
-    return true;
-  }
-  const auto lo = static_cast<std::uint64_t>(idx);
-  if (lo + 1 >= total_) {
-    if (!final_) return false;
-    *v = last_sample_;
-    return true;
-  }
-  if (lo + 1 >= appended_) return false;
-  const double frac = idx - static_cast<double>(lo);
-  const double a = ring_[lo & mask_];
-  const double b = ring_[(lo + 1) & mask_];
-  *v = a + frac * (b - a);
-  return true;
-}
-
-void PamSamplerCdrSink::drain() {
-  while (!done_) {
-    if (!pending_) {
-      if (phase_ == 0) {
-        const util::Second ui_start = clocks_.instant(ui_, 0);
-        if (ui_start >= end_) {
-          done_ = true;
-          break;
-        }
-        if (dfe_on_) {
-          // Per-UI feedback correction, latched before the UI's first
-          // instant (see SamplerCdrSink::drain for the contract).
-          double corr = 0.0;
-          for (std::size_t k = 0; k < dfe_taps_.size(); ++k) {
-            corr += dfe_taps_[k] * dfe_hist_[k];
-          }
-          dfe_corr_ = corr;
-          dfe_fb_phase_ = cdr_.decision_phase();
-          dfe_fb_decided_ = false;
-        }
-      }
-      pending_ = jitter_.perturb(clocks_.instant(ui_, phase_));
-    }
-    const util::Second t = *pending_;
-    double v;
-    double v_before;
-    double v_after;
-    if (!fetch(t, &v) || !fetch(t - ap_half_, &v_before) ||
-        !fetch(t + ap_half_, &v_after)) {
-      break;
-    }
-    if (dfe_on_) {
-      v -= dfe_corr_;
-      v_before -= dfe_corr_;
-      v_after -= dfe_corr_;
-      if (!dfe_fb_decided_ && phase_ >= dfe_fb_phase_) {
-        // Pure tri-threshold comparator on the corrected value (no RNG):
-        // levels 0..3 weigh the feedback as -1, -1/3, +1/3, +1.
-        const bool a_mid = v > sampler_mid_.config().threshold;
-        const bool a_low = v > sampler_low_.config().threshold;
-        const bool a_high = v > sampler_high_.config().threshold;
-        dfe_fb_w_ = a_high ? 1.0
-                    : a_mid ? 1.0 / 3.0
-                    : a_low ? -1.0 / 3.0
-                            : -1.0;
-        dfe_fb_decided_ = true;
-      }
-    }
-    // Gray decode: MSB = above mid; LSB = between low and high (levels 1
-    // and 2 carry LSB=1).  With the extra thresholds disabled the LSB
-    // rail is forced to 0 and only the middle slicer draws noise.
-    const bool msb = sampler_mid_.decide(v, v_before, v_after);
-    bool lsb = false;
-    if (extra_thresholds_) {
-      const bool above_low = sampler_low_.decide(v, v_before, v_after);
-      const bool above_high = sampler_high_.decide(v, v_before, v_after);
-      lsb = above_low && !above_high;
-    }
-    cdr_.push2(msb, lsb);
-    pending_.reset();
-    if (++phase_ == clocks_.phases()) {
-      phase_ = 0;
-      ++ui_;
-      if (dfe_on_) {
-        for (std::size_t k = dfe_taps_.size() - 1; k > 0; --k) {
-          dfe_hist_[k] = dfe_hist_[k - 1];
-        }
-        dfe_hist_[0] = dfe_fb_decided_ ? dfe_fb_w_ : 0.0;
-      }
-    }
-  }
-}
-
-std::vector<std::uint8_t> PamSamplerCdrSink::recovered_bits() const {
-  const std::vector<std::uint8_t>& msb = cdr_.recovered();
-  const std::vector<std::uint8_t>& lsb = cdr_.aux_recovered();
-  std::vector<std::uint8_t> bits;
-  bits.reserve(msb.size() * 2);
-  for (std::size_t i = 0; i < msb.size(); ++i) {
-    bits.push_back(msb[i]);
-    bits.push_back(i < lsb.size() ? lsb[i] : 0);
-  }
-  return bits;
 }
 
 }  // namespace serdes::pipe

@@ -1,28 +1,21 @@
-// Streaming stages for the multi-lane / PAM4 datapath extensions.
+// Streaming stage for the multi-lane bus datapath.
 //
 //   XtalkInjectStage — adds gain-scaled, UI-delayed copies of aggressor TX
 //                      streams (optionally filtered through the victim's
 //                      channel: FEXT) into the victim's post-channel
 //                      stream, block by block.
-//   PamSamplerCdrSink — the PAM4 counterpart of SamplerCdrSink: three
-//                      threshold slicers (low / middle / high) gray-decode
-//                      each sampling instant into MSB/LSB rails feeding the
-//                      oversampling CDR's dual-rail push2 path.
 //
-// Both follow the streaming contract of pipe/stages.h: identical
-// arithmetic at any block size, state carried across blocks.
+// It follows the streaming contract of pipe/stages.h: identical arithmetic
+// at any block size, state carried across blocks.  PAM4 needs no stage of
+// its own: its 4-level launch is a LevelPulseSource over gray-mapped
+// levels (core::ChainPlan), and its three slicers live in the one
+// pipe::SamplerCdrSink.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "analog/sampler.h"
 #include "channel/channel.h"
-#include "channel/noise.h"
-#include "digital/cdr.h"
-#include "digital/sampling.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/units.h"
@@ -64,101 +57,6 @@ class XtalkInjectStage final : public Stage {
   };
   std::vector<Lane> lanes_;
   Block scratch_;
-};
-
-/// Terminal sink for PAM4: per jittered sampling instant, three DFF
-/// slicers (thresholds low < mid < high) decide the rails, the gray code
-/// ((0,0) (0,1) (1,1) (1,0) for levels 0..3) reduces them to MSB = above
-/// mid, LSB = above low AND not above high, and the CDR consumes both
-/// rails through push2 — edge detection and phase picking run on the MSB
-/// rail only.  The rolling-window machinery matches SamplerCdrSink.
-class PamSamplerCdrSink {
- public:
-  struct Config {
-    /// Symbol rate (bit_rate / 2 for PAM4) — the clock the multiphase
-    /// generator runs at.
-    util::Hertz symbol_rate;
-    int oversampling = 5;
-    util::Second phase_offset{0.0};
-    double ppm_offset = 0.0;
-    channel::JitterModel::Config jitter{};
-    /// Slicer template: aperture / input noise; `seed` seeds the middle
-    /// slicer, seed+1 the low, seed+2 the high.
-    analog::DffSampler::Config sampler{};
-    double threshold_low = 0.0;
-    double threshold_mid = 0.0;
-    double threshold_high = 0.0;
-    /// When false only the middle slicer runs and LSBs decode as 0 (the
-    /// NRZ-degenerate configuration).
-    bool extra_thresholds = true;
-    /// DFE post-cursor taps (volts in the sink's input domain).  The
-    /// feedback symbol is a pure tri-threshold comparator on the corrected
-    /// value, weighted {-1, -1/3, +1/3, +1} for levels 0..3; requires the
-    /// tri-threshold configuration (`extra_thresholds`).  Empty disables.
-    std::vector<double> dfe_taps;
-    digital::CdrConfig cdr{};
-    std::uint64_t total_samples = 0;
-    util::Second stream_t0{0.0};
-    util::Second dt{1e-12};
-    std::size_t block_samples = 16384;
-  };
-
-  explicit PamSamplerCdrSink(const Config& config);
-
-  void consume(const BlockView& in);
-  void finish();
-
-  [[nodiscard]] const digital::OversamplingCdr& cdr() const { return cdr_; }
-  /// Recovered bit stream: MSB/LSB rails interleaved per symbol (2 bits
-  /// per recovered symbol, MSB first — the TX gray mapping's inverse).
-  [[nodiscard]] std::vector<std::uint8_t> recovered_bits() const;
-  [[nodiscard]] std::uint64_t metastable_count() const {
-    return sampler_mid_.metastable_count() + sampler_low_.metastable_count() +
-           sampler_high_.metastable_count();
-  }
-
- private:
-  void drain();
-  [[nodiscard]] bool fetch(util::Second t, double* v) const;
-
-  digital::MultiphaseClockGenerator clocks_;
-  channel::JitterModel jitter_;
-  analog::DffSampler sampler_mid_;
-  analog::DffSampler sampler_low_;
-  analog::DffSampler sampler_high_;
-  bool extra_thresholds_;
-  digital::OversamplingCdr cdr_;
-
-  std::uint64_t total_;
-  util::Second t0_;
-  util::Second dt_;
-  util::Second end_;
-  util::Second ap_half_;
-
-  std::vector<double> ring_;
-  std::size_t mask_ = 0;
-  std::size_t back_samples_ = 0;
-  std::uint64_t appended_ = 0;
-  double first_sample_ = 0.0;
-  double last_sample_ = 0.0;
-  bool has_first_ = false;
-  bool final_ = false;
-
-  std::uint64_t ui_ = 0;
-  int phase_ = 0;
-  std::optional<util::Second> pending_;
-  bool done_ = false;
-
-  // DFE feedback state, mirroring SamplerCdrSink: per-UI correction
-  // latched at phase 0, symbol weight from a pure tri-comparator at the
-  // CDR's pick phase, history shifted at the UI wrap.
-  bool dfe_on_ = false;
-  std::vector<double> dfe_taps_;
-  std::vector<double> dfe_hist_;  // w in {+1, +1/3, -1/3, -1}, 0 pre-stream
-  double dfe_corr_ = 0.0;
-  int dfe_fb_phase_ = 0;
-  bool dfe_fb_decided_ = false;
-  double dfe_fb_w_ = 0.0;
 };
 
 }  // namespace serdes::pipe

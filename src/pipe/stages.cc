@@ -162,6 +162,12 @@ void RestoringStage::process(const BlockView& in, Block& out) {
 void WaveformTapStage::process(const BlockView& in, Block& out) {
   out.match(in);
   std::copy(in.data, in.data + in.size, out.data());
+  for (std::size_t i = 0; i < in.size; ++i) {
+    const double v = in.data[i];
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    sum_ += v;
+  }
   if (captured_.empty()) {
     t0_ = in.stream_t0;
     dt_ = in.dt;
@@ -173,58 +179,104 @@ void WaveformTapStage::process(const BlockView& in, Block& out) {
   }
 }
 
-analog::Waveform WaveformTapStage::take() {
-  return analog::Waveform{t0_, dt_, std::move(captured_)};
+void WaveformTapStage::reset() {
+  captured_.clear();
+  min_ = std::numeric_limits<double>::infinity();
+  max_ = -std::numeric_limits<double>::infinity();
+  sum_ = 0.0;
 }
 
 // ---- SamplerCdrSink ---------------------------------------------------------
 
+namespace {
+
+/// The slicer template with one slicer's threshold and seed.
+analog::DffSampler::Config slicer_config(const analog::DffSampler::Config& t,
+                                         double threshold,
+                                         std::uint64_t seed) {
+  analog::DffSampler::Config c = t;
+  c.threshold = threshold;
+  c.seed = seed;
+  return c;
+}
+
+}  // namespace
+
 SamplerCdrSink::SamplerCdrSink(const Config& config)
-    : clocks_(config.bit_rate, config.oversampling, config.phase_offset,
+    : clocks_(config.symbol_rate, config.oversampling, config.phase_offset,
               config.ppm_offset),
-      jitter_(config.jitter),
-      sampler_(config.sampler),
-      cdr_(config.cdr),
+      pam4_(config.pam4),
+      extra_thresholds_(config.pam4 && config.extra_thresholds),
+      threshold_mid_(config.sampler.threshold),
+      threshold_low_(config.threshold_low),
+      threshold_high_(config.threshold_high),
       total_(config.total_samples),
       t0_(config.stream_t0),
       dt_(config.dt),
       end_(config.stream_t0 +
            config.dt * static_cast<double>(config.total_samples)),
       ap_half_(config.sampler.aperture * 0.5),
-      dfe_on_(!config.dfe_taps.empty()),
-      dfe_taps_(config.dfe_taps),
-      dfe_hist_(config.dfe_taps.size(), 0.0),
-      dfe_thr_(config.sampler.threshold) {
+      dfe_taps_(config.dfe_taps) {
+  if (config.jitter_seeds.size() != config.sampler_seeds.size()) {
+    throw std::invalid_argument(
+        "SamplerCdrSink: jitter/sampler seed vectors differ in length");
+  }
+  if (pam4_ && !dfe_taps_.empty() && !extra_thresholds_) {
+    throw std::invalid_argument(
+        "SamplerCdrSink: the PAM4 DFE needs the tri-threshold slicers");
+  }
+  n_lanes_ = config.jitter_seeds.empty() ? 1 : config.jitter_seeds.size();
+  lanes_.reserve(n_lanes_);
+  for (std::size_t l = 0; l < n_lanes_; ++l) {
+    channel::JitterModel::Config jc = config.jitter;
+    std::uint64_t seed = config.sampler.seed;
+    if (!config.jitter_seeds.empty()) {
+      jc.seed = config.jitter_seeds[l];
+      seed = config.sampler_seeds[l];
+    }
+    std::vector<analog::DffSampler> slicers;
+    slicers.emplace_back(slicer_config(config.sampler, threshold_mid_, seed));
+    if (extra_thresholds_) {
+      slicers.emplace_back(
+          slicer_config(config.sampler, threshold_low_, seed + 1));
+      slicers.emplace_back(
+          slicer_config(config.sampler, threshold_high_, seed + 2));
+    }
+    lanes_.emplace_back(jc, std::move(slicers), config.cdr, dfe_taps_.size());
+    lanes_.back().done = total_ == 0;
+  }
   // The rolling window must span one appended block plus the worst-case
   // backward reach of a jittered aperture edge; anything older can be
   // discarded because instants are evaluated in order, as soon as their
-  // forward neighbourhood arrives.  Power-of-two capacity so the absolute
-  // index wrap is a mask, not a division.
-  const double dt_s = config.dt.value();
+  // forward neighbourhood arrives.
   const double back_span_s = config.sampler.aperture.value() +
                              24.0 * config.jitter.random_rms.value() +
                              2.0 * config.jitter.sinusoidal_amplitude.value() +
-                             4.0 * util::period(config.bit_rate).value();
+                             4.0 * util::period(config.symbol_rate).value();
   back_samples_ =
-      static_cast<std::size_t>(back_span_s / dt_s) + 64;
-  ring_.assign(dsp::next_pow2(std::max<std::size_t>(config.block_samples, 1) +
-                              back_samples_),
-               0.0);
-  mask_ = ring_.size() - 1;
-  if (total_ == 0) done_ = true;
+      static_cast<std::size_t>(back_span_s / config.dt.value()) + 64;
+  const std::size_t entries = dsp::next_pow2(
+      std::max<std::size_t>(config.block_samples, 1) + back_samples_);
+  ring_.assign(entries * n_lanes_, 0.0);
+  mask_ = entries - 1;
 }
 
-void SamplerCdrSink::consume(const BlockView& in) {
-  if (in.size + back_samples_ > ring_.size()) {
-    // A block larger than the sizing hint arrived: grow the window before
+void SamplerCdrSink::consume(const LaneView& in) {
+  const std::size_t n_lanes = n_lanes_;
+  if (in.lanes != n_lanes) {
+    throw std::invalid_argument("SamplerCdrSink: lane count mismatch");
+  }
+  if (in.size + back_samples_ > mask_ + 1) {
+    // A tile larger than the sizing hint arrived: grow the window before
     // writing, re-placing the live span under the new modulus, so oversized
-    // blocks can never overwrite samples pending instants still need.
-    std::vector<double> bigger(dsp::next_pow2(in.size + back_samples_), 0.0);
-    const std::size_t new_mask = bigger.size() - 1;
-    const std::uint64_t live =
-        std::min<std::uint64_t>(appended_, ring_.size());
+    // tiles can never overwrite samples pending instants still need.
+    const std::size_t entries = dsp::next_pow2(in.size + back_samples_);
+    std::vector<double> bigger(entries * n_lanes, 0.0);
+    const std::size_t new_mask = entries - 1;
+    const std::uint64_t live = std::min<std::uint64_t>(appended_, mask_ + 1);
     for (std::uint64_t k = appended_ - live; k < appended_; ++k) {
-      bigger[k & new_mask] = ring_[k & mask_];
+      std::copy_n(ring_.data() + (k & mask_) * n_lanes, n_lanes,
+                  bigger.data() + (k & new_mask) * n_lanes);
     }
     ring_ = std::move(bigger);
     mask_ = new_mask;
@@ -233,83 +285,125 @@ void SamplerCdrSink::consume(const BlockView& in) {
   const std::size_t mask = mask_;
   const std::uint64_t start = in.start_index;
   for (std::size_t i = 0; i < in.size; ++i) {
-    ring[(start + i) & mask] = in.data[i];
+    const double* src = in.data + i * n_lanes;
+    double* dst = ring + ((start + i) & mask) * n_lanes;
+    for (std::size_t l = 0; l < n_lanes; ++l) dst[l] = src[l];
   }
   if (in.size > 0) {
-    if (in.start_index == 0) {
-      first_sample_ = in.data[0];
-      has_first_ = true;
-    }
     appended_ = in.start_index + in.size;
-    if (appended_ == total_) {
-      last_sample_ = in.data[in.size - 1];
-      final_ = true;
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+      Lane& lane = lanes_[l];
+      if (in.start_index == 0) {
+        lane.first_sample = in.at(0, l);
+        lane.has_first = true;
+      }
+      if (appended_ == total_) {
+        lane.last_sample = in.at(in.size - 1, l);
+        lane.has_last = true;
+      }
     }
   }
-  drain();
+  for (std::size_t l = 0; l < n_lanes; ++l) drain(l);
 }
 
 void SamplerCdrSink::finish() {
-  if (!final_ && total_ > 0 && appended_ == total_) {
-    last_sample_ = ring_[(total_ - 1) & mask_];
-    final_ = true;
+  for (std::size_t l = 0; l < n_lanes_; ++l) {
+    Lane& lane = lanes_[l];
+    if (!lane.has_last && total_ > 0 && appended_ == total_) {
+      lane.last_sample = ring_[((total_ - 1) & mask_) * n_lanes_ + l];
+      lane.has_last = true;
+    }
+    drain(l);
   }
-  drain();
 }
 
-bool SamplerCdrSink::fetch(util::Second t, double* v) const {
-  // Fused availability test + Waveform::value_at over the logical stream:
-  // one (t - t0)/dt per time point instead of one for the test and one for
-  // the read.  The arithmetic (and therefore every interpolated value) is
-  // identical to the unfused pair.
-  const double idx = (t - t0_) / dt_;
-  if (idx <= 0.0) {
-    if (!has_first_) return false;
-    *v = first_sample_;
-    return true;
+std::vector<std::uint8_t> SamplerCdrSink::recovered_bits(
+    std::size_t lane) const {
+  const digital::OversamplingCdr& cdr = lanes_[lane].cdr;
+  if (!pam4_) return cdr.recovered();
+  const std::vector<std::uint8_t>& msb = cdr.recovered();
+  const std::vector<std::uint8_t>& lsb = cdr.aux_recovered();
+  std::vector<std::uint8_t> bits;
+  bits.reserve(msb.size() * 2);
+  for (std::size_t i = 0; i < msb.size(); ++i) {
+    bits.push_back(msb[i]);
+    bits.push_back(i < lsb.size() ? lsb[i] : 0);
   }
-  const auto lo = static_cast<std::uint64_t>(idx);
-  if (lo + 1 >= total_) {
-    if (!final_) return false;
-    *v = last_sample_;
-    return true;
-  }
-  if (lo + 1 >= appended_) return false;
-  const double frac = idx - static_cast<double>(lo);
-  const double a = ring_[lo & mask_];
-  const double b = ring_[(lo + 1) & mask_];
-  *v = a + frac * (b - a);
-  return true;
+  return bits;
 }
 
-void SamplerCdrSink::drain() {
-  while (!done_) {
-    if (!pending_) {
-      if (phase_ == 0) {
-        const util::Second ui_start = clocks_.instant(ui_, 0);
+std::uint64_t SamplerCdrSink::metastable_count(std::size_t lane) const {
+  std::uint64_t count = 0;
+  for (const analog::DffSampler& s : lanes_[lane].slicers) {
+    count += s.metastable_count();
+  }
+  return count;
+}
+
+double SamplerCdrSink::feedback_symbol(double v) const {
+  if (!pam4_) return v > threshold_mid_ ? 1.0 : -1.0;
+  // Tri-threshold comparator: levels 0..3 weigh -1, -1/3, +1/3, +1.
+  return v > threshold_high_  ? 1.0
+         : v > threshold_mid_ ? 1.0 / 3.0
+         : v > threshold_low_ ? -1.0 / 3.0
+                              : -1.0;
+}
+
+void SamplerCdrSink::drain(std::size_t index) {
+  Lane& lane = lanes_[index];
+  const bool dfe_on = !dfe_taps_.empty();
+  // Fused availability test + Waveform::value_at over the lane's logical
+  // stream: one (t - t0)/dt per time point instead of one for the test and
+  // one for the read.  The arithmetic (and therefore every interpolated
+  // value) is identical to the unfused pair.  Writes the value and returns
+  // true iff the point's neighbourhood has arrived (or end-of-stream
+  // clamping applies).
+  const double* column = ring_.data() + index;
+  const auto fetch = [&](util::Second t, double* v) {
+    const double idx = (t - t0_) / dt_;
+    if (idx <= 0.0) {
+      *v = lane.first_sample;
+      return lane.has_first;
+    }
+    const auto lo = static_cast<std::uint64_t>(idx);
+    if (lo + 1 >= total_) {
+      *v = lane.last_sample;
+      return lane.has_last;
+    }
+    if (lo + 1 >= appended_) return false;
+    const double frac = idx - static_cast<double>(lo);
+    const double a = column[(lo & mask_) * n_lanes_];
+    const double b = column[((lo + 1) & mask_) * n_lanes_];
+    *v = a + frac * (b - a);
+    return true;
+  };
+  while (!lane.done) {
+    if (!lane.pending) {
+      if (lane.phase == 0) {
+        const util::Second ui_start = clocks_.instant(lane.ui, 0);
         if (ui_start >= end_) {
-          done_ = true;
+          lane.done = true;
           break;
         }
-        if (dfe_on_) {
+        if (dfe_on) {
           // Latch this UI's feedback correction and decision phase before
           // its first instant is generated; both stay fixed across the
           // whole UI even when instants straddle block boundaries.
           double corr = 0.0;
           for (std::size_t k = 0; k < dfe_taps_.size(); ++k) {
-            corr += dfe_taps_[k] * dfe_hist_[k];
+            corr += dfe_taps_[k] * lane.dfe_hist[k];
           }
-          dfe_corr_ = corr;
-          dfe_fb_phase_ = cdr_.decision_phase();
-          dfe_fb_decided_ = false;
+          lane.dfe_corr = corr;
+          lane.dfe_fb_phase = lane.cdr.decision_phase();
+          lane.dfe_fb_decided = false;
         }
       }
       // Perturb exactly once per instant; the jitter RNG stream therefore
       // advances in the same order as the batch sampling loop even when an
       // instant has to wait for the next block.
-      pending_ = jitter_.perturb(clocks_.instant(ui_, phase_));
+      lane.pending = lane.jitter.perturb(clocks_.instant(lane.ui, lane.phase));
     }
-    const util::Second t = *pending_;
+    const util::Second t = *lane.pending;
     double v;
     double v_before;
     double v_after;
@@ -317,28 +411,42 @@ void SamplerCdrSink::drain() {
         !fetch(t + ap_half_, &v_after)) {
       break;  // wait for more samples (or the end of the stream)
     }
-    if (dfe_on_) {
+    if (dfe_on) {
       // The per-UI correction shifts the whole summing node, so all three
       // aperture fetches move together (a zero correction is bit-exact:
       // v - 0.0 == v) and the metastability crossing product is preserved.
-      v -= dfe_corr_;
-      v_before -= dfe_corr_;
-      v_after -= dfe_corr_;
-      if (!dfe_fb_decided_ && phase_ >= dfe_fb_phase_) {
-        dfe_fb_w_ = v > dfe_thr_ ? 1.0 : -1.0;  // pure comparator, no RNG
-        dfe_fb_decided_ = true;
+      v -= lane.dfe_corr;
+      v_before -= lane.dfe_corr;
+      v_after -= lane.dfe_corr;
+      if (!lane.dfe_fb_decided && lane.phase >= lane.dfe_fb_phase) {
+        lane.dfe_fb_w = feedback_symbol(v);
+        lane.dfe_fb_decided = true;
       }
     }
-    cdr_.push(sampler_.decide(v, v_before, v_after));
-    pending_.reset();
-    if (++phase_ == clocks_.phases()) {
-      phase_ = 0;
-      ++ui_;
-      if (dfe_on_) {
+    const bool msb = lane.slicers[0].decide(v, v_before, v_after);
+    if (!pam4_) {
+      lane.cdr.push(msb);
+    } else {
+      // Gray decode: LSB = between the low and high thresholds (levels 1
+      // and 2).  Without the outer slicers the LSB rail stays 0 and only
+      // the middle slicer draws noise.
+      bool lsb = false;
+      if (extra_thresholds_) {
+        const bool above_low = lane.slicers[1].decide(v, v_before, v_after);
+        const bool above_high = lane.slicers[2].decide(v, v_before, v_after);
+        lsb = above_low && !above_high;
+      }
+      lane.cdr.push2(msb, lsb);
+    }
+    lane.pending.reset();
+    if (++lane.phase == clocks_.phases()) {
+      lane.phase = 0;
+      ++lane.ui;
+      if (dfe_on) {
         for (std::size_t k = dfe_taps_.size() - 1; k > 0; --k) {
-          dfe_hist_[k] = dfe_hist_[k - 1];
+          lane.dfe_hist[k] = lane.dfe_hist[k - 1];
         }
-        dfe_hist_[0] = dfe_fb_decided_ ? dfe_fb_w_ : 0.0;
+        lane.dfe_hist[0] = lane.dfe_fb_decided ? lane.dfe_fb_w : 0.0;
       }
     }
   }

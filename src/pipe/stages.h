@@ -1,26 +1,31 @@
 // Concrete streaming stages for the TX -> channel -> noise -> EQ -> RX
-// datapath.
+// datapath, and the one sampler/CDR sink every streaming path ends in.
 //
 // Each stage reproduces the arithmetic of its whole-waveform batch
 // counterpart exactly, sample by sample, while carrying state (filter
 // memories, RNG streams, rolling sample windows) across blocks — so a
 // stream processed at any block size is bit-identical to the batch path.
+// core::ChainPlan decides which stages a link runs and in what order.
 //
-//   LevelPulseSource   — NRZ / TX-FFE pulse shaper (Waveform::nrz and
-//                        TxFfe::shape, blockwise)
+//   LevelPulseSource   — per-UI launch levels to the line waveform
+//                        (Waveform::nrz and TxFfe::shape, blockwise)
 //   ChannelStage       — wraps a channel::Channel::Stream
 //   AwgnStage          — Waveform::add_noise with a carried RNG
 //   CtleStage          — channel::RxCtle::equalize with a carried pole
 //   RfiFrontEndStage   — analog::RfiStage::process given the stream DC mean
 //   RestoringStage     — analog::RestoringInverter::process, blockwise
-//   WaveformTapStage   — pass-through probe retaining the diagnostic window
-//   SamplerCdrSink     — multiphase sampling + DFF + oversampling CDR over a
-//                        rolling block window
+//   WaveformTapStage   — pass-through probe: diagnostic window + range/sum
+//   SamplerCdrSink     — jittered multiphase sampling, 1 (NRZ) or 3 (PAM4)
+//                        DFF slicers, DFE feedback and the oversampling CDR
+//                        over a rolling window of an N-lane tile (scalar
+//                        blocks are 1-lane tiles)
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "analog/filters.h"
@@ -31,6 +36,7 @@
 #include "channel/noise.h"
 #include "digital/cdr.h"
 #include "digital/sampling.h"
+#include "pipe/lane_block.h"
 #include "pipe/stage.h"
 #include "util/random.h"
 #include "util/units.h"
@@ -159,10 +165,12 @@ class RestoringStage final : public Stage {
   analog::OnePoleLowPass pole_;
 };
 
-/// Pass-through probe that retains up to `max_samples` of whatever flows
-/// past it — the optional waveform-capture tap.  The link only inserts
-/// taps while diagnostics capture is on (the first chunk of a BER run), so
-/// bulk streaming never accumulates waveform memory.
+/// Pass-through probe: retains up to `max_samples` of whatever flows past
+/// it (the optional waveform-capture window) and keeps the running
+/// minimum, maximum and sample-order sum of everything (the first-pass
+/// statistics).  Links insert probes only into first passes and while
+/// diagnostics capture is on (the first chunk of a BER run), so bulk
+/// streaming never accumulates waveform memory.
 class WaveformTapStage final : public Stage {
  public:
   explicit WaveformTapStage(
@@ -170,40 +178,78 @@ class WaveformTapStage final : public Stage {
       : max_samples_(max_samples) {}
 
   void process(const BlockView& in, Block& out) override;
-  void reset() override { captured_.clear(); }
+  void reset() override;
   [[nodiscard]] std::string_view name() const override { return "tap"; }
 
   /// Moves the captured window out as a Waveform (stream t0 / dt stamped).
-  [[nodiscard]] analog::Waveform take();
+  [[nodiscard]] analog::Waveform take() {
+    return analog::Waveform{t0_, dt_, std::move(captured_)};
+  }
+  [[nodiscard]] double min() const { return min_; }
+  [[nodiscard]] double max() const { return max_; }
+  [[nodiscard]] double sum() const { return sum_; }
 
  private:
   std::size_t max_samples_;
   std::vector<double> captured_;
   util::Second t0_{0.0};
   util::Second dt_{1e-12};
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  double sum_ = 0.0;
 };
 
-/// Terminal sink: multiphase sampling instants (with jitter), DFF decision
-/// and oversampling CDR, evaluated incrementally over a rolling window of
-/// the restored waveform.  Holds O(block + aperture/jitter span) samples
-/// regardless of stream length, and reproduces digital::sample_waveform +
-/// OversamplingCdr::recover bit-for-bit (including the end-of-waveform
-/// clamping of Waveform::value_at).
+/// Terminal sink of every streaming path: multiphase sampling instants
+/// (with jitter), DFF slicers and the oversampling CDR, evaluated
+/// incrementally over a rolling window of a lane tile — a scalar block is
+/// a tile with one lane.  NRZ runs one slicer per instant; PAM4 runs three
+/// (low < middle < high) and gray-decodes them ((0,0) (0,1) (1,1) (1,0)
+/// for levels 0..3: MSB = above middle, LSB = above low and not above
+/// high) onto the CDR's dual rails, whose edge detection and phase picking
+/// run on the MSB rail only.
+///
+/// Every lane keeps its own jitter, slicer and CDR state and its own
+/// sampling cursor, and drains independently, so a lane whose jittered
+/// instant still waits on the next tile never stalls the others' RNG draw
+/// order.  Lane l reproduces digital::sample_waveform +
+/// OversamplingCdr::recover over lane l's stream bit-for-bit (including
+/// the end-of-waveform clamping of Waveform::value_at) while holding
+/// O(block + aperture/jitter span) samples per lane, whatever the stream
+/// length.
 class SamplerCdrSink {
  public:
   struct Config {
-    util::Hertz bit_rate;
+    /// Rate of the sampling clocks: the bit rate under NRZ, the symbol
+    /// rate under PAM4.
+    util::Hertz symbol_rate;
     int oversampling = 5;
     util::Second phase_offset{0.0};
     double ppm_offset = 0.0;
     channel::JitterModel::Config jitter{};
+    /// Slicer template (aperture, input noise).  Its threshold is the NRZ
+    /// decision threshold, or the PAM4 middle one.
     analog::DffSampler::Config sampler{};
-    digital::CdrConfig cdr{};
-    /// DFE post-cursor taps (volts in the sink's input domain).  Tap k
-    /// is weighted by the feedback decision from k+1 UIs ago; empty
-    /// disables the feedback path entirely (and all-zero taps are
-    /// bit-identical to it — the correction is exactly 0.0).
+    /// PAM4: three slicers and gray decoding.  The low and high slicers
+    /// sit at the thresholds below and draw from the lane's sampler seed
+    /// + 1 and + 2.
+    bool pam4 = false;
+    double threshold_low = 0.0;
+    double threshold_high = 0.0;
+    /// PAM4 only: false keeps just the middle slicer, and LSBs decode as
+    /// 0 (the NRZ-degenerate configuration).
+    bool extra_thresholds = true;
+    /// DFE post-cursor taps (volts in the sink's input domain), shared by
+    /// every lane.  Tap k is weighted by the feedback decision from k+1
+    /// UIs ago: +/-1 under NRZ, {-1, -1/3, +1/3, +1} for PAM4 levels 0..3
+    /// (which needs the three slicers).  Empty disables the feedback path
+    /// entirely; all-zero taps are bit-identical to it (the correction is
+    /// exactly 0.0).
     std::vector<double> dfe_taps;
+    digital::CdrConfig cdr{};
+    /// Per-lane seeds replacing the jitter / sampler template seeds; the
+    /// lane count is their common size.  Empty: one lane, template seeds.
+    std::vector<std::uint64_t> jitter_seeds;
+    std::vector<std::uint64_t> sampler_seeds;
     /// Stream geometry (known up front: framed bits x samples per UI).
     std::uint64_t total_samples = 0;
     util::Second stream_t0{0.0};
@@ -214,30 +260,77 @@ class SamplerCdrSink {
 
   explicit SamplerCdrSink(const Config& config);
 
-  /// Appends one block and evaluates every sampling instant whose needed
-  /// neighbourhood is now available.
-  void consume(const BlockView& in);
+  /// Appends one tile and evaluates, per lane, every sampling instant
+  /// whose needed neighbourhood is now available.
+  void consume(const LaneView& in);
+  void consume(const BlockView& in) { consume(as_tile(in)); }
 
   /// Evaluates the remaining instants with end-of-stream clamping.
   void finish();
 
-  [[nodiscard]] const digital::OversamplingCdr& cdr() const { return cdr_; }
-  [[nodiscard]] std::uint64_t metastable_count() const {
-    return sampler_.metastable_count();
+  [[nodiscard]] std::size_t lanes() const { return n_lanes_; }
+  [[nodiscard]] const digital::OversamplingCdr& cdr(
+      std::size_t lane = 0) const {
+    return lanes_[lane].cdr;
   }
+  /// Lane `lane`'s recovered bits: the CDR decisions under NRZ; under
+  /// PAM4 the MSB/LSB rails interleaved per symbol (MSB first — the TX
+  /// gray mapping's inverse).
+  [[nodiscard]] std::vector<std::uint8_t> recovered_bits(
+      std::size_t lane = 0) const;
+  [[nodiscard]] std::uint64_t metastable_count(std::size_t lane = 0) const;
 
  private:
-  void drain();
-  /// Fused availability test + logical-stream interpolation: writes the
-  /// Waveform::value_at-identical sample into `*v` and returns true iff
-  /// the instant's neighbourhood has arrived (or end-of-stream clamping
-  /// applies).
-  [[nodiscard]] bool fetch(util::Second t, double* v) const;
+  /// One lane's RNG streams, CDR and sampling cursor.
+  struct Lane {
+    Lane(const channel::JitterModel::Config& jitter_config,
+         std::vector<analog::DffSampler> lane_slicers,
+         const digital::CdrConfig& cdr_config, std::size_t dfe_taps)
+        : jitter(jitter_config),
+          slicers(std::move(lane_slicers)),
+          cdr(cdr_config),
+          dfe_hist(dfe_taps, 0.0) {}
 
-  digital::MultiphaseClockGenerator clocks_;
-  channel::JitterModel jitter_;
-  analog::DffSampler sampler_;
-  digital::OversamplingCdr cdr_;
+    channel::JitterModel jitter;
+    /// The middle slicer first, then (PAM4) the low and high ones.
+    std::vector<analog::DffSampler> slicers;
+    digital::OversamplingCdr cdr;
+    double first_sample = 0.0;
+    double last_sample = 0.0;
+    bool has_first = false;
+    bool has_last = false;
+    std::uint64_t ui = 0;
+    int phase = 0;
+    std::optional<util::Second> pending;
+    bool done = false;
+    // ---- Decision-feedback state --------------------------------------
+    // The correction for UI n is latched once, when the UI's first instant
+    // is generated: c_n = sum_k taps[k] * w_{n-1-k}, a per-UI step
+    // subtracted from every fetched value of the UI (all three aperture
+    // fetches of every phase), so the glitch-filter votes see one
+    // consistent summing-node waveform.  The feedback symbol w_n comes
+    // from a pure comparator (no RNG draw — the slicers' noise and
+    // metastability streams stay untouched) at the CDR's current pick
+    // phase, and enters the history at the UI wrap: strictly causal.
+    std::vector<double> dfe_hist;  // w_{n-1}, w_{n-2}, ...; 0 pre-stream
+    double dfe_corr = 0.0;
+    int dfe_fb_phase = 0;
+    bool dfe_fb_decided = false;
+    double dfe_fb_w = 0.0;
+  };
+
+  void drain(std::size_t lane);
+  /// The DFE feedback symbol of a corrected value (pure comparator).
+  [[nodiscard]] double feedback_symbol(double v) const;
+
+  digital::MultiphaseClockGenerator clocks_;  // config-only: shared
+  std::vector<Lane> lanes_;
+  std::size_t n_lanes_ = 1;
+  bool pam4_;
+  bool extra_thresholds_;
+  double threshold_mid_;
+  double threshold_low_;
+  double threshold_high_;
 
   std::uint64_t total_;
   util::Second t0_;
@@ -245,37 +338,15 @@ class SamplerCdrSink {
   util::Second end_;
   util::Second ap_half_;
 
-  std::vector<double> ring_;  // power-of-two capacity
-  std::size_t mask_ = 0;      // ring_.size() - 1
+  /// Interleaved rolling window: stream sample i of lane l lives at
+  /// ring_[(i & mask_) * lanes + l]; the capacity is a power of two of
+  /// sample indices, so the absolute index wrap is a mask.
+  std::vector<double> ring_;
+  std::size_t mask_ = 0;  // sample-index capacity - 1
   std::size_t back_samples_ = 0;
   std::uint64_t appended_ = 0;
-  double first_sample_ = 0.0;
-  double last_sample_ = 0.0;
-  bool has_first_ = false;
-  bool final_ = false;
 
-  std::uint64_t ui_ = 0;
-  int phase_ = 0;
-  std::optional<util::Second> pending_;
-  bool done_ = false;
-
-  // ---- Decision-feedback equalizer state -----------------------------------
-  // The correction for UI n is latched once, when the UI's first instant
-  // is generated: c_n = sum_k taps[k] * w_{n-1-k}, a per-UI step function
-  // subtracted from every fetched value of the UI (all three aperture
-  // fetches of every phase), so the glitch-filter votes see one
-  // consistent summing-node waveform.  The feedback decision w_n comes
-  // from a pure comparator (no RNG draw — the sampler's noise/metastable
-  // streams stay untouched) at the CDR's current pick phase, and enters
-  // the history at the UI wrap: strictly causal.
-  bool dfe_on_ = false;
   std::vector<double> dfe_taps_;
-  std::vector<double> dfe_hist_;  // w_{n-1}, w_{n-2}, ... in {+1,-1}, 0 pre-stream
-  double dfe_thr_ = 0.0;          // comparator threshold (sampler's)
-  double dfe_corr_ = 0.0;
-  int dfe_fb_phase_ = 0;
-  bool dfe_fb_decided_ = false;
-  double dfe_fb_w_ = 0.0;
 };
 
 }  // namespace serdes::pipe

@@ -10,9 +10,8 @@
 #include <utility>
 
 #include "analog/filters.h"
-#include "channel/equalizer.h"
+#include "core/chain_plan.h"
 #include "core/receiver.h"
-#include "core/transmitter.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/math.h"
@@ -235,37 +234,34 @@ std::pair<std::uint64_t, std::uint64_t> poisson_band(double lambda) {
 
 namespace {
 
-/// Runs per-bit launch levels through the linear front half of the MC
-/// datapath — TX pulse shaping, the channel model, the optional CTLE and
-/// the RFI output pole — using the exact streaming stages the Monte Carlo
-/// path runs, and returns the resulting sample vector.
-std::vector<double> run_linear_chain(const core::LinkConfig& cfg,
+/// Runs per-UI launch levels (launched at t = 0) through the linear front
+/// half of the MC datapath — TX pulse shaping, the channel model and the
+/// optional CTLE, exactly the stages the Monte Carlo path instantiates from
+/// the same plan, noise-free — then the RFI and restoring output poles, and
+/// returns the resulting sample vector.
+std::vector<double> run_linear_chain(const core::ChainPlan& plan,
                                      const channel::Channel& channel,
                                      util::Hertz rfi_bandwidth,
                                      util::Hertz restore_bandwidth,
-                                     bool rx_poles, std::vector<double> levels,
-                                     util::Second rise_time) {
-  pipe::LevelPulseSource source(std::move(levels), cfg.unit_interval(),
-                                cfg.samples_per_ui, rise_time,
-                                util::seconds(0.0), 0.0);
-  pipe::Pipeline pipeline;
-  pipeline.add(std::make_unique<pipe::ChannelStage>(channel.open_stream()));
-  if (cfg.rx_ctle_boost.value() > 0.0) {
-    pipeline.add(std::make_unique<pipe::CtleStage>(
-        cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period()));
-  }
+                                     bool rx_poles,
+                                     std::vector<double> levels) {
+  const core::Launch tx{std::move(levels), util::seconds(0.0)};
+  pipe::LevelPulseSource source = plan.source(tx);
+  core::ChainPlan::PassOptions options;
+  options.stop = core::ChainPlan::Stop::kEqualized;
+  core::ChainPlan::Pass front = plan.pass(channel, tx, options);
   // The RFI output pole is linear in place; the restoring stage's output
   // pole sits after its VTC, but around a marginal decision the whole
   // chain operates in its linear region, so its smoothing applies to the
   // decision variable as well.
-  analog::OnePoleLowPass rfi_pole(rfi_bandwidth, cfg.sample_period());
-  analog::OnePoleLowPass restore_pole(restore_bandwidth, cfg.sample_period());
+  analog::OnePoleLowPass rfi_pole(rfi_bandwidth, source.dt());
+  analog::OnePoleLowPass restore_pole(restore_bandwidth, source.dt());
 
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(source.total_samples()));
   pipe::Block blk;
   while (source.produce(blk, 16384) > 0) {
-    const pipe::BlockView processed = pipeline.process(blk.view());
+    const pipe::BlockView processed = front.pipeline.process(blk.view());
     const std::size_t base = out.size();
     out.resize(base + processed.size);
     if (rx_poles) {
@@ -403,11 +399,9 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
     throw std::invalid_argument("StatAnalyzer: need >= 2 samples per UI");
   }
 
-  const core::Transmitter tx(cfg);
   core::Receiver rx(cfg);
   const analog::RfiStage& rfi = rx.rfi_stage();
   const analog::RestoringInverter& restoring = rx.restoring();
-  const util::Second rise = tx.driver().output_rise_time();
 
   // PAM4 drops the RFI/restoring nonlinearities from the datapath: three
   // mean-relative slicers read the CTLE output.  The same pulse-response
@@ -415,6 +409,13 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
   // per-cursor interference PDF change.
   const bool pam4 = cfg.modulation == core::LinkConfig::Modulation::kPam4;
   const bool rx_poles = !pam4;
+
+  // Pulse responses run the Monte Carlo chain's own front stages, laid out
+  // by the same plan, noise- and crosstalk-free (crosstalk enters the
+  // model below as bounded interference).
+  core::LinkConfig linear_cfg = cfg;
+  linear_cfg.xtalk.clear();
+  const core::ChainPlan plan(linear_cfg, rx);
 
   // ---- 1. Single-bit pulse response through the linear front half -------
   // Superposition: the TX shaper is affine in the per-bit launch levels and
@@ -428,29 +429,17 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
     const std::size_t nbits = static_cast<std::size_t>(kPreUis + 1 + post_uis);
     std::vector<std::uint8_t> bits(nbits, 0);
     bits[kPreUis] = 1;
-    std::vector<double> one_levels(nbits, 0.0);
-    std::vector<double> zero_levels(nbits, 0.0);
-    if (cfg.tx_ffe_deemphasis != 0.0) {
-      const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
-          cfg.tx_ffe_deemphasis, cfg.driver.vdd);
-      one_levels = ffe.levels(bits);
-      zero_levels = ffe.levels(std::vector<std::uint8_t>(nbits, 0));
-    } else {
-      const double vdd = cfg.driver.vdd.value();
-      one_levels[kPreUis] = vdd;
-    }
-    pulse = run_linear_chain(cfg, channel, rfi.bandwidth(),
+    pulse = run_linear_chain(plan, channel, rfi.bandwidth(),
                              restoring.bandwidth(), rx_poles,
-                             std::move(one_levels), rise);
+                             plan.nrz_launch(bits).levels);
     if (cfg.tx_ffe_deemphasis != 0.0) {
       // The FFE's mid-rail offset makes the all-zero response nonzero;
       // subtracting it leaves exactly one bit's contribution.  (The
       // baseline itself shifts signal and stream mean equally, so it
       // cancels out of the mean-relative decision variable.)
-      const std::vector<double> base =
-          run_linear_chain(cfg, channel, rfi.bandwidth(),
-                           restoring.bandwidth(), rx_poles,
-                           std::move(zero_levels), rise);
+      const std::vector<double> base = run_linear_chain(
+          plan, channel, rfi.bandwidth(), restoring.bandwidth(), rx_poles,
+          plan.nrz_launch(std::vector<std::uint8_t>(nbits, 0)).levels);
       for (std::size_t i = 0; i < pulse.size() && i < base.size(); ++i) {
         pulse[i] -= base[i];
       }
@@ -551,13 +540,13 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
         static_cast<std::size_t>(pulse.size()) /
             static_cast<std::size_t>(spu) +
         2;
-    std::vector<double> one_levels(nbits, 0.0);
+    std::vector<std::uint8_t> bits(nbits, 0);
     constexpr int kPreUisNext = 8;
-    one_levels[kPreUisNext] = cfg.driver.vdd.value();
+    bits[kPreUisNext] = 1;
     const channel::FlatChannel flat{util::decibels(0.0)};
-    next_pulse = run_linear_chain(cfg, flat, rfi.bandwidth(),
+    next_pulse = run_linear_chain(plan, flat, rfi.bandwidth(),
                                   restoring.bandwidth(), rx_poles,
-                                  std::move(one_levels), rise);
+                                  plan.rail_levels(bits));
   }
 
   // ---- 3. Per-phase cursor decomposition and tail statistics ------------

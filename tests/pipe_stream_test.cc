@@ -103,7 +103,7 @@ TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   // batch sampling chain.
   const analog::Waveform w = test_wave(128);
   pipe::SamplerCdrSink::Config c;
-  c.bit_rate = util::gigahertz(2.0);
+  c.symbol_rate = util::gigahertz(2.0);
   c.oversampling = 5;
   c.total_samples = w.size();
   c.stream_t0 = w.start_time();
@@ -120,7 +120,7 @@ TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   sink.consume(blk.view());
   sink.finish();
 
-  digital::MultiphaseClockGenerator clocks(c.bit_rate, c.oversampling,
+  digital::MultiphaseClockGenerator clocks(c.symbol_rate, c.oversampling,
                                            c.phase_offset, c.ppm_offset);
   channel::JitterModel jitter(c.jitter);
   analog::DffSampler sampler(c.sampler);
