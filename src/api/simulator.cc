@@ -1,11 +1,7 @@
 #include "api/simulator.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "api/bus_spec.h"
@@ -15,13 +11,13 @@
 #include "core/lane_link.h"
 #include "core/link.h"
 #include "stat/stat_engine.h"
+#include "util/parallel.h"
 #include "util/prbs.h"
 
 namespace serdes::api {
 
 bool Simulator::tile_eligible(const LinkSpec& spec) {
-  // PAM4 runs the dedicated slicer/CDR sink, which the SoA lane tiles do
-  // not model — PAM4 lanes always take the scalar path.
+  // Lane tiles run NRZ only — PAM4 lanes always take the scalar path.
   // Trained lanes are excluded as well: each lane trains its own EQ from
   // its derived seed, so tiles could no longer share one instruction
   // stream over identical physics.
@@ -210,6 +206,41 @@ std::vector<RunReport> Simulator::run_lane_tile(
   return reports;
 }
 
+std::vector<Simulator::WorkItem> Simulator::plan_work(
+    std::size_t count, const std::function<LinkSpec(std::size_t)>& spec_at,
+    bool lane_tiling) {
+  std::vector<WorkItem> items;
+  std::vector<std::string> keys;  // insertion-ordered: deterministic
+  std::vector<WorkItem> groups;   // one per key, every eligible spec
+  std::vector<std::size_t> widths;
+  for (std::size_t i = 0; i < count; ++i) {
+    const LinkSpec spec = spec_at(i);
+    if (!lane_tiling || !tile_eligible(spec)) {
+      items.push_back(WorkItem{false, {i}});
+      continue;
+    }
+    const std::string key = tile_key(spec);
+    const auto found = std::find(keys.begin(), keys.end(), key);
+    const auto g = static_cast<std::size_t>(found - keys.begin());
+    if (found == keys.end()) {
+      keys.push_back(key);
+      groups.push_back(WorkItem{true, {}});
+      widths.push_back(static_cast<std::size_t>(spec.lane_batch));
+    }
+    groups[g].specs.push_back(i);
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<std::size_t>& group = groups[g].specs;
+    for (std::size_t at = 0; at < group.size(); at += widths[g]) {
+      const std::size_t end = std::min(group.size(), at + widths[g]);
+      items.push_back(WorkItem{
+          true, {group.begin() + static_cast<std::ptrdiff_t>(at),
+                 group.begin() + static_cast<std::ptrdiff_t>(end)}});
+    }
+  }
+  return items;
+}
+
 std::vector<RunReport> Simulator::run_batch(const std::vector<LinkSpec>& specs,
                                             int n_threads) const {
   // Fail fast, before any lane burns cycles.  Constructing each lane's
@@ -232,114 +263,30 @@ std::vector<RunReport> Simulator::run_batch(const std::vector<LinkSpec>& specs,
   std::vector<RunReport> reports(specs.size());
   if (specs.empty()) return reports;
 
-  // Work items: scalar lanes, plus lane tiles for specs that opted into
-  // lane_batch (grouped by identical physics, cut into tiles of at most
-  // lane_batch lanes).  Every lane's seed derivation and report index use
-  // its original batch position, so the output is bit-identical with
-  // tiling on or off, at any thread count.
-  struct WorkItem {
-    bool tile = false;
-    std::vector<std::size_t> lanes;  // spec indices; one entry when !tile
-  };
-  std::vector<WorkItem> items;
-  if (options_.lane_tiling) {
-    std::vector<std::string> keys;  // insertion-ordered: deterministic
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (!tile_eligible(specs[i])) {
-        items.push_back(WorkItem{false, {i}});
-        continue;
+  // Every lane's seed derivation and report index use its original batch
+  // position, so the output is bit-identical with tiling on or off, at
+  // any thread count.
+  const std::vector<WorkItem> items = plan_work(
+      specs.size(), [&](std::size_t i) { return specs[i]; },
+      options_.lane_tiling);
+  util::parallel_for(items.size(), n_threads, [&](std::size_t idx) {
+    const WorkItem& item = items[idx];
+    std::vector<LinkSpec> lane_specs;
+    lane_specs.reserve(item.specs.size());
+    for (const std::size_t lane : item.specs) {
+      LinkSpec lane_spec = specs[lane];
+      if (options_.derive_lane_seeds) {
+        lane_spec.seed = derive_lane_seed(lane_spec.seed, lane);
       }
-      const std::string key = tile_key(specs[i]);
-      std::size_t g = keys.size();
-      for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (keys[k] == key) {
-          g = k;
-          break;
-        }
-      }
-      if (g == keys.size()) {
-        keys.push_back(key);
-        groups.emplace_back();
-      }
-      groups[g].push_back(i);
+      lane_specs.push_back(std::move(lane_spec));
     }
-    for (const std::vector<std::size_t>& group : groups) {
-      const auto width = static_cast<std::size_t>(specs[group[0]].lane_batch);
-      for (std::size_t at = 0; at < group.size(); at += width) {
-        WorkItem item;
-        item.tile = true;
-        const std::size_t end = std::min(group.size(), at + width);
-        item.lanes.assign(group.begin() + static_cast<std::ptrdiff_t>(at),
-                          group.begin() + static_cast<std::ptrdiff_t>(end));
-        items.push_back(std::move(item));
-      }
+    std::vector<RunReport> out =
+        item.tile ? run_lane_tile(lane_specs)
+                  : std::vector<RunReport>{run(lane_specs[0])};
+    for (std::size_t j = 0; j < item.specs.size(); ++j) {
+      reports[item.specs[j]] = std::move(out[j]);
     }
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      items.push_back(WorkItem{false, {i}});
-    }
-  }
-
-  unsigned workers = n_threads > 0
-                         ? static_cast<unsigned>(n_threads)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min<unsigned>(workers,
-                               static_cast<unsigned>(items.size()));
-
-  std::atomic<std::size_t> next_item{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&]() {
-    for (;;) {
-      // A thrown lane voids the whole batch, so stop picking up new work.
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t idx = next_item.fetch_add(1);
-      if (idx >= items.size()) return;
-      const WorkItem& item = items[idx];
-      try {
-        if (item.tile) {
-          std::vector<LinkSpec> lane_specs;
-          lane_specs.reserve(item.lanes.size());
-          for (const std::size_t lane : item.lanes) {
-            LinkSpec lane_spec = specs[lane];
-            if (options_.derive_lane_seeds) {
-              lane_spec.seed = derive_lane_seed(lane_spec.seed, lane);
-            }
-            lane_specs.push_back(std::move(lane_spec));
-          }
-          std::vector<RunReport> tile_reports = run_lane_tile(lane_specs);
-          for (std::size_t j = 0; j < item.lanes.size(); ++j) {
-            reports[item.lanes[j]] = std::move(tile_reports[j]);
-          }
-        } else {
-          const std::size_t lane = item.lanes[0];
-          LinkSpec lane_spec = specs[lane];
-          if (options_.derive_lane_seeds) {
-            lane_spec.seed = derive_lane_seed(lane_spec.seed, lane);
-          }
-          reports[lane] = run(lane_spec);
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
+  });
   return reports;
 }
 
@@ -400,45 +347,13 @@ BusReport Simulator::run_bus(const BusSpec& spec, int n_threads) const {
   }
 
   report.lanes.resize(lanes.size());
-  unsigned workers = n_threads > 0
-                         ? static_cast<unsigned>(n_threads)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min<unsigned>(workers, static_cast<unsigned>(lanes.size()));
-
-  std::atomic<std::size_t> next_lane{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&]() {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t i = next_lane.fetch_add(1);
-      if (i >= lanes.size()) return;
-      try {
-        LinkSpec lane_spec = lanes[i];
-        if (options_.derive_lane_seeds) {
-          lane_spec.seed = derive_lane_seed(lane_spec.seed, i);
-        }
-        report.lanes[i] = run_impl(lane_spec, xtalk_for_lane(spec, i));
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
+  util::parallel_for(lanes.size(), n_threads, [&](std::size_t i) {
+    LinkSpec lane_spec = lanes[i];
+    if (options_.derive_lane_seeds) {
+      lane_spec.seed = derive_lane_seed(lane_spec.seed, i);
     }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
+    report.lanes[i] = run_impl(lane_spec, xtalk_for_lane(spec, i));
+  });
   return report;
 }
 

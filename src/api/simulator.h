@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -157,6 +158,21 @@ class Simulator {
   /// freedom (name, seed) neutralized.  Equal keys mean identical
   /// physics, so one lane tile serves every such spec.
   [[nodiscard]] static std::string tile_key(const LinkSpec& spec);
+
+  /// One unit of batched work: the indices of the specs it runs, as one
+  /// lane tile or (a single index) one scalar run.
+  struct WorkItem {
+    bool tile = false;
+    std::vector<std::size_t> specs;
+  };
+  /// Splits specs 0..count-1 (`spec_at(i)` builds spec i, so callers need
+  /// not hold them all) into work items: a scalar run per spec, except —
+  /// when `lane_tiling` — tile-eligible specs, grouped by tile_key in
+  /// first-seen order and cut into tiles of at most lane_batch lanes.
+  /// Deterministic, so results never depend on the scheduling.
+  [[nodiscard]] static std::vector<WorkItem> plan_work(
+      std::size_t count, const std::function<LinkSpec(std::size_t)>& spec_at,
+      bool lane_tiling);
 
   [[nodiscard]] const Options& options() const { return options_; }
 

@@ -1,13 +1,12 @@
 #include "sweep/sweep_runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
+
+#include "util/parallel.h"
 
 namespace serdes::sweep {
 
@@ -296,127 +295,36 @@ std::vector<ScenarioResult> SweepRunner::run_indices(
 
   const api::Simulator simulator(options_.simulator);
 
-  // Work items: scalar scenarios, plus lane tiles for scenarios that
-  // opted into lane_batch (grouped by identical physics — equal
-  // Simulator::tile_key — and cut into tiles of at most lane_batch
-  // lanes).  Scenario specs are rebuilt from their grid index inside the
-  // worker, so the grouping pass only holds keys; each row's result is
-  // bit-identical with tiling on or off, at any thread count.
-  struct WorkItem {
-    bool tile = false;
-    std::vector<std::size_t> slots;  // indices into `indices`
-  };
-  std::vector<WorkItem> items;
-  if (options_.simulator.lane_tiling) {
-    std::vector<std::string> keys;  // insertion-ordered: deterministic
-    std::vector<std::vector<std::size_t>> groups;
-    std::vector<int> widths;
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-      const api::LinkSpec scenario = spec.scenario(indices[slot]);
-      if (!api::Simulator::tile_eligible(scenario)) {
-        items.push_back(WorkItem{false, {slot}});
-        continue;
-      }
-      const std::string key = api::Simulator::tile_key(scenario);
-      std::size_t g = keys.size();
-      for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (keys[k] == key) {
-          g = k;
-          break;
-        }
-      }
-      if (g == keys.size()) {
-        keys.push_back(key);
-        groups.emplace_back();
-        widths.push_back(scenario.lane_batch);
-      }
-      groups[g].push_back(slot);
-    }
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::vector<std::size_t>& group = groups[g];
-      const auto width = static_cast<std::size_t>(widths[g]);
-      for (std::size_t at = 0; at < group.size(); at += width) {
-        WorkItem item;
-        item.tile = true;
-        const std::size_t end = std::min(group.size(), at + width);
-        item.slots.assign(group.begin() + static_cast<std::ptrdiff_t>(at),
-                          group.begin() + static_cast<std::ptrdiff_t>(end));
-        items.push_back(std::move(item));
-      }
-    }
-  } else {
-    for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-      items.push_back(WorkItem{false, {slot}});
-    }
-  }
-
-  unsigned workers =
-      options_.n_threads > 0
-          ? static_cast<unsigned>(options_.n_threads)
-          : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min<unsigned>(workers,
-                               static_cast<unsigned>(items.size()));
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
+  // Scenario specs are rebuilt from their grid index inside the worker, so
+  // the grouping pass only holds keys; each row's result is bit-identical
+  // with tiling on or off, at any thread count.
+  const std::vector<api::Simulator::WorkItem> items =
+      api::Simulator::plan_work(
+          indices.size(),
+          [&](std::size_t slot) { return spec.scenario(indices[slot]); },
+          options_.simulator.lane_tiling);
   std::mutex progress_mutex;
-
-  auto worker = [&]() {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t idx = next.fetch_add(1);
-      if (idx >= items.size()) return;
-      const WorkItem& item = items[idx];
-      try {
-        if (item.tile) {
-          std::vector<api::LinkSpec> lane_specs;
-          lane_specs.reserve(item.slots.size());
-          for (const std::size_t slot : item.slots) {
-            lane_specs.push_back(spec.scenario(indices[slot]));
-          }
-          const std::vector<api::RunReport> tile_reports =
-              simulator.run_lane_tile(lane_specs);
-          for (std::size_t j = 0; j < item.slots.size(); ++j) {
-            const std::size_t slot = item.slots[j];
-            rows[slot] = to_scenario_result(indices[slot], tile_reports[j]);
-          }
-          if (options_.on_scenario) {
-            const std::lock_guard<std::mutex> lock(progress_mutex);
-            for (const std::size_t slot : item.slots) {
-              options_.on_scenario(rows[slot]);
-            }
-          }
-        } else {
-          const std::size_t slot = item.slots[0];
-          const std::uint64_t grid_index = indices[slot];
-          const api::RunReport run_report =
-              simulator.run(spec.scenario(grid_index));
-          rows[slot] = to_scenario_result(grid_index, run_report);
-          if (options_.on_scenario) {
-            const std::lock_guard<std::mutex> lock(progress_mutex);
-            options_.on_scenario(rows[slot]);
-          }
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+  util::parallel_for(items.size(), options_.n_threads, [&](std::size_t idx) {
+    const api::Simulator::WorkItem& item = items[idx];
+    std::vector<api::LinkSpec> lane_specs;
+    lane_specs.reserve(item.specs.size());
+    for (const std::size_t slot : item.specs) {
+      lane_specs.push_back(spec.scenario(indices[slot]));
+    }
+    const std::vector<api::RunReport> out =
+        item.tile ? simulator.run_lane_tile(lane_specs)
+                  : std::vector<api::RunReport>{simulator.run(lane_specs[0])};
+    for (std::size_t j = 0; j < item.specs.size(); ++j) {
+      const std::size_t slot = item.specs[j];
+      rows[slot] = to_scenario_result(indices[slot], out[j]);
+    }
+    if (options_.on_scenario) {
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      for (const std::size_t slot : item.specs) {
+        options_.on_scenario(rows[slot]);
       }
     }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
+  });
   return rows;
 }
 

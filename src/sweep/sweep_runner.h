@@ -2,10 +2,10 @@
 //
 // The runner is the scenario engine behind `serdes_cli sweep` and the CI
 // matrix: scenarios are pulled off a shared atomic counter by a pool of
-// worker threads (work stealing — a slow scenario never idles the other
-// workers), each one runs through `api::Simulator` with its grid-index
-// seed, and only a compact per-scenario row is retained, so a million-
-// scenario grid costs megabytes, not gigabytes.
+// worker threads (util::parallel_for: work stealing — a slow scenario
+// never idles the other workers), each one runs through `api::Simulator`
+// with its grid-index seed, and only a compact per-scenario row is
+// retained, so a million-scenario grid costs megabytes, not gigabytes.
 //
 // Determinism contract: the report — including its serialized JSON — is
 // byte-identical for any thread count, because every scenario's result

@@ -1,0 +1,50 @@
+#include "util/parallel.h"
+
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+namespace serdes::util {
+
+void parallel_for(std::size_t count, int n_threads,
+                  const std::function<void(std::size_t)>& task) {
+  std::size_t workers =
+      n_threads > 0 ? static_cast<std::size_t>(n_threads)
+                    : std::max(1u, std::thread::hardware_concurrency());
+  workers = std::min(workers, count);
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto worker = [&] {
+    for (;;) {
+      // A thrown item voids the whole run, so stop picking up new work.
+      if (failed.load(std::memory_order_relaxed)) return;
+      const std::size_t i = next.fetch_add(1);
+      if (i >= count) return;
+      try {
+        task(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+  };
+
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) threads.emplace_back(worker);
+    for (std::thread& t : threads) t.join();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace serdes::util

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 #include "util/json.h"
+#include "util/parallel.h"
 
 namespace serdes {
 namespace {
@@ -165,6 +167,30 @@ TEST(RaceHammer, RunBatchLaneFanOutIsThreadCountInvariant) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(api::to_json(fanned[i]).dump(), api::to_json(serial[i]).dump())
         << "lane " << i;
+  }
+}
+
+TEST(RaceHammer, WorkerPoolRunsEveryItemOnceAndFailsFast) {
+  // The shared pool behind all of the above: every item exactly once at
+  // any width, and the first failure stops new items and is rethrown.
+  for (const int threads : {1, 2, 8}) {
+    std::vector<std::atomic<int>> hits(257);
+    util::parallel_for(hits.size(), threads,
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "item " << i << " @" << threads;
+    }
+
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(util::parallel_for(10000, threads,
+                                    [&](std::size_t i) {
+                                      ran.fetch_add(1);
+                                      if (i == 3) {
+                                        throw std::runtime_error("item 3");
+                                      }
+                                    }),
+                 std::runtime_error);
+    EXPECT_LT(ran.load(), std::size_t{10000}) << "@" << threads;
   }
 }
 
