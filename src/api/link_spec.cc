@@ -60,6 +60,18 @@ LinkSpec::Issue validate_channel(const ChannelSpec& ch, const std::string& path,
   if (ch.kind == "fir" && ch.fir_taps.empty()) {
     return {path + ".fir_taps", "fir channel needs at least one tap"};
   }
+  // A passive channel cannot gain, and a pole or a skin-effect loss below
+  // zero has no physical meaning (the run would fail late or report an
+  // impossibly clean link).
+  if ((ch.kind == "flat" || ch.kind == "rc") && !(ch.loss_db >= 0.0)) {
+    return {path + ".loss_db", "must be non-negative"};
+  }
+  if (ch.kind == "rc" && !(ch.pole_hz > 0.0)) {
+    return {path + ".pole_hz", "must be positive"};
+  }
+  if (ch.kind == "lossy_line" && !(ch.skin_loss_db_at_1ghz >= 0.0)) {
+    return {path + ".skin_loss_db_at_1ghz", "must be non-negative"};
+  }
   if (ch.kind == "composite") {
     if (ch.stages.empty()) {
       return {path + ".stages", "composite channel needs at least one stage"};
@@ -77,7 +89,9 @@ LinkSpec::Issue validate_channel(const ChannelSpec& ch, const std::string& path,
 }  // namespace
 
 LinkSpec::Issue LinkSpec::first_issue() const {
-  if (bit_rate_hz <= 0.0) return {"bit_rate_hz", "must be positive"};
+  if (!(bit_rate_hz >= 1e6 && bit_rate_hz <= 1e12)) {
+    return {"bit_rate_hz", "must be in [1e6, 1e12] Hz"};
+  }
   if (samples_per_ui < 2) return {"samples_per_ui", "must be at least 2"};
   if (modulation != "nrz" && modulation != "pam4") {
     return {"modulation", "must be one of 'nrz', 'pam4'"};
@@ -106,6 +120,17 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   }
   if (sinusoidal_jitter_s < 0.0) {
     return {"sinusoidal_jitter_s", "must be non-negative"};
+  }
+  // Bounded in unit intervals: the sampler/CDR sink's rolling window spans
+  // the worst-case jitter reach, so these bounds also bound its memory.
+  const double ui_s = (modulation == "pam4" ? 2.0 : 1.0) / bit_rate_hz;
+  if (random_jitter_s > ui_s) {
+    return {"random_jitter_s", "must be at most 1 UI rms"};
+  }
+  if (sinusoidal_jitter_s > 4.0 * ui_s) {
+    return {"sinusoidal_jitter_s",
+            "must be at most 4 UI (twice the jitter-tolerance sweep's "
+            "largest amplitude)"};
   }
   if (sinusoidal_jitter_s > 0.0 && sj_freq_ratio <= 0.0) {
     return {"sj_freq_ratio", "must be positive when sinusoidal jitter is on"};

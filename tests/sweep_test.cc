@@ -422,6 +422,44 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   const std::string err = api::validate_spec_with_paths(typo);
   EXPECT_NE(err.find("$.channel.stages[0].kind"), std::string::npos) << err;
   EXPECT_NE(err.find("did you mean 'lossy_line'"), std::string::npos) << err;
+
+  // Values that used to pass validation and then crash, fail late without
+  // a path, or report an impossibly clean link.
+  struct Case {
+    const char* json;
+    const char* path;
+  };
+  for (const Case& c : {
+           Case{R"({"random_jitter_s": 1.0})", "$.random_jitter_s"},
+           Case{R"({"sinusoidal_jitter_s": 1.0})", "$.sinusoidal_jitter_s"},
+           Case{R"({"bit_rate_hz": 1e-300})", "$.bit_rate_hz"},
+           Case{R"({"bit_rate_hz": 2e12})", "$.bit_rate_hz"},
+           Case{R"({"channel": {"kind": "flat", "loss_db": -3.0}})",
+                "$.channel.loss_db"},
+           Case{R"({"channel": {"kind": "composite", "stages": [
+                  {"kind": "flat", "loss_db": 3.0},
+                  {"kind": "rc", "pole_hz": 1e9, "loss_db": -1.0}]}})",
+                "$.channel.stages[1].loss_db"},
+           Case{R"({"channel": {"kind": "rc", "pole_hz": 0.0}})",
+                "$.channel.pole_hz"},
+           Case{R"({"channel": {"kind": "lossy_line",
+                                "skin_loss_db_at_1ghz": -5.0}})",
+                "$.channel.skin_loss_db_at_1ghz"},
+       }) {
+    const std::string bad_err = api::validate_spec_with_paths(
+        api::link_spec_from_json(util::Json::parse(c.json)));
+    EXPECT_EQ(bad_err.rfind(std::string(c.path) + ":", 0), 0u)
+        << c.json << " -> " << bad_err;
+  }
+  // The jitter bounds are in the spec's own unit interval: 1 UI of random
+  // jitter is accepted, and PAM4's UI is two bits long.
+  api::LinkSpec edge;
+  edge.random_jitter_s = 1.0 / edge.bit_rate_hz;
+  edge.sinusoidal_jitter_s = 4.0 / edge.bit_rate_hz;
+  EXPECT_EQ(api::validate_spec_with_paths(edge), "");
+  edge.modulation = "pam4";
+  edge.random_jitter_s = 2.0 / edge.bit_rate_hz;
+  EXPECT_EQ(api::validate_spec_with_paths(edge), "");
 }
 
 }  // namespace
