@@ -6,25 +6,6 @@
 
 namespace serdes::pipe {
 
-// ---- LanePipeline -----------------------------------------------------------
-
-LaneStage& LanePipeline::add(std::unique_ptr<LaneStage> stage) {
-  stages_.push_back(std::move(stage));
-  return *stages_.back();
-}
-
-LaneView LanePipeline::process(const LaneView& in) {
-  LaneView view = in;
-  bool use_ping = true;
-  for (auto& stage : stages_) {
-    LaneBlock& out = use_ping ? ping_ : pong_;
-    stage->process(view, out);
-    view = out.view();
-    use_ping = !use_ping;
-  }
-  return view;
-}
-
 // ---- LaneAwgnStage ----------------------------------------------------------
 
 LaneAwgnStage::LaneAwgnStage(double sigma,

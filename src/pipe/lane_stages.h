@@ -18,7 +18,7 @@
 //   LaneRfiStage       — RFI front end with per-lane DC means and poles
 //   LaneRestoreStage   — restoring inverter VTC + per-lane output pole
 //   LaneWaveformTap    — per-lane probe: diagnostic window + range/sum
-//   LanePipeline       — chains lane stages over two scratch tiles
+//   LanePipeline       — pipe::Pipeline's ping-pong chain, over tiles
 //
 // The gaussian draw (ziggurat with a variable-draw edge path) stays scalar
 // per lane by design: batching it across lanes would change each lane's
@@ -38,6 +38,7 @@
 #include "analog/waveform.h"
 #include "pipe/block.h"
 #include "pipe/lane_block.h"
+#include "pipe/stage.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -51,21 +52,7 @@ class LaneStage {
   virtual void process(const LaneView& in, LaneBlock& out) = 0;
 };
 
-/// Runs tiles through an ordered chain of lane stages, ping-ponging
-/// between two scratch tiles (pipe::Pipeline's contract, per lane).
-class LanePipeline {
- public:
-  /// Appends a stage; returns it for optional post-wiring.
-  LaneStage& add(std::unique_ptr<LaneStage> stage);
-  /// Pushes one tile through every stage; the returned view aliases one of
-  /// the internal scratch tiles and is valid until the next call.
-  [[nodiscard]] LaneView process(const LaneView& in);
-
- private:
-  std::vector<std::unique_ptr<LaneStage>> stages_;
-  LaneBlock ping_;
-  LaneBlock pong_;
-};
+using LanePipeline = BasicPipeline<LaneStage, LaneBlock, LaneView>;
 
 /// Fan-out stage: replicates a shared one-lane tile (the lane-invariant
 /// TX + channel output) across L lanes, adding each lane's own AWGN

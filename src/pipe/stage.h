@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "pipe/block.h"
@@ -32,25 +33,45 @@ class Stage {
 };
 
 /// Runs blocks through an ordered chain of stages.  Owns the stages and
-/// two scratch blocks (the only per-pipeline sample storage).
-class Pipeline {
+/// two scratch blocks (the only per-pipeline sample storage).  Scalar
+/// stages chain as a Pipeline; the lane-tile stages of pipe/lane_stages.h
+/// chain as a LanePipeline.
+template <class StageT, class BlockT, class ViewT>
+class BasicPipeline {
  public:
   /// Appends a stage; returns it for optional post-wiring.
-  Stage& add(std::unique_ptr<Stage> stage);
+  StageT& add(std::unique_ptr<StageT> stage) {
+    stages_.push_back(std::move(stage));
+    return *stages_.back();
+  }
 
   /// Pushes one block through every stage; the returned view aliases one
   /// of the internal scratch blocks and is valid until the next call.
-  [[nodiscard]] BlockView process(const BlockView& in);
+  [[nodiscard]] ViewT process(const ViewT& in) {
+    ViewT view = in;
+    bool use_ping = true;
+    for (auto& stage : stages_) {
+      BlockT& out = use_ping ? ping_ : pong_;
+      stage->process(view, out);
+      view = out.view();
+      use_ping = !use_ping;
+    }
+    return view;
+  }
 
   /// Resets every stage to its start-of-stream state.
-  void reset();
+  void reset() {
+    for (auto& stage : stages_) stage->reset();
+  }
 
   [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
 
  private:
-  std::vector<std::unique_ptr<Stage>> stages_;
-  Block ping_;
-  Block pong_;
+  std::vector<std::unique_ptr<StageT>> stages_;
+  BlockT ping_;
+  BlockT pong_;
 };
+
+using Pipeline = BasicPipeline<Stage, Block, BlockView>;
 
 }  // namespace serdes::pipe

@@ -268,7 +268,6 @@ class SamplerCdrSink {
   /// Evaluates the remaining instants with end-of-stream clamping.
   void finish();
 
-  [[nodiscard]] std::size_t lanes() const { return n_lanes_; }
   [[nodiscard]] const digital::OversamplingCdr& cdr(
       std::size_t lane = 0) const {
     return lanes_[lane].cdr;
