@@ -198,11 +198,13 @@ TrainingResult train_equalizer(const LinkConfig& config,
   const std::vector<std::uint8_t> bits =
       prbs.next_bits(nrz ? n_syms : 2 * n_syms);
   for (std::size_t n = 0; n < n_syms; ++n) {
-    symbols[n] =
-        nrz ? (bits[n] ? 1.0 : -1.0)
-            : (2.0 * ChainPlan::gray_symbol(bits[2 * n] != 0,
-                                            bits[2 * n + 1] != 0) -
-               3.0) / 3.0;
+    if (nrz) {
+      symbols[n] = bits[n] ? 1.0 : -1.0;
+    } else {
+      const int symbol =
+          ChainPlan::gray_symbol(bits[2 * n] != 0, bits[2 * n + 1] != 0);
+      symbols[n] = (2.0 * static_cast<double>(symbol) - 3.0) / 3.0;
+    }
   }
 
   // One full evaluation of a candidate (alpha, boost): replay the chain,
