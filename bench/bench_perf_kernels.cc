@@ -477,6 +477,22 @@ int main(int argc, char** argv) {
     });
   }
 
+  // Receiver construction on a warm front-end characterization memo: each
+  // build copies the paper design's stored entry instead of solving it
+  // from the MOSFET model (~3.6 ms cold).  Items = receivers.  Reports are
+  // byte-identical with or without the memo, so only this floor notices
+  // if it is lost.
+  {
+    const core::LinkConfig cfg = core::LinkConfig::paper_default();
+    run_bench(results, "receiver_build", 8, [&] {
+      for (int i = 0; i < 8; ++i) {
+        const core::Receiver rx(cfg);
+        volatile double t = rx.decision_threshold();
+        (void)t;
+      }
+    });
+  }
+
   {
     const api::LinkSpec spec = api::LinkBuilder()
                                    .payload_bits(1024)

@@ -37,8 +37,12 @@ EXCLUDE = ("deep_ber_streaming_bit", "deep_ber_batch_bit")
 # the `serdes_cli stat` path and the "stat"/"both" sweep scenarios; the
 # lanes8 kernels pin the SoA lane-tiling speedup (the batch8 floor is
 # deliberately >= 3x the batch4 floor, so losing the tiling win is a
-# gate failure, not drift).
+# gate failure, not drift); receiver_build pins the receiver front-end
+# characterization memo (a cold build is ~10^4x slower, and reports are
+# byte-identical either way, so losing the memo is a gate failure only
+# here).
 REQUIRED = (
+    "receiver_build",
     "stat_engine_paper_default",
     "stat_engine_bus4_pam4",
     "stat_engine_dfe_sample",

@@ -60,17 +60,22 @@ LinkSpec::Issue validate_channel(const ChannelSpec& ch, const std::string& path,
   if (ch.kind == "fir" && ch.fir_taps.empty()) {
     return {path + ".fir_taps", "fir channel needs at least one tap"};
   }
-  // A passive channel cannot gain, and a pole or a skin-effect loss below
-  // zero has no physical meaning (the run would fail late or report an
-  // impossibly clean link).
-  if ((ch.kind == "flat" || ch.kind == "rc") && !(ch.loss_db >= 0.0)) {
+  // A passive channel cannot gain, and a pole or a skin-effect or
+  // dielectric loss below zero has no physical meaning (the run would fail
+  // late or report an impossibly clean link).
+  const bool lossy_line = ch.kind == "lossy_line";
+  if ((ch.kind == "flat" || ch.kind == "rc" || lossy_line) &&
+      !(ch.loss_db >= 0.0)) {
     return {path + ".loss_db", "must be non-negative"};
   }
   if (ch.kind == "rc" && !(ch.pole_hz > 0.0)) {
     return {path + ".pole_hz", "must be positive"};
   }
-  if (ch.kind == "lossy_line" && !(ch.skin_loss_db_at_1ghz >= 0.0)) {
+  if (lossy_line && !(ch.skin_loss_db_at_1ghz >= 0.0)) {
     return {path + ".skin_loss_db_at_1ghz", "must be non-negative"};
+  }
+  if (lossy_line && !(ch.dielectric_loss_db_at_1ghz >= 0.0)) {
+    return {path + ".dielectric_loss_db_at_1ghz", "must be non-negative"};
   }
   if (ch.kind == "composite") {
     if (ch.stages.empty()) {
@@ -139,6 +144,11 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (cdr_window_uis < 1) return {"cdr_window_uis", "must be at least 1"};
   if (cdr_glitch_filter_radius < 0) {
     return {"cdr_glitch_filter_radius", "must be non-negative"};
+  }
+  // The majority vote spans 2 * radius + 1 samples of one UI.
+  if (cdr_glitch_filter_radius > (cdr_oversampling - 1) / 2) {
+    return {"cdr_glitch_filter_radius",
+            "must be at most (cdr_oversampling - 1) / 2"};
   }
   if (cdr_jitter_hysteresis < 1) {
     return {"cdr_jitter_hysteresis", "must be at least 1"};

@@ -55,6 +55,11 @@ class Receiver {
   [[nodiscard]] double decision_threshold() const { return threshold_; }
 
  private:
+  /// The characterized analog front end, solved once per device design and
+  /// sample period and memoized for the life of the process (receiver.cc).
+  struct FrontEnd;
+  Receiver(const LinkConfig& config, const FrontEnd& front_end);
+
   LinkConfig config_;
   analog::RfiCircuit rfi_circuit_;
   analog::RfiStage rfi_stage_;

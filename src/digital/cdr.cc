@@ -13,8 +13,9 @@ OversamplingCdr::OversamplingCdr(const CdrConfig& config) : config_(config) {
   if (config.window_uis < 1) {
     throw std::invalid_argument("OversamplingCdr: window_uis must be >= 1");
   }
+  // 2 * radius + 1 <= oversampling, written so it cannot overflow.
   if (config.glitch_filter_radius < 0 ||
-      2 * config.glitch_filter_radius + 1 > config.oversampling) {
+      config.glitch_filter_radius > (config.oversampling - 1) / 2) {
     throw std::invalid_argument(
         "OversamplingCdr: glitch filter wider than one UI");
   }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 
+#include "analog/rfi.h"
+#include "analog/sampler.h"
 #include "api/channel_factory.h"
 #include "channel/channel.h"
 #include "core/ber.h"
@@ -166,6 +171,100 @@ TEST(Link, DeterministicAcrossRuns) {
   const auto rb = b.run_prbs(1024);
   EXPECT_EQ(ra.bit_errors, rb.bit_errors);
   EXPECT_EQ(ra.rx.recovered_bits, rb.rx.recovered_bits);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_samples(const analog::Waveform& got,
+                         const analog::Waveform& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got.samples()[i]), bits(want.samples()[i]))
+        << what << " sample " << i;
+  }
+}
+
+/// A Receiver's front end against the analog models built directly, which
+/// bypasses the characterization memo: every value must match bit for bit.
+void expect_front_end_matches_direct(const LinkConfig& cfg,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  const Receiver rx(cfg);
+  const analog::RfiCircuit circuit(cfg.rfi);
+  const analog::RfiStage stage(circuit, cfg.sample_period());
+  const analog::RestoringInverter restoring(
+      cfg.restoring_wn_um, cfg.restoring_wp_um, cfg.rfi.vdd,
+      cfg.sample_period());
+
+  const analog::RfiDesign& design = rx.rfi().design();
+  EXPECT_EQ(bits(design.wn_um), bits(cfg.rfi.wn_um));
+  EXPECT_EQ(bits(design.wp_um), bits(cfg.rfi.wp_um));
+  EXPECT_EQ(bits(design.pseudo_res_w_um), bits(cfg.rfi.pseudo_res_w_um));
+  EXPECT_EQ(bits(design.vdd.value()), bits(cfg.rfi.vdd.value()));
+  EXPECT_EQ(bits(design.coupling_cap.value()),
+            bits(cfg.rfi.coupling_cap.value()));
+  EXPECT_EQ(bits(design.load_cap.value()), bits(cfg.rfi.load_cap.value()));
+
+  EXPECT_EQ(bits(rx.rfi_stage().bias()), bits(stage.bias()));
+  EXPECT_EQ(bits(rx.rfi_stage().gain()), bits(stage.gain()));
+  EXPECT_EQ(bits(rx.rfi_stage().bandwidth().value()),
+            bits(stage.bandwidth().value()));
+  EXPECT_EQ(bits(rx.rfi_stage().vdd()), bits(stage.vdd()));
+  EXPECT_EQ(bits(rx.restoring().threshold()), bits(restoring.threshold()));
+  EXPECT_EQ(bits(rx.restoring().bandwidth().value()),
+            bits(restoring.bandwidth().value()));
+  EXPECT_EQ(bits(rx.decision_threshold()), bits(restoring.threshold()));
+  const double vdd = cfg.rfi.vdd.value();
+  for (int i = -4; i <= 132; ++i) {
+    const double v = vdd * i / 128.0;
+    ASSERT_EQ(bits(rx.restoring().restore_level(v)),
+              bits(restoring.restore_level(v)))
+        << "restore_level(" << v << ")";
+  }
+
+  // The batch stages also carry the sample period of their output poles.
+  const auto in = analog::Waveform::nrz(
+      {0, 1, 1, 0, 1, 0, 0, 1}, cfg.unit_interval(), cfg.samples_per_ui,
+      -0.02, 0.02, util::picoseconds(60.0));
+  const auto rfi_out = stage.process(in);
+  expect_same_samples(rx.rfi_stage().process(in), rfi_out, "rfi process");
+  expect_same_samples(rx.restoring().process(rfi_out),
+                      restoring.process(rfi_out), "restoring process");
+}
+
+TEST(Receiver, MemoizedFrontEndMatchesDirectCharacterization) {
+  expect_front_end_matches_direct(LinkConfig::paper_default(),
+                                  "paper default");
+  // One variant per input of the characterization.  The paper default is
+  // built again before each, so a key that ignored the changed input would
+  // hand back the default's front end and fail the comparison.
+  struct Variant {
+    const char* name;
+    void (*change)(LinkConfig&);
+  };
+  const Variant variants[] = {
+      {"rfi.wn_um", [](LinkConfig& c) { c.rfi.wn_um = 4.5; }},
+      {"rfi.wp_um", [](LinkConfig& c) { c.rfi.wp_um = 6.5; }},
+      {"rfi.pseudo_res_w_um",
+       [](LinkConfig& c) { c.rfi.pseudo_res_w_um = 0.5; }},
+      {"rfi.vdd", [](LinkConfig& c) { c.rfi.vdd = util::volts(1.6); }},
+      {"rfi.coupling_cap",
+       [](LinkConfig& c) { c.rfi.coupling_cap = util::picofarads(500.0); }},
+      {"rfi.load_cap",
+       [](LinkConfig& c) { c.rfi.load_cap = util::femtofarads(20.0); }},
+      {"restoring_wn_um", [](LinkConfig& c) { c.restoring_wn_um = 10.0; }},
+      {"restoring_wp_um", [](LinkConfig& c) { c.restoring_wp_um = 14.0; }},
+      {"sample_period", [](LinkConfig& c) { c.samples_per_ui = 8; }},
+  };
+  for (const auto& [name, change] : variants) {
+    expect_front_end_matches_direct(LinkConfig::paper_default(),
+                                    std::string("paper default before ") +
+                                        name);
+    LinkConfig cfg = LinkConfig::paper_default();
+    change(cfg);
+    expect_front_end_matches_direct(cfg, name);
+  }
 }
 
 TEST(Ber, UpperBoundZeroErrors) {

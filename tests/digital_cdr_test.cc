@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/prbs.h"
 #include "util/random.h"
 
@@ -67,6 +69,8 @@ TEST(Cdr, ConfigValidation) {
   EXPECT_THROW(OversamplingCdr{bad}, std::invalid_argument);
   bad = test_config();
   bad.glitch_filter_radius = 3;  // 2*3+1 > 5
+  EXPECT_THROW(OversamplingCdr{bad}, std::invalid_argument);
+  bad.glitch_filter_radius = std::numeric_limits<int>::max();  // 2*r+1 overflows
   EXPECT_THROW(OversamplingCdr{bad}, std::invalid_argument);
   bad = test_config();
   bad.jitter_hysteresis = 0;

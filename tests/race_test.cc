@@ -1,9 +1,10 @@
 // Concurrency-hammer tier, built to run under ThreadSanitizer
 // (-DSERDES_SANITIZE=thread): every multi-threaded execution path the
 // engine ships — the SweepRunner work-stealing pool, offline shard
-// merging fed by concurrently-running shards, and the run_batch lane
-// fan-out — exercised at several thread counts with byte-identical
-// report assertions.  Without TSan this is an ordinary (fast) tier1
+// merging fed by concurrently-running shards, the run_batch lane
+// fan-out and the process-wide receiver characterization memo —
+// exercised at several thread counts with byte-identical report
+// assertions.  Without TSan this is an ordinary (fast) tier1
 // determinism test; under TSan any data race in the pool, the row
 // buffers or the aggregation step is a hard failure with a stack pair.
 //
@@ -20,8 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "analog/rfi.h"
+#include "analog/sampler.h"
 #include "api/simulator.h"
 #include "api/spec_json.h"
+#include "core/receiver.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 #include "util/json.h"
@@ -191,6 +195,81 @@ TEST(RaceHammer, WorkerPoolRunsEveryItemOnceAndFailsFast) {
                                     }),
                  std::runtime_error);
     EXPECT_LT(ran.load(), std::size_t{10000}) << "@" << threads;
+  }
+}
+
+/// Every value a receiver takes from its characterized front end.
+std::vector<double> front_end_values(const analog::RfiCircuit& circuit,
+                                     const analog::RfiStage& stage,
+                                     const analog::RestoringInverter& restoring,
+                                     const core::LinkConfig& cfg) {
+  const analog::RfiDesign& d = circuit.design();
+  std::vector<double> values = {d.wn_um,
+                                d.wp_um,
+                                d.pseudo_res_w_um,
+                                d.vdd.value(),
+                                d.coupling_cap.value(),
+                                d.load_cap.value(),
+                                stage.bias(),
+                                stage.gain(),
+                                stage.bandwidth().value(),
+                                stage.vdd(),
+                                restoring.threshold(),
+                                restoring.bandwidth().value()};
+  for (int i = 0; i <= 64; ++i) {
+    values.push_back(restoring.restore_level(d.vdd.value() * i / 64.0));
+  }
+  const auto in = analog::Waveform::nrz(
+      {0, 1, 1, 0}, cfg.unit_interval(), cfg.samples_per_ui, -0.02, 0.02,
+      util::picoseconds(60.0));
+  const auto out = restoring.process(stage.process(in));
+  values.insert(values.end(), out.samples().begin(), out.samples().end());
+  return values;
+}
+
+TEST(RaceHammer, ReceiverFrontEndMemoFirstMissesRace) {
+  // Three designs no other test in this binary builds, so the first
+  // characterization of each happens inside the threaded section.  The
+  // serial reference builds the analog models directly, past the memo.
+  std::vector<core::LinkConfig> designs(3, core::LinkConfig::paper_default());
+  designs[0].rfi.wn_um = 3.7;
+  designs[1].restoring_wp_um = 13.0;
+  designs[2].samples_per_ui = 12;
+  std::vector<std::vector<double>> reference;
+  for (const core::LinkConfig& cfg : designs) {
+    const analog::RfiCircuit circuit(cfg.rfi);
+    reference.push_back(front_end_values(
+        circuit, analog::RfiStage(circuit, cfg.sample_period()),
+        analog::RestoringInverter(cfg.restoring_wn_um, cfg.restoring_wp_um,
+                                  cfg.rfi.vdd, cfg.sample_period()),
+        cfg));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::vector<double>>> built(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < kRounds * 3; ++k) {
+        const core::LinkConfig& cfg = designs[(t + k) % 3];
+        const core::Receiver rx(cfg);
+        built[t].push_back(front_end_values(rx.rfi(), rx.rfi_stage(),
+                                            rx.restoring(), cfg));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(built[t].size(), std::size_t{kRounds * 3});
+    for (int k = 0; k < kRounds * 3; ++k) {
+      EXPECT_EQ(built[t][k], reference[(t + k) % 3])
+          << "thread " << t << " receiver " << k;
+    }
   }
 }
 

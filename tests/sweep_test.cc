@@ -445,6 +445,17 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
            Case{R"({"channel": {"kind": "lossy_line",
                                 "skin_loss_db_at_1ghz": -5.0}})",
                 "$.channel.skin_loss_db_at_1ghz"},
+           Case{R"({"channel": {"kind": "lossy_line", "loss_db": -30.0}})",
+                "$.channel.loss_db"},
+           Case{R"({"channel": {"kind": "composite", "stages": [
+                  {"kind": "flat", "loss_db": 3.0},
+                  {"kind": "lossy_line",
+                   "dielectric_loss_db_at_1ghz": -30.0}]}})",
+                "$.channel.stages[1].dielectric_loss_db_at_1ghz"},
+           Case{R"({"cdr_glitch_filter_radius": 1000000})",
+                "$.cdr_glitch_filter_radius"},
+           Case{R"({"cdr_glitch_filter_radius": 2147483647})",
+                "$.cdr_glitch_filter_radius"},
        }) {
     const std::string bad_err = api::validate_spec_with_paths(
         api::link_spec_from_json(util::Json::parse(c.json)));
@@ -459,6 +470,9 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   EXPECT_EQ(api::validate_spec_with_paths(edge), "");
   edge.modulation = "pam4";
   edge.random_jitter_s = 2.0 / edge.bit_rate_hz;
+  EXPECT_EQ(api::validate_spec_with_paths(edge), "");
+  // The widest glitch filter still votes within one UI: 2 * 2 + 1 = 5.
+  edge.cdr_glitch_filter_radius = 2;
   EXPECT_EQ(api::validate_spec_with_paths(edge), "");
 }
 
