@@ -17,6 +17,7 @@
 //
 // Usage: bench_perf_kernels [output.json] [--deep-bits=N]
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -42,6 +43,7 @@
 #include "pipe/lane_stages.h"
 #include "pipe/pam_stages.h"
 #include "pipe/stages.h"
+#include "stat/stat_engine.h"
 #include "util/fs.h"
 #include "util/prbs.h"
 #include "util/random.h"
@@ -545,6 +547,22 @@ int main(int argc, char** argv) {
     run_bench(results, "stat_engine_paper_default", 1, [&] {
       volatile double ber = sim.run(spec).stat->min_ber;
       (void)ber;
+    });
+  }
+
+  // The eye-contour bisections alone: one lower_quantile + upper_quantile
+  // pair at 1e-15 and sigma = 1 mV on a 20-cursor grid mixture (0.02 V x
+  // 0.8^k, 4073 support points).  Items = quantile pairs.  Each bisection
+  // step is decided from the leading tail terms; the quantiles are
+  // bit-identical either way, so only this floor notices if that is lost.
+  {
+    std::vector<double> cursors;
+    for (int k = 0; k < 20; ++k) cursors.push_back(0.02 * std::pow(0.8, k));
+    const stat::IsiMixture mix = stat::IsiMixture::build(cursors);
+    run_bench(results, "stat_contour_grid", 1, [&] {
+      volatile double v =
+          mix.lower_quantile(1e-15, 1e-3) + mix.upper_quantile(1e-15, 1e-3);
+      (void)v;
     });
   }
 

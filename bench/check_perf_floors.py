@@ -40,9 +40,12 @@ EXCLUDE = ("deep_ber_streaming_bit", "deep_ber_batch_bit")
 # gate failure, not drift); receiver_build pins the receiver front-end
 # characterization memo (a cold build is ~10^4x slower, and reports are
 # byte-identical either way, so losing the memo is a gate failure only
-# here).
+# here); stat_contour_grid pins the bisection deciders that settle each
+# eye-contour step from the leading tail terms (without them it runs ~4.5x
+# slower, below its floor, and the quantiles are bit-identical either way).
 REQUIRED = (
     "receiver_build",
+    "stat_contour_grid",
     "stat_engine_paper_default",
     "stat_engine_bus4_pam4",
     "stat_engine_dfe_sample",

@@ -153,8 +153,16 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (cdr_jitter_hysteresis < 1) {
     return {"cdr_jitter_hysteresis", "must be at least 1"};
   }
-  if (tx_ffe_deemphasis < 0.0 || tx_ffe_deemphasis >= 1.0) {
-    return {"tx_ffe_deemphasis", "must be in [0, 1)"};
+  // The receiver UI is the nominal one / (1 + ppm * 1e-6): at -1e6 it is
+  // infinite and the sampler never advances.  +/-10000 ppm is far past any
+  // link the CDR can hold.
+  if (!(ppm_offset >= -10000.0 && ppm_offset <= 10000.0)) {
+    return {"ppm_offset", "must be within ±10000 ppm"};
+  }
+  // channel::TxFfe's own bound: at alpha = 0.5 the two taps cancel on a
+  // transition-free stream.
+  if (!(tx_ffe_deemphasis >= 0.0 && tx_ffe_deemphasis < 0.5)) {
+    return {"tx_ffe_deemphasis", "must be in [0, 0.5)"};
   }
   if (rx_ctle_boost_db < 0.0) {
     return {"rx_ctle_boost_db", "must be non-negative"};

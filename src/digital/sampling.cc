@@ -1,5 +1,6 @@
 #include "digital/sampling.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace serdes::digital {
@@ -16,6 +17,10 @@ MultiphaseClockGenerator::MultiphaseClockGenerator(util::Hertz bit_rate,
   // is correspondingly stretched or shrunk.
   const double scale = 1.0 / (1.0 + ppm_offset * 1e-6);
   ui_ = util::seconds(util::period(bit_rate).value() * scale);
+  if (!(ui_.value() > 0.0 && std::isfinite(ui_.value()))) {
+    throw std::invalid_argument(
+        "MultiphaseClockGenerator: ppm offset leaves no finite, positive UI");
+  }
   step_ = ui_ / static_cast<double>(phases);
   offset_ = phase_offset;
 }

@@ -102,6 +102,7 @@ IsiMixture IsiMixture::build(const std::vector<double>& cursors,
     mix.prob_[i] /= total;
     run += mix.prob_[i];
     mix.cum_[i] = run;
+    mix.prob_max_ = std::max(mix.prob_max_, mix.prob_[i]);
   }
   return mix;
 }
@@ -113,7 +114,63 @@ namespace {
 /// exactly 0 or their full mass.
 constexpr double kTailWindowSigmas = 39.0;
 
+/// Targets below this go straight to the full sum.  Underflow in `rest`
+/// and `err` (below) is absolute, not relative; above this p it stays far
+/// below p's last bit.
+constexpr double kMinDecidedP = 0x1p-900;
+
+/// Which side of p a tail lies on, from its leading terms: +1 above, -1
+/// below, 0 when the window runs out first.  The tail function returns
+/// clamp(S, 0, 1), with S the rounded sum, in index order, of a base b and
+/// m window terms t_i = prob_i * Q_i >= 0; for p in (0, 1) the clamp never
+/// moves S across p.  `term(k)` gives the k-th (prob, Q) pair of a walk
+/// that visits the same terms, by the same expressions, largest Q first.
+/// After k visited terms:
+///   est  = the rounded running sum b + t_(1) + ... + t_(k),
+///   mag  = |b| + t_(1) + ... + t_(k),
+///   rest = 2 * (m - k) * prob_max * Q_(k).
+/// Q does not grow along the walk, so every unvisited term is at most
+/// prob_max * Q_(k); the factor 2 absorbs erfc's ulp-level
+/// non-monotonicity, so rest bounds the unvisited sum R.  With u = 2^-53
+/// and g_m = m u / (1 - m u), recursive summation bounds the rounding of S
+/// by g_m (mag + R) and that of est by g_k mag, so
+///   est - e <= S <= est + rest + e,  e <= 2 g_m (mag + rest).
+/// err = rho (mag + rest) with rho = 4 (m + 4) u exceeds e by more than the
+/// rounding of err, mag and the two comparisons, so each verdict is the one
+/// S itself gives.
+template <class Term>
+int tail_side(double base, std::size_t m, double prob_max, double p,
+              Term&& term) {
+  const double rho = 4.0 * static_cast<double>(m + 4) * 0x1p-53;
+  double est = base;
+  double mag = std::fabs(base);
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto [prob, q] = term(k);
+    const double t = prob * q;
+    est += t;
+    mag += t;
+    const double rest = 2.0 * static_cast<double>(m - 1 - k) * (prob_max * q);
+    const double err = rho * (mag + rest);
+    if (est - err > p) return 1;
+    if (est + rest + err < p) return -1;
+  }
+  return 0;
+}
+
+bool decidable(double sigma, double p) {
+  return sigma > 0.0 && p >= kMinDecidedP && p < 1.0;
+}
+
 }  // namespace
+
+std::pair<std::size_t, std::size_t> IsiMixture::window(double x,
+                                                       double sigma) const {
+  const double w = kTailWindowSigmas * sigma;
+  const auto lo = std::lower_bound(value_.begin(), value_.end(), x - w);
+  const auto hi = std::upper_bound(lo, value_.end(), x + w);
+  return {static_cast<std::size_t>(lo - value_.begin()),
+          static_cast<std::size_t>(hi - value_.begin())};
+}
 
 double IsiMixture::upper_tail(double x, double sigma) const {
   if (value_.empty()) return 0.0;
@@ -123,11 +180,7 @@ double IsiMixture::upper_tail(double x, double sigma) const {
     const auto idx = static_cast<std::size_t>(it - value_.begin());
     return idx == 0 ? 1.0 : 1.0 - cum_[idx - 1];
   }
-  const double w = kTailWindowSigmas * sigma;
-  const auto lo_it = std::lower_bound(value_.begin(), value_.end(), x - w);
-  const auto hi_it = std::upper_bound(value_.begin(), value_.end(), x + w);
-  const auto lo = static_cast<std::size_t>(lo_it - value_.begin());
-  const auto hi = static_cast<std::size_t>(hi_it - value_.begin());
+  const auto [lo, hi] = window(x, sigma);
   // Values above the window contribute their full mass (Q ~ 1).
   double sum = hi == 0 ? 1.0 : 1.0 - cum_[hi - 1];
   for (std::size_t i = lo; i < hi; ++i) {
@@ -144,16 +197,44 @@ double IsiMixture::lower_tail(double x, double sigma) const {
     const auto idx = static_cast<std::size_t>(it - value_.begin());
     return idx == 0 ? 0.0 : cum_[idx - 1];
   }
-  const double w = kTailWindowSigmas * sigma;
-  const auto lo_it = std::lower_bound(value_.begin(), value_.end(), x - w);
-  const auto hi_it = std::upper_bound(value_.begin(), value_.end(), x + w);
-  const auto lo = static_cast<std::size_t>(lo_it - value_.begin());
-  const auto hi = static_cast<std::size_t>(hi_it - value_.begin());
+  const auto [lo, hi] = window(x, sigma);
   double sum = lo == 0 ? 0.0 : cum_[lo - 1];
   for (std::size_t i = lo; i < hi; ++i) {
     sum += prob_[i] * util::q_function((value_[i] - x) / sigma);
   }
   return std::clamp(sum, 0.0, 1.0);
+}
+
+bool IsiMixture::lower_tail_at_most(double x, double sigma, double p) const {
+  if (decidable(sigma, p)) {
+    const auto [lo, hi] = window(x, sigma);
+    // Q((v - x) / sigma) falls as v rises: walk up from lo.
+    const int side = tail_side(
+        lo == 0 ? 0.0 : cum_[lo - 1], hi - lo, prob_max_, p,
+        [&](std::size_t k) {
+          const std::size_t i = lo + k;
+          return std::pair{prob_[i],
+                           util::q_function((value_[i] - x) / sigma)};
+        });
+    if (side != 0) return side < 0;
+  }
+  return lower_tail(x, sigma) <= p;
+}
+
+bool IsiMixture::upper_tail_at_least(double x, double sigma, double p) const {
+  if (decidable(sigma, p)) {
+    const auto [lo, hi] = window(x, sigma);
+    // Q((x - v) / sigma) falls as v drops: walk down from hi - 1.
+    const int side = tail_side(
+        hi == 0 ? 1.0 : 1.0 - cum_[hi - 1], hi - lo, prob_max_, p,
+        [&](std::size_t k) {
+          const std::size_t i = hi - 1 - k;
+          return std::pair{prob_[i],
+                           util::q_function((x - value_[i]) / sigma)};
+        });
+    if (side != 0) return side > 0;
+  }
+  return upper_tail(x, sigma) >= p;
 }
 
 double IsiMixture::upper_quantile(double p, double sigma) const {
@@ -165,7 +246,7 @@ double IsiMixture::upper_quantile(double p, double sigma) const {
                                                 std::fabs(hi) + 1.0);
        ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (upper_tail(mid, sigma) >= p) {
+    if (upper_tail_at_least(mid, sigma, p)) {
       lo = mid;
     } else {
       hi = mid;
@@ -183,7 +264,7 @@ double IsiMixture::lower_quantile(double p, double sigma) const {
                                                 std::fabs(hi) + 1.0);
        ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (lower_tail(mid, sigma) <= p) {
+    if (lower_tail_at_most(mid, sigma, p)) {
       lo = mid;
     } else {
       hi = mid;

@@ -78,9 +78,22 @@ class IsiMixture {
   [[nodiscard]] std::size_t size() const { return value_.size(); }
 
  private:
+  /// Index range [first, second) of the support points inside the
+  /// Gaussian tail window around x; outside it a point's tail is exactly
+  /// 0 or its full mass.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> window(
+      double x, double sigma) const;
+  /// lower_tail(x, sigma) <= p and upper_tail(x, sigma) >= p, decided
+  /// from the leading window terms when their bounds settle it.
+  [[nodiscard]] bool lower_tail_at_most(double x, double sigma,
+                                        double p) const;
+  [[nodiscard]] bool upper_tail_at_least(double x, double sigma,
+                                         double p) const;
+
   std::vector<double> value_;  // sorted support points
   std::vector<double> prob_;   // matching probabilities (sum 1)
   std::vector<double> cum_;    // inclusive prefix sums of prob_
+  double prob_max_ = 0.0;      // largest entry of prob_
   bool exact_ = true;
 };
 

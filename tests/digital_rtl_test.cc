@@ -159,6 +159,10 @@ TEST(MultiphaseClocks, PpmOffsetStretchesUi) {
 TEST(MultiphaseClocks, Validation) {
   EXPECT_THROW(MultiphaseClockGenerator(util::gigahertz(1.0), 1),
                std::invalid_argument);
+  // -1e6 ppm stops the receiver clock: an infinite UI.
+  EXPECT_THROW(MultiphaseClockGenerator(util::gigahertz(1.0), 4,
+                                        util::seconds(0.0), -1e6),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Statistical-engine suite: closed-form regression pins for the mixture
 // primitives (pure AWGN and two-tap ISI at <= 1e-12), grid-vs-exact
-// consistency, engine-level sanity at the paper operating point, the
+// consistency, the contour quantiles pinned bit for bit to a full-sum
+// bisection, engine-level sanity at the paper operating point, the
 // analysis-mode plumbing through api::Simulator, and — the core of the
 // golden-report tier — MC-vs-stat cross-validation: for every built-in
 // channel kind the Monte Carlo BER must fall inside the stat engine's
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "api/api.h"
@@ -15,6 +18,7 @@
 #include "api/spec_json.h"
 #include "stat/stat_engine.h"
 #include "util/math.h"
+#include "util/random.h"
 
 namespace serdes {
 namespace {
@@ -110,6 +114,103 @@ TEST(IsiMixtureTest, QuantilesInvertTails) {
     EXPECT_NEAR(mix.upper_tail(hi, sigma), p, 1e-6 * p) << "p=" << p;
     EXPECT_LT(lo, hi);
   }
+}
+
+// The quantile bisections decide each step from the leading window terms.
+// They must land on exactly the bits of the full-sum bisection below,
+// which runs on the public tails.
+
+/// The smallest support point: the largest x with no mass strictly below.
+double support_front(const IsiMixture& mix) {
+  double lo = -1.0;  // below every ISI sum the corpus builds
+  double hi = 0.0;   // above the front of a symmetric, non-trivial sum
+  while (std::nextafter(lo, hi) != hi) {
+    const double mid = 0.5 * (lo + hi);
+    (mix.lower_tail(mid, 0.0) == 0.0 ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+/// The bisection as it ran when every step summed the whole window.  The
+/// ISI sum is symmetric about 0 and the mixture keeps that exactly, so the
+/// largest support point is -front.
+double full_sum_quantile(const IsiMixture& mix, double front, double p,
+                         double sigma, bool upper) {
+  const double pad = sigma > 0.0 ? 40.0 * sigma : 0.0;
+  double lo = front - pad - 1e-18;
+  double hi = -front + pad + 1e-18;
+  for (int i = 0; i < 200 && hi - lo > 1e-16 * (std::fabs(lo) +
+                                                std::fabs(hi) + 1.0);
+       ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const bool below_crossing = upper ? mix.upper_tail(mid, sigma) >= p
+                                      : mix.lower_tail(mid, sigma) <= p;
+    (below_crossing ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(IsiMixtureTest, QuantilesMatchFullSumBisectionBitForBit) {
+  util::Rng rng(0x5eed5e7a7u);
+  int grid_floor_positive = 0;  // grid mixtures with 1 - cum.back() > 0
+  int grid_floor_negative = 0;  // ... and < 0
+  int checked = 0;
+  int mismatched = 0;
+  for (int m = 0; m < 64; ++m) {
+    // 1-24 cursors of mixed sign; some are 1e-4 of their neighbours, some
+    // differ from the previous one by 1e-4 of it (near-coincident points).
+    const int n = 1 + static_cast<int>(rng.below(24));
+    std::vector<double> cursors;
+    for (int k = 0; k < n; ++k) {
+      double c = 0.02 * std::pow(0.8, k) * rng.uniform(0.5, 1.5);
+      if (rng.chance(0.15)) c *= 1e-4;
+      if (k > 0 && rng.chance(0.15)) c = cursors.back() * (1.0 - 1e-4);
+      if (rng.chance(0.3)) c = -c;
+      cursors.push_back(c);
+    }
+    IsiMixture::Options options;
+    if (rng.chance(0.3)) options.max_exact_bits = 0;  // grid at any size
+    const IsiMixture mix = IsiMixture::build(cursors, options);
+    if (!mix.exact()) {
+      const double cum_back = mix.lower_tail(1.0, 0.0);
+      grid_floor_positive += cum_back < 1.0 ? 1 : 0;
+      grid_floor_negative += cum_back > 1.0 ? 1 : 0;
+    }
+    const double front = support_front(mix);
+    ASSERT_EQ(bits_of(mix.lower_tail(std::nextafter(-front, 1.0), 0.0)),
+              bits_of(mix.lower_tail(1.0, 0.0)))
+        << "support not symmetric, mixture " << m;
+    const double log_sigma = rng.uniform(std::log(1e-4), std::log(1e-2));
+    for (const double sigma : {0.0, 1e-6, std::exp(log_sigma)}) {
+      for (int j = 0; j < 6; ++j) {
+        const double p =
+            j == 0 ? 1e-15
+                   : std::exp(rng.uniform(std::log(1e-15), std::log(0.4999)));
+        for (const bool upper : {false, true}) {
+          const double want = full_sum_quantile(mix, front, p, sigma, upper);
+          const double got = upper ? mix.upper_quantile(p, sigma)
+                                   : mix.lower_quantile(p, sigma);
+          ++checked;
+          if (bits_of(got) != bits_of(want)) {
+            ++mismatched;
+            ADD_FAILURE() << (upper ? "upper" : "lower") << "_quantile(" << p
+                          << ", " << sigma << ") on mixture " << m << " ("
+                          << n << " cursors, " << mix.size()
+                          << " points): " << got << " != " << want;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatched, 0) << "of " << checked;
+  EXPECT_GT(grid_floor_positive, 0);
+  EXPECT_GT(grid_floor_negative, 0);
 }
 
 TEST(PoissonBandTest, CoversTheMeanAndRejectsOutliers) {

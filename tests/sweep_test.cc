@@ -456,6 +456,10 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
                 "$.cdr_glitch_filter_radius"},
            Case{R"({"cdr_glitch_filter_radius": 2147483647})",
                 "$.cdr_glitch_filter_radius"},
+           Case{R"({"tx_ffe_deemphasis": 0.5})", "$.tx_ffe_deemphasis"},
+           Case{R"({"tx_ffe_deemphasis": 0.7})", "$.tx_ffe_deemphasis"},
+           Case{R"({"ppm_offset": -1e6})", "$.ppm_offset"},
+           Case{R"({"ppm_offset": 20000})", "$.ppm_offset"},
        }) {
     const std::string bad_err = api::validate_spec_with_paths(
         api::link_spec_from_json(util::Json::parse(c.json)));
@@ -474,6 +478,14 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   // The widest glitch filter still votes within one UI: 2 * 2 + 1 = 5.
   edge.cdr_glitch_filter_radius = 2;
   EXPECT_EQ(api::validate_spec_with_paths(edge), "");
+  // channel::TxFfe's largest de-emphasis, and the widest ppm offset.
+  api::LinkSpec nrz_edge;
+  nrz_edge.tx_ffe_deemphasis = 0.49;
+  EXPECT_EQ(api::validate_spec_with_paths(nrz_edge), "");
+  for (const double ppm : {-10000.0, 10000.0}) {
+    nrz_edge.ppm_offset = ppm;
+    EXPECT_EQ(api::validate_spec_with_paths(nrz_edge), "") << ppm;
+  }
 }
 
 }  // namespace
