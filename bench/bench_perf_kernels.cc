@@ -155,6 +155,17 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
   const int spu = cfg.samples_per_ui;
 
   {
+    // The bare generator step: the baseline of rng_gaussian's ratio gate
+    // in bench/check_perf_floors.py.
+    util::Rng rng(42);
+    run_bench(results, "rng_u64", 65536, [&] {
+      std::uint64_t acc = 0;
+      for (int i = 0; i < 65536; ++i) acc ^= rng.next_u64();
+      volatile std::uint64_t sink = acc;
+      (void)sink;
+    });
+  }
+  {
     util::Rng rng(42);
     run_bench(results, "rng_gaussian", 65536, [&] {
       double acc = 0.0;

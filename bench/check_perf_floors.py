@@ -7,6 +7,10 @@ reference run", derated for machine variance between the reference box and
 CI runners — regenerate them from a representative run with --write, which
 stores items_per_s * WRITE_FACTOR per kernel.
 
+Also fails when a kernel's ns/item exceeds its RATIOS limit times another
+kernel's from the same fresh run: the machine cancels out of such a ratio,
+so it catches the 2-4x regressions the derated floors let through.
+
 Usage:
   check_perf_floors.py FRESH.json FLOORS.json           # check (CI gate)
   check_perf_floors.py FRESH.json FLOORS.json --write   # regenerate floors
@@ -61,6 +65,23 @@ REQUIRED = (
     "stage_sampler_cdr_lanes8_sample",
 )
 
+# Same-process ratio gates: (kernel, baseline, limit) fails when the
+# kernel's ns/item exceeds limit x the baseline's, or when either kernel is
+# missing from the fresh results.
+#   rng_gaussian / rng_u64: the ziggurat's fast path is one xoshiro step, a
+#     table compare, a multiply and a sign-bit XOR: 2.9-3.2x the step alone
+#     on a shared 4-core x86-64 box (Release), with single runs up to 3.6x.
+#     Picking the sign with a branch on the random bit mispredicts half the
+#     draws: 5.6-6.0x.
+#   stage_channel_lossy_sample / stage_ctle_sample: the lossy line steps
+#     two one-pole recurrences, the CTLE one.  In one loop the lossy line's
+#     two latency chains overlap: 0.98-1.03x the CTLE on the same box.  As
+#     separate passes over the block they run back to back: 1.9-2.1x.
+RATIOS = (
+    ("rng_gaussian", "rng_u64", 4.0),
+    ("stage_channel_lossy_sample", "stage_ctle_sample", 1.25),
+)
+
 
 def load(path):
     with open(path) as f:
@@ -107,12 +128,26 @@ def main():
         if rate < floor:
             failures.append(
                 f"{name}: {rate:.1f} items/s is below the floor {floor:.1f}")
+    for name, base, limit in RATIOS:
+        label = f"{name} / {base}"
+        if name not in fresh or base not in fresh:
+            failures.append(f"{label}: ratio gate needs both kernels in "
+                            f"{fresh_path}")
+            continue
+        ratio = fresh[base] / fresh[name]  # ns/item over the baseline's
+        verdict = "ok" if ratio <= limit else "REGRESSION"
+        print(f"{label:58s} {ratio:6.2f}x ns/item  limit {limit:.2f}x  "
+              f"{verdict}")
+        if ratio > limit:
+            failures.append(f"{label}: {ratio:.2f}x ns/item exceeds the "
+                            f"limit {limit:.2f}x")
     if failures:
         print("\nperf floor check FAILED:")
         for f in failures:
             print(f"  {f}")
         return 1
-    print(f"\nperf floor check passed ({len(floors)} kernels)")
+    print(f"\nperf floor check passed ({len(floors)} kernels, "
+          f"{len(RATIOS)} ratios)")
     return 0
 
 

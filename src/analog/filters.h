@@ -1,12 +1,14 @@
 // Discrete-time filters used for channel and front-end modelling.
 //
-// All filters expose a per-sample `step`, a whole-Waveform `process`, and
-// a span kernel `process_block(in, out, n)` that runs the same recurrence
-// over a contiguous block with the coefficients and state held in locals —
-// the form the streaming pipeline's hot loops use.  `step` bodies live in
-// this header so stage loops that mix filters with other per-sample work
-// still fold everything into one loop.  Block and per-sample forms are
-// bit-identical by construction (same operations in the same order).
+// All filters expose a per-sample `step` and a whole-Waveform `process`.
+// `step` bodies live in this header so a streaming stage can copy its
+// filters into locals and step them all in one loop over the block, with
+// any other per-sample work, then store them back: the filters' state
+// stays in registers, and their independent multiply-add chains overlap
+// instead of running one pass after another.  Each filter still sees the
+// same operations in the same order, so the result is bit-identical to
+// separate passes (on builds without FMA contraction, the library's
+// baseline x86-64 target; an FMA-enabled build already moves goldens).
 #pragma once
 
 #include <vector>
@@ -42,28 +44,10 @@ class OnePoleLowPass : public Filter {
     return y;
   }
 
-  /// Span kernel: the recurrence over a contiguous block, state carried.
-  /// `in` and `out` may alias.
-  void process_block(const double* in, double* out, std::size_t n) {
-    const double b = b_;
-    const double a = a_;
-    double x1 = x1_;
-    double y1 = y1_;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = in[i];
-      const double y = b * (x + x1) + a * y1;
-      x1 = x;
-      y1 = y;
-      out[i] = y;
-    }
-    x1_ = x1;
-    y1_ = y1;
-  }
-
   /// Lane-batched span kernel over an interleaved SoA tile — value (i, l)
   /// at in[i * lanes + l] — with caller-owned per-lane state arrays
   /// x1[lanes] / y1[lanes].  The recurrence runs independently per lane in
-  /// the same operation order as process_block, so lane l of a tile is
+  /// the same operation order as step, so lane l of a tile is
   /// bit-identical to a scalar filter over lane l alone; the inner lane
   /// loop carries no dependence and vectorizes (explicit AVX2 for
   /// lanes == 8, non-FMA so the rounding matches the scalar loop).
@@ -103,10 +87,9 @@ class OnePoleHighPass : public Filter {
   double x1_ = 0.0;
 };
 
-/// Second-order low-pass biquad (RBJ cookbook, bilinear).  No contiguous
-/// span kernel: nothing on the streaming datapath runs a scalar biquad
-/// (add one alongside a caller if that changes); the lane-batched SoA
-/// kernel below serves multi-lane filter chains.
+/// Second-order low-pass biquad (RBJ cookbook, bilinear).  Nothing on the
+/// scalar streaming datapath runs one; the lane-batched SoA kernel below
+/// serves multi-lane filter chains.
 class BiquadLowPass : public Filter {
  public:
   BiquadLowPass(util::Hertz cutoff, double q, util::Second sample_period);

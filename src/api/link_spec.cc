@@ -97,7 +97,9 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (!(bit_rate_hz >= 1e6 && bit_rate_hz <= 1e12)) {
     return {"bit_rate_hz", "must be in [1e6, 1e12] Hz"};
   }
-  if (samples_per_ui < 2) return {"samples_per_ui", "must be at least 2"};
+  if (samples_per_ui < 2 || samples_per_ui > 256) {
+    return {"samples_per_ui", "must be in [2, 256]"};
+  }
   if (modulation != "nrz" && modulation != "pam4") {
     return {"modulation", "must be one of 'nrz', 'pam4'"};
   }
@@ -140,7 +142,9 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (sinusoidal_jitter_s > 0.0 && sj_freq_ratio <= 0.0) {
     return {"sj_freq_ratio", "must be positive when sinusoidal jitter is on"};
   }
-  if (cdr_oversampling < 2) return {"cdr_oversampling", "must be at least 2"};
+  if (cdr_oversampling < 2 || cdr_oversampling > 64) {
+    return {"cdr_oversampling", "must be in [2, 64]"};
+  }
   if (cdr_window_uis < 1) return {"cdr_window_uis", "must be at least 1"};
   if (cdr_glitch_filter_radius < 0) {
     return {"cdr_glitch_filter_radius", "must be non-negative"};
@@ -164,8 +168,9 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (!(tx_ffe_deemphasis >= 0.0 && tx_ffe_deemphasis < 0.5)) {
     return {"tx_ffe_deemphasis", "must be in [0, 0.5)"};
   }
-  if (rx_ctle_boost_db < 0.0) {
-    return {"rx_ctle_boost_db", "must be non-negative"};
+  // Far past any equalizable channel (the optimizer searches to 12 dB).
+  if (!(rx_ctle_boost_db >= 0.0 && rx_ctle_boost_db <= 40.0)) {
+    return {"rx_ctle_boost_db", "must be in [0, 40] dB"};
   }
   if (rx_ctle_boost_db > 0.0 && rx_ctle_pole_hz <= 0.0) {
     return {"rx_ctle_pole_hz", "must be positive when the CTLE is enabled"};
@@ -194,11 +199,13 @@ LinkSpec::Issue LinkSpec::first_issue() const {
       return {"training_uis", "must be in [256, 1048576]"};
     }
   }
-  if (preamble_bits < 8) return {"preamble_bits", "must be at least 8"};
+  if (preamble_bits < 8 || preamble_bits > 65536) {
+    return {"preamble_bits", "must be in [8, 65536]"};
+  }
   if (payload_bits == 0) return {"payload_bits", "must be positive"};
   if (chunk_bits == 0) return {"chunk_bits", "must be positive"};
-  if (stream_block_samples == 0) {
-    return {"stream_block_samples", "must be positive"};
+  if (stream_block_samples == 0 || stream_block_samples > (1u << 20)) {
+    return {"stream_block_samples", "must be in [1, 1048576]"};
   }
   if (lane_batch < 1 || lane_batch > 64) {
     return {"lane_batch", "must be in [1, 64]"};

@@ -64,7 +64,12 @@ class RcStream final : public Channel::Stream {
 
   void transmit_block(const double* in, double* out,
                       std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = lpf_.step(in[i] * dc_gain_);
+    // The pole stepped in a local copy keeps its state in registers (see
+    // analog/filters.h); it is stored back once per block.
+    const double g = dc_gain_;
+    analog::OnePoleLowPass lpf = lpf_;
+    for (std::size_t i = 0; i < n; ++i) out[i] = lpf.step(in[i] * g);
+    lpf_ = lpf;
   }
 
   void reset() override { lpf_.reset(); }
@@ -104,14 +109,15 @@ class LossyLineStream final : public Channel::Stream {
 
   void transmit_block(const double* in, double* out,
                       std::size_t n) override {
-    // Same arithmetic as interleaved per-sample stepping: each filter's
-    // output depends only on its own input sequence, so running the gain
-    // and the two poles as three span passes is bit-identical — and each
-    // pass keeps its coefficients and state in registers.
+    // Gain and both poles in one loop over local copies (see
+    // analog/filters.h): the two recurrences' latency chains overlap, and
+    // each pole still steps through its own input sequence in order.
     const double g = flat_gain_;
-    for (std::size_t i = 0; i < n; ++i) out[i] = in[i] * g;
-    p1_.process_block(out, out, n);
-    p2_.process_block(out, out, n);
+    analog::OnePoleLowPass p1 = p1_;
+    analog::OnePoleLowPass p2 = p2_;
+    for (std::size_t i = 0; i < n; ++i) out[i] = p2.step(p1.step(in[i] * g));
+    p1_ = p1;
+    p2_ = p2;
   }
 
   void reset() override {
@@ -157,9 +163,7 @@ class LossyLineDspStream final : public Channel::Stream {
   LossyLineDspStream(const std::vector<double>& impulse, double flat_gain,
                      util::Hertz pole1, util::Hertz pole2, util::Second dt)
       : fir_(impulse, 1, dsp::BlockFir::Options{/*allow_fft=*/true}),
-        flat_gain_(flat_gain),
-        p1_(pole1, dt),
-        p2_(pole2, dt) {}
+        iir_(flat_gain, pole1, pole2, dt) {}
 
   void transmit_block(const double* in, double* out,
                       std::size_t n) override {
@@ -170,27 +174,21 @@ class LossyLineDspStream final : public Channel::Stream {
     }
     if (use_fir_) {
       fir_.process(in, out, n);
-      return;
+    } else {
+      iir_.transmit_block(in, out, n);
     }
-    const double g = flat_gain_;
-    for (std::size_t i = 0; i < n; ++i) out[i] = in[i] * g;
-    p1_.process_block(out, out, n);
-    p2_.process_block(out, out, n);
   }
 
   void reset() override {
     fir_.reset();
-    p1_.reset();
-    p2_.reset();
+    iir_.reset();
     decided_ = false;
     use_fir_ = false;
   }
 
  private:
   dsp::BlockFir fir_;
-  double flat_gain_;
-  analog::OnePoleLowPass p1_;
-  analog::OnePoleLowPass p2_;
+  LossyLineStream iir_;
   bool decided_ = false;
   bool use_fir_ = false;
 };

@@ -105,7 +105,7 @@ class RcChannel : public Channel {
 /// Lossy transmission line: |H(f)| = 10^-(a0 + a_s*sqrt(f/f0) + a_d*(f/f0))/20
 /// with f0 = 1 GHz.  a_s models skin effect, a_d dielectric loss.  The
 /// time-domain response is approximated by a cascade of a flat attenuator
-/// and two biquad poles fitted so the loss matches at dc, f0/2 and f0.
+/// and two real poles fitted so the loss matches at dc, f0/2 and f0.
 ///
 /// With `dsp` enabled the pole cascade is lowered once, at construction,
 /// into its truncated impulse response (relative tail below 1e-14) and
@@ -130,6 +130,10 @@ class LossyLineChannel : public Channel {
   static Params fit(util::Decibel loss, util::Hertz f);
 
   [[nodiscard]] const Params& params() const { return params_; }
+  /// The fitted cascade: flat gain, then one-pole low-passes at pole1, pole2.
+  [[nodiscard]] double flat_gain() const { return flat_gain_; }
+  [[nodiscard]] util::Hertz pole1() const { return pole1_; }
+  [[nodiscard]] util::Hertz pole2() const { return pole2_; }
   /// Taps of the dsp-mode impulse response.  Empty when dsp is off — or
   /// when the response refused to decay within the tap budget, in which
   /// case streams stay on the exact IIR recurrence rather than break the

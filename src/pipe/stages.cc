@@ -112,18 +112,16 @@ void AwgnStage::process(const BlockView& in, Block& out) {
 void CtleStage::process(const BlockView& in, Block& out) {
   out.match(in);
   double* samples = out.data();
-  // Same arithmetic as the per-sample loop, as two span passes: the pole
-  // runs with its state in registers, then the peaking combine vectorizes.
-  // The low-passed signal goes through scratch (not `out`) so the stage
-  // stays safe when `out` aliases `in`, like every other stage.
-  scratch_.resize(in.size);
-  lpf_.process_block(in.data, scratch_.data(), in.size);
+  // The pole steps in a local copy (state in registers, see
+  // analog/filters.h) in the same loop as the peaking combine.  Each
+  // iteration reads in[i] before writing out[i], so `out` may alias `in`.
   const double k = k_;
-  const double* low = scratch_.data();
+  analog::OnePoleLowPass lpf = lpf_;
   for (std::size_t i = 0; i < in.size; ++i) {
     const double x = in.data[i];
-    samples[i] = x + k * (x - low[i]);
+    samples[i] = x + k * (x - lpf.step(x));
   }
+  lpf_ = lpf;
 }
 
 // ---- RfiFrontEndStage -------------------------------------------------------
@@ -131,18 +129,19 @@ void CtleStage::process(const BlockView& in, Block& out) {
 void RfiFrontEndStage::process(const BlockView& in, Block& out) {
   out.match(in);
   double* samples = out.data();
+  // DC removal, the output pole (a local copy, state in registers) and
+  // RfiStage::saturate with the loop-invariant loads hoisted, in one loop;
+  // the formula itself has one home (saturate_value).  tanh dominates.
   const double delta = delta_;
-  for (std::size_t i = 0; i < in.size; ++i) samples[i] = in.data[i] + delta;
-  lpf_.process_block(samples, samples, in.size);
-  // RfiStage::saturate with the loop-invariant loads hoisted; the formula
-  // itself has one home (saturate_value).  tanh dominates what remains.
   const double bias = rfi_->bias();
   const double gain = rfi_->gain();
   const double half = rfi_->vdd() / 2.0;
+  analog::OnePoleLowPass lpf = lpf_;
   for (std::size_t i = 0; i < in.size; ++i) {
-    samples[i] = analog::RfiStage::saturate_value(samples[i], bias, gain,
-                                                  half);
+    samples[i] = analog::RfiStage::saturate_value(lpf.step(in.data[i] + delta),
+                                                  bias, gain, half);
   }
+  lpf_ = lpf;
 }
 
 // ---- RestoringStage ---------------------------------------------------------
@@ -151,10 +150,11 @@ void RestoringStage::process(const BlockView& in, Block& out) {
   out.match(in);
   double* samples = out.data();
   const analog::RestoringInverter& inv = *inv_;
+  analog::OnePoleLowPass pole = pole_;
   for (std::size_t i = 0; i < in.size; ++i) {
-    samples[i] = inv.restore_level(in.data[i]);
+    samples[i] = pole.step(inv.restore_level(in.data[i]));
   }
-  pole_.process_block(samples, samples, in.size);
+  pole_ = pole;
 }
 
 // ---- WaveformTapStage -------------------------------------------------------

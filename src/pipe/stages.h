@@ -125,7 +125,6 @@ class CtleStage final : public Stage {
  private:
   double k_;
   analog::OnePoleLowPass lpf_;
-  std::vector<double> scratch_;  // low-passed block (keeps in/out aliasable)
 };
 
 /// RFI front end: DC removal (the stream mean, supplied via set_mean once

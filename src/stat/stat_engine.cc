@@ -343,18 +343,11 @@ std::vector<double> run_linear_chain(const core::ChainPlan& plan,
   pipe::Block blk;
   while (source.produce(blk, 16384) > 0) {
     const pipe::BlockView processed = front.pipeline.process(blk.view());
-    const std::size_t base = out.size();
-    out.resize(base + processed.size);
-    if (rx_poles) {
-      rfi_pole.process_block(processed.data, out.data() + base,
-                             processed.size);
-      restore_pole.process_block(out.data() + base, out.data() + base,
-                                 processed.size);
-    } else {
-      // PAM4: the slicers read the CTLE output directly — no RFI or
-      // restoring stage in the datapath, so no output poles here either.
-      std::copy(processed.data, processed.data + processed.size,
-                out.data() + base);
+    // Without rx_poles (PAM4) the slicers read the CTLE output directly:
+    // no RFI or restoring stage in the datapath, so no output poles either.
+    for (std::size_t i = 0; i < processed.size; ++i) {
+      const double x = processed.data[i];
+      out.push_back(rx_poles ? restore_pole.step(rfi_pole.step(x)) : x);
     }
   }
   return out;
@@ -387,15 +380,12 @@ double noise_power_gain(const core::LinkConfig& cfg, util::Hertz rfi_bandwidth,
       ctle->process(view, out);
       data = out.view().data;
     }
-    std::vector<double> filtered(kBlock);
-    if (rx_poles) {
-      pole.process_block(data, filtered.data(), kBlock);
-      restore_pole.process_block(filtered.data(), filtered.data(), kBlock);
-    } else {
-      std::copy(data, data + kBlock, filtered.data());
-    }
     double block_sum = 0.0;
-    for (const double g : filtered) block_sum += g * g;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const double g = rx_poles ? restore_pole.step(pole.step(data[i]))
+                                : data[i];
+      block_sum += g * g;
+    }
     total += block_sum;
     buf[0] = 0.0;  // only the first block carries the impulse
     if (block_sum < total * 1e-18) break;

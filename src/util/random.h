@@ -14,8 +14,14 @@
 // math) out of line.  It replaces the seed repo's Box-Muller: the stream
 // of deviates for a given seed differs, but it is exactly standard-normal
 // and deterministic, and it costs ~6x less than log+sqrt+sincos per pair.
+//
+// No branch on random bits in the fast path: a data-dependent 50/50
+// branch mispredicts on half the draws, so the sign is XORed into the
+// deviate's sign bit instead.  The only branch left is the ~98%-taken
+// layer compare.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "util/ziggurat_tables.h"
@@ -57,14 +63,19 @@ class Rng {
 
   /// Standard normal via the 256-layer ziggurat.  The fast path spends a
   /// single u64: bits 0-7 pick the layer, bit 8 the sign, bits 11-63 the
-  /// position — disjoint, so they are independent.
+  /// position — disjoint, so they are independent.  Bit 8 shifted up 55
+  /// lands on the IEEE sign bit; `x` is never negative or NaN, so the XOR
+  /// is exactly the negation `-x` (+0 -> -0 included), without a branch.
   double gaussian() {
     for (;;) {
       const std::uint64_t u = next_u64();
       const std::size_t layer = static_cast<std::size_t>(u & 255u);
       const double x =
           static_cast<double>(u >> 11) * 0x1.0p-53 * zig::kX[layer];
-      if (x < zig::kX[layer + 1]) return (u & 256u) ? -x : x;
+      if (x < zig::kX[layer + 1]) {
+        return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                     ((u & 256u) << 55));
+      }
       double out;
       if (gaussian_edge(layer, x, (u & 256u) != 0, &out)) return out;
     }

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "api/api.h"
 #include "channel/channel.h"
 #include "core/link.h"
+#include "core/receiver.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/prbs.h"
@@ -95,6 +98,138 @@ TEST(ChannelStreaming, StreamResetRestartsFromZeroState) {
   for (std::size_t i = 0; i < second.size(); ++i) {
     ASSERT_EQ(second[i], batch[i]) << "sample " << i;
   }
+}
+
+// ---- One loop per stage vs separate passes ----------------------------------
+// The channel streams and the CTLE, RFI and restoring stages step their
+// filters in one loop per block.  The references below are the separate
+// passes those loops replaced, written with OnePoleLowPass::step on their
+// own filter objects: fusing reorders independent operations but changes
+// none, so the two agree bit for bit — across block boundaries (odd sizes
+// carry state mid-stream) and when a block's output aliases its input.
+
+/// Out-of-place blocks of odd sizes; the rest of the stream goes in place.
+constexpr std::size_t kFusedBlocks[] = {1, 7, 333, 4097, 1001};
+
+/// The 8192-sample PRBS wave, mapped to offset + scale * v.
+std::vector<double> fused_input(double scale, double offset) {
+  std::vector<double> v = test_wave().samples();
+  for (double& x : v) x = offset + scale * x;
+  return v;
+}
+
+/// Streams `in` through `stage`: kFusedBlocks out of place, then the
+/// remaining samples in one in-place call (the output block is the input).
+std::vector<double> run_fused(pipe::Stage& stage,
+                              const std::vector<double>& in) {
+  std::vector<double> out;
+  pipe::Block blk;
+  std::size_t pos = 0;
+  for (const std::size_t n : kFusedBlocks) {
+    stage.process(pipe::BlockView{in.data() + pos, n, pos, util::seconds(0.0),
+                                  kDt, false},
+                  blk);
+    out.insert(out.end(), blk.samples().begin(), blk.samples().end());
+    pos += n;
+  }
+  blk.samples().assign(in.begin() + static_cast<std::ptrdiff_t>(pos),
+                       in.end());
+  blk.set_start_index(pos);
+  blk.set_last(true);
+  stage.process(blk.view(), blk);
+  out.insert(out.end(), blk.samples().begin(), blk.samples().end());
+  return out;
+}
+
+/// Bitwise equality via memcpy to uint64_t (so -0.0 != 0.0 here).
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::memcpy(&a, &got[i], sizeof a);
+    std::memcpy(&b, &want[i], sizeof b);
+    if (a != b) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": " << mismatches << " of "
+                            << got.size() << " samples differ";
+}
+
+TEST(FusedStageLoops, ChannelStreamsMatchSeparatePasses) {
+  const std::vector<double> in = fused_input(1.0, 0.0);
+
+  channel::LossyLineChannel::Params params;
+  params.dc_loss_db = 2.0;
+  params.skin_loss_db_at_1ghz = 10.0;
+  params.dielectric_loss_db_at_1ghz = 8.0;
+  // dsp on: a first block of one sample is below the FFT crossover, so the
+  // dsp stream commits to its IIR fallback, the same cascade.
+  for (const bool dsp : {false, true}) {
+    const channel::LossyLineChannel line(params, kDt, dsp);
+    std::vector<double> want = in;
+    analog::OnePoleLowPass p1(line.pole1(), kDt);
+    analog::OnePoleLowPass p2(line.pole2(), kDt);
+    for (double& x : want) x *= line.flat_gain();
+    for (double& x : want) x = p1.step(x);
+    for (double& x : want) x = p2.step(x);
+    pipe::ChannelStage stage(line.open_stream());
+    expect_same_bits(run_fused(stage, in), want,
+                     dsp ? "lossy_line dsp fallback" : "lossy_line");
+  }
+
+  const channel::RcChannel rc(util::gigahertz(2.5), kDt, util::decibels(3.0));
+  const double rc_gain = util::db_to_amplitude(util::decibels(-3.0));
+  analog::OnePoleLowPass lpf(util::gigahertz(2.5), kDt);
+  std::vector<double> want = in;
+  for (double& x : want) x = lpf.step(x * rc_gain);
+  pipe::ChannelStage stage(rc.open_stream());
+  expect_same_bits(run_fused(stage, in), want, "rc");
+}
+
+TEST(FusedStageLoops, CtleMatchesSeparatePasses) {
+  const std::vector<double> in = fused_input(1.0, 0.0);
+  const util::Hertz pole = util::megahertz(700.0);
+  pipe::CtleStage stage(util::decibels(6.0), pole, kDt);
+
+  const double k = util::db_to_amplitude(util::decibels(6.0)) - 1.0;
+  analog::OnePoleLowPass lpf(pole, kDt);
+  std::vector<double> low = in;
+  for (double& x : low) x = lpf.step(x);
+  std::vector<double> want(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    want[i] = in[i] + k * (in[i] - low[i]);
+  }
+  expect_same_bits(run_fused(stage, in), want, "ctle");
+}
+
+TEST(FusedStageLoops, RfiAndRestoringMatchSeparatePasses) {
+  const core::Receiver rx(core::LinkConfig::paper_default());
+
+  // RFI: small channel-referred signal, DC removal, pole, saturating VTC.
+  const analog::RfiStage& rfi = rx.rfi_stage();
+  const double mean = 0.0004;
+  const std::vector<double> small = fused_input(0.01, -0.009);
+  pipe::RfiFrontEndStage rfi_stage(rfi, kDt);
+  rfi_stage.set_mean(mean);
+  analog::OnePoleLowPass rfi_pole(rfi.bandwidth(), kDt);
+  std::vector<double> want = small;
+  const double delta = -mean;  // the stage's DC removal
+  for (double& x : want) x += delta;
+  for (double& x : want) x = rfi_pole.step(x);
+  for (double& x : want) x = rfi.saturate(x);
+  expect_same_bits(run_fused(rfi_stage, small), want, "rfi");
+
+  // Restoring: VTC lookup across the rails, then the output pole.
+  const analog::RestoringInverter& inv = rx.restoring();
+  const std::vector<double> rails = fused_input(0.5, 0.45);
+  pipe::RestoringStage restore(inv, kDt);
+  analog::OnePoleLowPass pole(inv.bandwidth(), kDt);
+  want = rails;
+  for (double& x : want) x = inv.restore_level(x);
+  for (double& x : want) x = pole.step(x);
+  expect_same_bits(run_fused(restore, rails), want, "restore");
 }
 
 TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {

@@ -460,6 +460,15 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
            Case{R"({"tx_ffe_deemphasis": 0.7})", "$.tx_ffe_deemphasis"},
            Case{R"({"ppm_offset": -1e6})", "$.ppm_offset"},
            Case{R"({"ppm_offset": 20000})", "$.ppm_offset"},
+           // Unbounded sizes that ran out of memory, hung or threw
+           // bad_alloc, and CTLE boosts that failed late or lied.
+           Case{R"({"samples_per_ui": 100000})", "$.samples_per_ui"},
+           Case{R"({"cdr_oversampling": 1000000})", "$.cdr_oversampling"},
+           Case{R"({"preamble_bits": 2000000000})", "$.preamble_bits"},
+           Case{R"({"stream_block_samples": 1e12})",
+                "$.stream_block_samples"},
+           Case{R"({"rx_ctle_boost_db": 1e6})", "$.rx_ctle_boost_db"},
+           Case{R"({"rx_ctle_boost_db": 400})", "$.rx_ctle_boost_db"},
        }) {
     const std::string bad_err = api::validate_spec_with_paths(
         api::link_spec_from_json(util::Json::parse(c.json)));
@@ -486,6 +495,14 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
     nrz_edge.ppm_offset = ppm;
     EXPECT_EQ(api::validate_spec_with_paths(nrz_edge), "") << ppm;
   }
+  // Each size and boost bound is itself accepted.
+  api::LinkSpec size_edge;
+  size_edge.samples_per_ui = 256;
+  size_edge.cdr_oversampling = 64;
+  size_edge.preamble_bits = 65536;
+  size_edge.stream_block_samples = 1048576;
+  size_edge.rx_ctle_boost_db = 40.0;
+  EXPECT_EQ(api::validate_spec_with_paths(size_edge), "");
 }
 
 }  // namespace
