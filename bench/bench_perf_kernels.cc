@@ -6,11 +6,10 @@
 // BENCH_perf.json — {name, items_per_s, ns_per_item, ...} per kernel — so
 // the performance trajectory is tracked across PRs.
 //
-// The headline entries are the batch-vs-streaming comparison on the deep
-// BER kernel: one Simulator::run over a single 2^20-bit chunk in each
-// execution mode, with the process peak-RSS sampled around each so the
-// O(payload) vs O(block) memory behaviour is visible in the JSON.  The
-// stage_* entries time each streaming-datapath kernel in isolation
+// The headline entry is the deep BER kernel: one Simulator::run over a
+// single 2^20-bit chunk, with the process peak-RSS sampled around it so
+// the O(block) memory behaviour is visible in the JSON.  The stage_*
+// entries time each streaming-datapath kernel in isolation
 // (items = waveform samples) so a regression localizes to the stage that
 // caused it, and the fir513 direct-vs-fft pair tracks the overlap-save
 // crossover the dsp engine's BlockFir::use_fft constants encode.
@@ -133,13 +132,12 @@ void write_json(const std::vector<BenchResult>& results,
   std::printf("wrote %s\n", path.c_str());
 }
 
-api::LinkSpec deep_ber_spec(std::uint64_t bits, bool streaming) {
+api::LinkSpec deep_ber_spec(std::uint64_t bits) {
   api::LinkSpec spec;
-  spec.name = streaming ? "deep_ber_streaming" : "deep_ber_batch";
+  spec.name = "deep_ber_streaming";
   spec.payload_bits = bits;
   spec.chunk_bits = bits;  // one chunk: the memory-behaviour stress case
   spec.prbs_order = util::PrbsOrder::kPrbs15;
-  spec.streaming = streaming;
   return spec;
 }
 
@@ -428,7 +426,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--deep-bits=", 12) == 0) {
       deep_bits = std::strtoull(argv[i] + 12, nullptr, 10);
-      if (deep_bits == 0) {
+      // One chunk of at most 2^24 bits, the LinkSpec bound on chunk_bits.
+      if (deep_bits == 0 || deep_bits > (std::uint64_t{1} << 24)) {
         std::fprintf(stderr, "invalid --deep-bits value: %s\n", argv[i]);
         return 2;
       }
@@ -638,34 +637,22 @@ int main(int argc, char** argv) {
     });
   }
 
-  // ---- Batch vs streaming on the deep BER kernel ---------------------------
-  // One Simulator::run per mode over a single deep chunk.  Streaming runs
-  // first so its peak-RSS sample is not polluted by the batch path's
-  // full-payload waveforms (VmHWM is monotone).
+  // ---- Deep BER kernel ------------------------------------------------------
+  // One Simulator::run over a single deep chunk.  The peak RSS sampled
+  // around it (VmHWM, monotone over the process) shows the chain holding
+  // O(block) waveform memory; the whole-waveform reference the tests
+  // compare against (tests/whole_waveform_reference.h) holds O(chunk).
   {
     const api::Simulator sim;
     std::printf("deep BER kernel: %llu bits per run\n",
                 static_cast<unsigned long long>(deep_bits));
-    const BenchResult streaming =
-        run_bench(results, "deep_ber_streaming_bit", deep_bits,
-                  [&] {
-                    volatile std::uint64_t b =
-                        sim.run(deep_ber_spec(deep_bits, true)).bits;
-                    (void)b;
-                  },
-                  0.0);
-    const BenchResult batch =
-        run_bench(results, "deep_ber_batch_bit", deep_bits,
-                  [&] {
-                    volatile std::uint64_t b =
-                        sim.run(deep_ber_spec(deep_bits, false)).bits;
-                    (void)b;
-                  },
-                  0.0);
-    std::printf(
-        "streaming/batch throughput: %.2fx, peak RSS %0.f MB vs %0.f MB\n",
-        streaming.items_per_s() / batch.items_per_s(),
-        streaming.peak_rss_kb / 1024.0, batch.peak_rss_kb / 1024.0);
+    run_bench(
+        results, "deep_ber_streaming_bit", deep_bits,
+        [&] {
+          volatile std::uint64_t b = sim.run(deep_ber_spec(deep_bits)).bits;
+          (void)b;
+        },
+        0.0);
   }
 
   bench_stage_kernels(results);

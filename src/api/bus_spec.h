@@ -56,7 +56,7 @@ struct BusSpec {
 
   /// First problem found, or "" when runnable.  Covers lane count, matrix
   /// shapes, override shape/content, and per-expanded-lane LinkSpec
-  /// validity (nonzero coupling additionally requires streaming lanes).
+  /// validity.
   [[nodiscard]] std::string validate() const;
   void validate_or_throw() const;
 

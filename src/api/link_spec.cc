@@ -104,9 +104,6 @@ LinkSpec::Issue LinkSpec::first_issue() const {
     return {"modulation", "must be one of 'nrz', 'pam4'"};
   }
   if (modulation == "pam4") {
-    if (!streaming) {
-      return {"streaming", "pam4 requires the streaming execution path"};
-    }
     if (tx_ffe_deemphasis != 0.0) {
       return {"tx_ffe_deemphasis",
               "the 2-level TX FFE is incompatible with pam4"};
@@ -163,6 +160,12 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (!(ppm_offset >= -10000.0 && ppm_offset <= 10000.0)) {
     return {"ppm_offset", "must be within ±10000 ppm"};
   }
+  // A fraction of one UI.  The sampler's clock starts at the offset and
+  // walks forward to the stream, so at -1e12 the run never ends, and far
+  // past 1 it starts beyond the data and reports a dead link.
+  if (!(rx_phase_offset_ui >= 0.0 && rx_phase_offset_ui < 1.0)) {
+    return {"rx_phase_offset_ui", "must be in [0, 1) UI"};
+  }
   // channel::TxFfe's own bound: at alpha = 0.5 the two taps cancel on a
   // transition-free stream.
   if (!(tx_ffe_deemphasis >= 0.0 && tx_ffe_deemphasis < 0.5)) {
@@ -185,25 +188,23 @@ LinkSpec::Issue LinkSpec::first_issue() const {
               "must be a finite voltage within the 1.8 V supply"};
     }
   }
-  if (!dfe_taps.empty() && !streaming) {
-    return {"streaming", "the DFE requires the streaming execution path"};
-  }
   if (eq != "fixed" && eq != "trained") {
     return {"eq", "must be one of 'fixed', 'trained'"};
   }
-  if (eq == "trained") {
-    if (!streaming) {
-      return {"streaming", "eq 'trained' requires the streaming path"};
-    }
-    if (training_uis < 256 || training_uis > (1 << 20)) {
-      return {"training_uis", "must be in [256, 1048576]"};
-    }
+  if (eq == "trained" && (training_uis < 256 || training_uis > (1 << 20))) {
+    return {"training_uis", "must be in [256, 1048576]"};
   }
   if (preamble_bits < 8 || preamble_bits > 65536) {
     return {"preamble_bits", "must be in [8, 65536]"};
   }
-  if (payload_bits == 0) return {"payload_bits", "must be positive"};
-  if (chunk_bits == 0) return {"chunk_bits", "must be positive"};
+  // One chunk materializes about 20 bytes per bit (2^24 bits: ~330 MB),
+  // and 2^40 payload bits take about two weeks of scalar Monte Carlo.
+  if (payload_bits == 0 || payload_bits > (std::uint64_t{1} << 40)) {
+    return {"payload_bits", "must be in [1, 2^40]"};
+  }
+  if (chunk_bits == 0 || chunk_bits > (std::uint64_t{1} << 24)) {
+    return {"chunk_bits", "must be in [1, 2^24]"};
+  }
   if (stream_block_samples == 0 || stream_block_samples > (1u << 20)) {
     return {"stream_block_samples", "must be in [1, 1048576]"};
   }
@@ -262,8 +263,6 @@ core::LinkConfig LinkSpec::to_link_config() const {
   cfg.prbs_order = prbs_order;
   cfg.noise_seed = seed;
   cfg.capture_waveforms = capture_waveforms;
-  cfg.execution = streaming ? core::LinkConfig::Execution::kStreaming
-                            : core::LinkConfig::Execution::kBatch;
   cfg.stream_block_samples =
       static_cast<std::size_t>(stream_block_samples);
   cfg.lane_batch = lane_batch;

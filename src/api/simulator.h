@@ -128,8 +128,8 @@ class Simulator {
       const std::vector<LinkSpec>& specs, int n_threads = 0) const;
 
   /// Runs one lane tile: every spec must describe the same physics
-  /// (identical up to name and seed) and be a streaming "mc" scenario
-  /// with lane_batch >= the implied width.  Seeds are used exactly as
+  /// (identical up to name and seed) and be an "mc" scenario with
+  /// lane_batch >= the implied width.  Seeds are used exactly as
   /// given (no per-lane derivation — run_batch derives before grouping).
   /// Lane i's report is bit-identical to run(lane_specs[i]).
   [[nodiscard]] std::vector<RunReport> run_lane_tile(
@@ -151,8 +151,8 @@ class Simulator {
                                                       std::size_t lane);
 
   /// True when `spec` can execute on the lane-tiled path: lane_batch > 1
-  /// on a streaming "mc" scenario (the stat engine has no bit stream to
-  /// batch; the batch execution path materializes whole waveforms).
+  /// on an NRZ "mc" scenario with fixed EQ (the stat engine has no bit
+  /// stream to batch).
   [[nodiscard]] static bool tile_eligible(const LinkSpec& spec);
   /// Lane-tiling group key: the spec JSON with the per-lane degrees of
   /// freedom (name, seed) neutralized.  Equal keys mean identical

@@ -220,7 +220,12 @@ void apply_link_field(LinkSpec& spec, std::string_view field,
   } else if (field == "seed") {
     spec.seed = get_uint(value, path);
   } else if (field == "streaming") {
-    spec.streaming = get_bool(value, path);
+    // Retired field, kept readable so schema-v3 files still load.
+    if (!get_bool(value, path)) {
+      fail(path,
+           "the batch execution path was removed; streaming is the only "
+           "execution path");
+    }
   } else if (field == "stream_block_samples") {
     spec.stream_block_samples = get_uint(value, path);
   } else if (field == "lane_batch") {
@@ -307,7 +312,8 @@ Json to_json(const LinkSpec& spec) {
   j.set("payload_bits", spec.payload_bits);
   j.set("chunk_bits", spec.chunk_bits);
   j.set("seed", spec.seed);
-  j.set("streaming", spec.streaming);
+  // Constant: schema v3 still carries the retired execution toggle.
+  j.set("streaming", true);
   j.set("stream_block_samples", spec.stream_block_samples);
   j.set("lane_batch", spec.lane_batch);
   j.set("dsp", spec.dsp);

@@ -22,8 +22,8 @@
 //   * the pipe::SamplerCdrSink settings.
 //
 // SerDesLink, LaneLink, train_equalizer and the stat engine's pulse
-// extraction all instantiate their chains here.  Only the whole-waveform
-// batch reference (SerDesLink::run_batch, Receiver::receive) builds its
+// extraction all instantiate their chains here.  Only the tests'
+// whole-waveform reference (tests/whole_waveform_reference.h) builds its
 // own.
 #pragma once
 
@@ -165,8 +165,9 @@ class ChainPlan {
   /// Streams `tx` once through the front of the chain and measures what
   /// the second pass needs.  NRZ: the swing at the receiver input and the
   /// equalized stream's mean, accumulated in sample order (the exact sum
-  /// the batch path's mean_value() computes).  PAM4: the swing and the
-  /// range of a noise-free replay of the equalized stream — its midpoint,
+  /// Waveform::mean_value() computes for analog::RfiStage::process in
+  /// tests/whole_waveform_reference.h).  PAM4: the swing and the range of
+  /// a noise-free replay of the equalized stream — its midpoint,
   /// unlike the mean, is immune to the duty skew of the leading and
   /// trailing zero-level regions, and leaving the noise out keeps its
   /// tails from pushing the outer slicers off the sub-eye boundaries.

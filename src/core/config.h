@@ -95,7 +95,7 @@ struct LinkConfig {
   /// Decision-feedback equalizer post-cursor taps, in volts at the
   /// sampler's summing node (restored domain for NRZ, CTLE output for
   /// PAM4).  Tap k feeds back the decision from k+1 UIs ago; empty
-  /// disables the DFE.  Streaming execution only.
+  /// disables the DFE.
   std::vector<double> dfe_taps;
 
   // ---- Framing / payload ----
@@ -112,21 +112,10 @@ struct LinkConfig {
   /// When capturing, retain at most this many samples per waveform (the
   /// diagnostic window); 0 keeps everything.  Lets the streaming pipeline
   /// bound capture memory on deep chunks — api::Simulator sets it from its
-  /// diagnostic window option.  Applied identically on both execution
-  /// paths, so captured waveforms stay bit-identical.
+  /// diagnostic window option.
   std::size_t capture_max_samples = 0;
 
   // ---- Execution strategy ----
-  /// How SerDesLink::run executes the datapath.  Both modes produce
-  /// bit-identical results (same seeds, same BER, same waveforms when
-  /// captured); they differ only in memory behaviour:
-  ///   * kStreaming — block pipeline; every stage holds one block of
-  ///     `stream_block_samples` samples, so peak waveform memory is
-  ///     O(block) regardless of payload length.
-  ///   * kBatch — legacy whole-waveform path; each stage materializes a
-  ///     full-payload waveform (O(payload_bits * samples_per_ui)).
-  enum class Execution { kStreaming, kBatch };
-  Execution execution = Execution::kStreaming;
   /// Which engine(s) produce the scenario's results:
   ///   * kMonteCarlo   — bit-stream simulation (the datapath above);
   ///   * kStatistical  — the analytical stat::StatAnalyzer engine only

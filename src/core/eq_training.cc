@@ -177,10 +177,6 @@ LmsOutcome run_lms(const std::vector<double>& y, const std::vector<double>& d,
 TrainingResult train_equalizer(const LinkConfig& config,
                                channel::Channel& channel, int training_uis,
                                std::size_t n_taps) {
-  if (config.execution != LinkConfig::Execution::kStreaming) {
-    throw std::invalid_argument(
-        "train_equalizer: training replays the streaming chain");
-  }
   if (training_uis < 64) {
     throw std::invalid_argument(
         "train_equalizer: need at least 64 training UIs");

@@ -58,8 +58,7 @@ struct TrainingResult {
 /// config's authored dfe_taps / tx_ffe_deemphasis / rx_ctle_boost seed
 /// the adaptation as starting values.  The channel is only read through
 /// open_stream(), so the caller's instance can be reused for the payload
-/// run afterwards.  Throws std::invalid_argument for a batch-execution
-/// config (training replays the streaming chain).
+/// run afterwards.
 [[nodiscard]] TrainingResult train_equalizer(const LinkConfig& config,
                                              channel::Channel& channel,
                                              int training_uis,

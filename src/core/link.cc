@@ -1,13 +1,10 @@
 #include "core/link.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "channel/equalizer.h"
-#include "channel/noise.h"
 #include "core/chain_plan.h"
 
 namespace serdes::core {
@@ -21,81 +18,9 @@ SerDesLink::SerDesLink(const LinkConfig& config,
 LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
   // Receiver-input AWGN: a fresh seed per run keeps repeated runs
   // statistically independent while the whole experiment stays
-  // deterministic.  Both execution paths consume the same per-run seed.
+  // deterministic.
   const std::uint64_t noise_run_seed =
       ChainPlan::awgn_seed(config_.noise_seed, run_counter_++);
-  if (config_.execution == LinkConfig::Execution::kBatch) {
-    return run_batch(payload, noise_run_seed);
-  }
-  return run_streaming(payload, noise_run_seed);
-}
-
-bool SerDesLink::has_xtalk() const {
-  return std::any_of(config_.xtalk.begin(), config_.xtalk.end(),
-                     [](const XtalkPath& p) { return p.gain != 0.0; });
-}
-
-namespace {
-
-/// Per-sample AWGN sigma — the shared config helper, aliased so the batch
-/// path below reads naturally.
-double noise_sigma(const LinkConfig& config) {
-  return per_sample_noise_sigma(config);
-}
-
-}  // namespace
-
-LinkResult SerDesLink::run_batch(const std::vector<std::uint8_t>& payload,
-                                 std::uint64_t noise_run_seed) {
-  if (config_.modulation == LinkConfig::Modulation::kPam4) {
-    throw std::invalid_argument(
-        "SerDesLink: pam4 requires the streaming execution path");
-  }
-  if (has_xtalk()) {
-    throw std::invalid_argument(
-        "SerDesLink: crosstalk injection requires the streaming execution "
-        "path");
-  }
-  if (!config_.dfe_taps.empty()) {
-    throw std::invalid_argument(
-        "SerDesLink: the DFE requires the streaming execution path");
-  }
-  LinkResult result;
-  result.payload_bits_sent = payload.size();
-
-  if (config_.tx_ffe_deemphasis != 0.0) {
-    // FFE path: pre-distorted multi-level launch instead of the plain
-    // rail-to-rail driver waveform.
-    const channel::TxFfe ffe = channel::TxFfe::de_emphasis(
-        config_.tx_ffe_deemphasis, config_.driver.vdd);
-    result.tx_out =
-        ffe.shape(tx_.wire_bits(payload), config_.bit_rate,
-                  config_.samples_per_ui, tx_.driver().output_rise_time());
-  } else {
-    result.tx_out = tx_.transmit_bits(payload);
-  }
-  result.channel_out = channel_->transmit(result.tx_out);
-
-  channel::AwgnSource noise(noise_sigma(config_), noise_run_seed);
-  noise.apply(result.channel_out);
-  result.rx_swing_pp = result.channel_out.peak_to_peak();
-
-  if (config_.rx_ctle_boost.value() > 0.0) {
-    const channel::RxCtle ctle(config_.rx_ctle_boost, config_.rx_ctle_pole,
-                               config_.sample_period());
-    result.rx = rx_.receive(ctle.equalize(result.channel_out));
-  } else {
-    result.rx = rx_.receive(result.channel_out);
-  }
-  result.aligned = result.rx.aligned;
-  result.decision_threshold = rx_.decision_threshold();
-
-  finalize(payload, result);
-  return result;
-}
-
-LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
-                                     std::uint64_t noise_run_seed) {
   const ChainPlan plan(config_, rx_);
   const Launch tx = plan.launch(tx_.wire_bits(payload));
 
@@ -154,7 +79,7 @@ LinkResult SerDesLink::run_streaming(const std::vector<std::uint8_t>& payload,
   result.aligned = result.rx.aligned;
   result.decision_threshold = plan.decision_threshold(first);
 
-  finalize(payload, result);
+  finalize_result(config_, payload, result);
   return result;
 }
 
@@ -192,15 +117,6 @@ void SerDesLink::finalize_result(const LinkConfig& config,
     result.channel_out = {};
     result.rx.rfi_out = {};
     result.rx.restored = {};
-  } else if (config.capture_max_samples > 0) {
-    // Trim to the diagnostic window (the streaming taps never retained
-    // more; the batch path materialized everything, so cut it here to keep
-    // the two paths' observable results identical).
-    const std::size_t cap = config.capture_max_samples;
-    for (analog::Waveform* w : {&result.tx_out, &result.channel_out,
-                                &result.rx.rfi_out, &result.rx.restored}) {
-      if (w->size() > cap) w->samples().resize(cap);
-    }
   }
 }
 

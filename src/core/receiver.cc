@@ -6,8 +6,6 @@
 #include <map>
 #include <mutex>
 
-#include "digital/framing.h"
-
 namespace serdes::core {
 
 namespace {
@@ -66,61 +64,16 @@ const Receiver::FrontEnd& Receiver::FrontEnd::of(const LinkConfig& config) {
 }
 
 Receiver::Receiver(const LinkConfig& config)
-    : Receiver(config, FrontEnd::of(config)) {}
+    : Receiver(FrontEnd::of(config)) {}
 
-Receiver::Receiver(const LinkConfig& config, const FrontEnd& front_end)
-    : config_(config),
-      rfi_circuit_(front_end.rfi_circuit),
+Receiver::Receiver(const FrontEnd& front_end)
+    : rfi_circuit_(front_end.rfi_circuit),
       rfi_stage_(front_end.rfi_stage),
       restoring_(front_end.restoring) {
   // Decision level: the restoring inverter's metastable point — the output
   // voltage equals the input there, so it is the natural slicing level for
   // the rail-restored waveform.
   threshold_ = restoring_.threshold();
-}
-
-ReceiveResult Receiver::receive(const analog::Waveform& channel_out) {
-  ReceiveResult result;
-
-  // Analog front end.
-  result.rfi_out = rfi_stage_.process(channel_out);
-  result.restored = restoring_.process(result.rfi_out);
-
-  // Multi-phase sampling.
-  digital::MultiphaseClockGenerator clocks(
-      config_.bit_rate, config_.cdr.oversampling,
-      util::seconds(config_.rx_phase_offset_ui *
-                    config_.unit_interval().value()),
-      config_.ppm_offset);
-  channel::JitterModel::Config jitter_cfg;
-  jitter_cfg.random_rms = config_.rx_random_jitter;
-  jitter_cfg.sinusoidal_amplitude = config_.rx_sinusoidal_jitter;
-  jitter_cfg.sinusoidal_freq =
-      util::hertz(config_.sj_freq_ratio * config_.bit_rate.value());
-  jitter_cfg.seed = config_.noise_seed + 1;
-  channel::JitterModel jitter(jitter_cfg);
-
-  analog::DffSampler::Config sampler_cfg = config_.sampler;
-  sampler_cfg.threshold = threshold_;
-  sampler_cfg.seed = config_.noise_seed + 2;
-  analog::DffSampler sampler(sampler_cfg);
-
-  const auto samples =
-      digital::sample_waveform(result.restored, clocks, sampler, &jitter);
-  result.metastable_samples = sampler.metastable_count();
-
-  // Clock and data recovery.
-  digital::OversamplingCdr cdr(config_.cdr);
-  result.recovered_bits = cdr.recover(samples);
-  result.cdr_decision_phase = cdr.decision_phase();
-  result.cdr_phase_updates = cdr.phase_updates();
-
-  // Frame alignment and deserialization.
-  result.payload =
-      digital::deframe_stream(result.recovered_bits, config_.framing);
-  result.aligned = !result.payload.empty();
-  result.frames = digital::Deserializer::deserialize(result.payload);
-  return result;
 }
 
 }  // namespace serdes::core

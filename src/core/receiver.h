@@ -1,5 +1,7 @@
-// Receiver: AC coupling + RFI + restoring inverter + multi-phase sampling +
-// oversampling CDR + frame alignment + deserializer (paper Fig 5).
+// Receiver (paper Fig 5): the characterized analog front end (AC-coupled
+// RFI + restoring inverter) and what the receive chain recovers.
+// core::ChainPlan lays out the chain around it: multi-phase sampling,
+// oversampling CDR, frame alignment and deserializer.
 #pragma once
 
 #include <cstdint>
@@ -8,11 +10,8 @@
 #include "analog/rfi.h"
 #include "analog/sampler.h"
 #include "analog/waveform.h"
-#include "channel/noise.h"
 #include "core/config.h"
-#include "digital/cdr.h"
-#include "digital/deserializer.h"
-#include "digital/sampling.h"
+#include "digital/serializer.h"
 
 namespace serdes::core {
 
@@ -38,9 +37,6 @@ class Receiver {
  public:
   explicit Receiver(const LinkConfig& config);
 
-  /// Full receive chain over the channel-output waveform.
-  [[nodiscard]] ReceiveResult receive(const analog::Waveform& channel_out);
-
   /// The RFI model in use (bias/gain/bandwidth introspection).
   [[nodiscard]] const analog::RfiCircuit& rfi() const { return rfi_circuit_; }
   /// The calibrated behavioural RFI front end (the streaming pipeline
@@ -58,9 +54,8 @@ class Receiver {
   /// The characterized analog front end, solved once per device design and
   /// sample period and memoized for the life of the process (receiver.cc).
   struct FrontEnd;
-  Receiver(const LinkConfig& config, const FrontEnd& front_end);
+  explicit Receiver(const FrontEnd& front_end);
 
-  LinkConfig config_;
   analog::RfiCircuit rfi_circuit_;
   analog::RfiStage rfi_stage_;
   analog::RestoringInverter restoring_;

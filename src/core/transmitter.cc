@@ -12,15 +12,4 @@ std::vector<std::uint8_t> Transmitter::wire_bits(
   return digital::frame_stream(payload, config_.framing);
 }
 
-analog::Waveform Transmitter::transmit_bits(
-    const std::vector<std::uint8_t>& payload) const {
-  return driver_.drive(wire_bits(payload), config_.bit_rate,
-                       config_.samples_per_ui);
-}
-
-analog::Waveform Transmitter::transmit_frames(
-    const std::vector<digital::ParallelFrame>& frames) const {
-  return transmit_bits(digital::Serializer::serialize(frames));
-}
-
 }  // namespace serdes::core

@@ -1,31 +1,21 @@
-// Transmitter: serializer + framing + voltage-mode driver.
+// Transmitter: framing + voltage-mode driver, per paper Section IV-A.
 //
-// Converts parallel frames (or a raw payload bit stream) into the analog
-// waveform launched into the channel, per paper Section IV-A.
+// Frames a payload bit stream (Serializer::serialize flattens parallel
+// frames into one) with the link-layer preamble/sync; core::ChainPlan
+// turns the framed bits into the launch the driver puts on the channel.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "analog/driver.h"
-#include "analog/waveform.h"
 #include "core/config.h"
-#include "digital/serializer.h"
 
 namespace serdes::core {
 
 class Transmitter {
  public:
   explicit Transmitter(const LinkConfig& config);
-
-  /// Serializes frames, adds the link-layer preamble/sync, and drives the
-  /// channel.  Returns the TX output waveform.
-  [[nodiscard]] analog::Waveform transmit_frames(
-      const std::vector<digital::ParallelFrame>& frames) const;
-
-  /// Transmits a raw payload bit stream (framed the same way).
-  [[nodiscard]] analog::Waveform transmit_bits(
-      const std::vector<std::uint8_t>& payload) const;
 
   /// The on-wire bit stream for a payload (preamble + sync + payload) —
   /// exposed so tests can check the analog waveform bit-for-bit.

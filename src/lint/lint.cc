@@ -182,7 +182,6 @@ void check_block_exceeds_chunk(const api::LinkSpec& spec,
                                const Linter::Options& opt, const RuleInfo& info,
                                std::vector<Finding>& out) {
   (void)opt;
-  if (!spec.streaming) return;
   const double chunk_samples =
       static_cast<double>(std::min(spec.chunk_bits, spec.payload_bits)) *
       static_cast<double>(spec.samples_per_ui);
@@ -190,8 +189,8 @@ void check_block_exceeds_chunk(const api::LinkSpec& spec,
   emit(out, info, prefix + ".stream_block_samples",
        "one streaming block (" + std::to_string(spec.stream_block_samples) +
            " samples) covers the whole chunk (" + num(chunk_samples) +
-           " samples), so the O(block) memory pipeline degenerates to the "
-           "batch profile",
+           " samples), so the O(block) memory pipeline holds O(chunk) "
+           "memory",
        "lower stream_block_samples below the chunk size (results are "
        "invariant to it) or raise chunk_bits");
 }
@@ -258,13 +257,13 @@ void check_ineffective_field(const api::LinkSpec& spec,
          "never runs and the target is never read",
          "use analysis \"stat\" or \"both\", or drop stat_target_ber");
   }
-  if (spec.lane_batch > 1 && (spec.analysis != "mc" || !spec.streaming ||
-                              spec.modulation == "pam4")) {
+  if (spec.lane_batch > 1 &&
+      (spec.analysis != "mc" || spec.modulation == "pam4")) {
     emit(out, info, prefix + ".lane_batch",
-         "lane_batch is set but lane tiling needs streaming NRZ Monte Carlo "
-         "execution (streaming = true, analysis \"mc\", modulation \"nrz\"), "
-         "so every lane runs the scalar path anyway",
-         "enable streaming NRZ with analysis \"mc\", or drop lane_batch");
+         "lane_batch is set but lane tiling needs NRZ Monte Carlo "
+         "(analysis \"mc\", modulation \"nrz\"), so every lane runs the "
+         "scalar path anyway",
+         "use NRZ with analysis \"mc\", or drop lane_batch");
   }
 }
 

@@ -59,11 +59,9 @@ OptimizeReport optimize(const api::LinkSpec& authored,
     throw std::invalid_argument("optimize: target_ber must be in (0, 0.5)");
   }
 
-  // The DFE axes need the streaming path (the spec validator enforces the
-  // same); the TX FFE axis is NRZ-only.
+  // The TX FFE axis is NRZ-only.
   const bool nrz = authored.modulation == "nrz";
-  const std::size_t n_taps =
-      authored.streaming ? std::min<std::size_t>(options.n_dfe_taps, 8) : 0;
+  const std::size_t n_taps = std::min<std::size_t>(options.n_dfe_taps, 8);
 
   api::Simulator simulator;
   const auto evaluate = [&](const Knobs& k) {
@@ -144,7 +142,7 @@ OptimizeReport optimize(const api::LinkSpec& authored,
     s.payload_bits =
         std::max(authored.payload_bits, options.cross_check_payload_bits);
     // An all-zero tap vector is byte-identical to no DFE in the datapath;
-    // dropping it keeps non-streaming winners valid.
+    // dropping it reports such a winner without a DFE.
     if (std::all_of(s.dfe_taps.begin(), s.dfe_taps.end(),
                     [](double t) { return t == 0.0; })) {
       s.dfe_taps.clear();

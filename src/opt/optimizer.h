@@ -29,9 +29,7 @@ struct OptimizeOptions {
   double target_ber = 0.0;
   /// Coordinate-descent passes; each pass halves every knob's step.
   int passes = 4;
-  /// DFE taps to search (capped by the LinkSpec's 8-tap maximum).  The
-  /// DFE axes are skipped for non-streaming specs (the DFE needs the
-  /// streaming path).
+  /// DFE taps to search (capped by the LinkSpec's 8-tap maximum).
   std::size_t n_dfe_taps = 3;
   /// Payload floor for the winner's Monte Carlo cross-check.
   std::uint64_t cross_check_payload_bits = 65536;

@@ -1,10 +1,11 @@
 // Concrete streaming stages for the TX -> channel -> noise -> EQ -> RX
 // datapath, and the one sampler/CDR sink every streaming path ends in.
 //
-// Each stage reproduces the arithmetic of its whole-waveform batch
-// counterpart exactly, sample by sample, while carrying state (filter
-// memories, RNG streams, rolling sample windows) across blocks — so a
-// stream processed at any block size is bit-identical to the batch path.
+// Each stage reproduces the arithmetic of its whole-waveform counterpart
+// exactly, sample by sample, while carrying state (filter memories, RNG
+// streams, rolling sample windows) across blocks — so a stream processed
+// at any block size is bit-identical to the whole-waveform reference the
+// tests compare against (tests/whole_waveform_reference.h).
 // core::ChainPlan decides which stages a link runs and in what order.
 //
 //   LevelPulseSource   — per-UI launch levels to the line waveform
@@ -134,9 +135,10 @@ class RfiFrontEndStage final : public Stage {
   RfiFrontEndStage(const analog::RfiStage& rfi, util::Second dt)
       : rfi_(&rfi), lpf_(rfi.bandwidth(), dt) {}
 
-  /// The full-stream DC mean the batch path subtracts; must be set before
-  /// the first block (the link driver measures it in a first streaming
-  /// pass over the cheap front half of the datapath).
+  /// The full-stream DC mean analog::RfiStage::process subtracts (the
+  /// whole-waveform reference in tests/whole_waveform_reference.h); must
+  /// be set before the first block (the link driver measures it in a first
+  /// streaming pass over the cheap front half of the datapath).
   void set_mean(double mean) { delta_ = -mean; }
 
   void process(const BlockView& in, Block& out) override;

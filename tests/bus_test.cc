@@ -367,10 +367,6 @@ TEST(ModulationField, ValidationDiagnostics) {
   LinkSpec odd = LinkBuilder().name("m").modulation("pam4").build_spec();
   odd.preamble_bits = 255;
   EXPECT_EQ(odd.first_issue().field, "preamble_bits");
-
-  LinkSpec batch = LinkBuilder().name("m").modulation("pam4").build_spec();
-  batch.streaming = false;
-  EXPECT_EQ(batch.first_issue().field, "streaming");
 }
 
 TEST(ModulationField, MisspelledKeyGetsDidYouMean) {
@@ -462,6 +458,42 @@ TEST(BusSpecJson, MisspelledKeyGetsDidYouMean) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(BusSpecJson, RetiredStreamingFieldIsRejectedWithItsPath) {
+  // "streaming" selected the removed batch execution path: true still
+  // loads, false names its path in the bus base and in a lane override.
+  BusSpec bus;
+  bus.name = "rt";
+  bus.lanes = 2;
+  bus.base = bus_base(ChannelSpec::flat(10.0));
+  bus.coupling = zero_matrix(2);
+  bus.coupling[0][1] = 0.05;
+  const util::Json j = to_json(bus);
+  ASSERT_NE(j.find("base")->find("streaming"), nullptr);
+  EXPECT_EQ(to_json(bus_spec_from_json(j)).dump(), j.dump());
+
+  util::Json base = *j.find("base");
+  base.set("streaming", util::Json(false));
+  util::Json bad_base = j;
+  bad_base.set("base", std::move(base));
+  try {
+    (void)bus_spec_from_json(bad_base);
+    FAIL() << "expected util::JsonError";
+  } catch (const util::JsonError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("$.base.streaming:", 0), 0u)
+        << e.what();
+  }
+
+  bus.overrides = {util::Json::object({{"streaming", util::Json(true)}}),
+                   util::Json::object({{"streaming", util::Json(false)}})};
+  const std::string err = bus.validate();
+  EXPECT_EQ(err.rfind("$.overrides[1].streaming:", 0), 0u) << err;
+  EXPECT_NE(err.find("streaming is the only execution path"),
+            std::string::npos)
+      << err;
+  bus.overrides[1] = bus.overrides[0];
+  EXPECT_EQ(bus.validate(), "");
 }
 
 // ---- schema_version --------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "channel/channel.h"
 #include "core/link.h"
 #include "util/prbs.h"
+#include "whole_waveform_reference.h"
 
 namespace serdes::channel {
 namespace {
@@ -123,8 +124,8 @@ TEST(Equalization, FfeExtendsDispersiveReach) {
   auto run_with_tx = [&](const analog::Waveform& line_in) {
     LossyLineChannel line(heavy, cfg.sample_period());
     auto rx_wave = line.transmit(line_in);
-    Receiver rx(cfg);
-    const auto res = rx.receive(rx_wave);
+    const Receiver rx(cfg);
+    const auto res = whole_waveform::receive(cfg, rx, rx_wave);
     std::uint64_t errors = 0;
     const std::size_t ncmp = std::min(payload.size(), res.payload.size());
     if (!res.aligned || ncmp < payload.size() / 2) {

@@ -12,6 +12,7 @@
 #include "api/channel_factory.h"
 #include "channel/channel.h"
 #include "core/ber.h"
+#include "digital/serializer.h"
 #include "util/prbs.h"
 
 namespace serdes::core {
@@ -148,20 +149,15 @@ TEST(Link, TransmitterWireBitsLayout) {
 }
 
 TEST(Link, FramesRoundTripThroughAnalog) {
-  const LinkConfig cfg = LinkConfig::paper_default();
-  Transmitter tx(cfg);
-  Receiver rx(cfg);
   digital::ParallelFrame frame;
   for (std::size_t i = 0; i < frame.lanes.size(); ++i) {
     frame.lanes[i] = 0xC0FFEE00u + static_cast<std::uint32_t>(i);
   }
-  auto w = tx.transmit_frames({frame});
-  channel::FlatChannel ch(util::decibels(20.0));
-  auto out = ch.transmit(w);
-  const auto result = rx.receive(out);
+  SerDesLink link(LinkConfig::paper_default(), flat(20.0));
+  const auto result = link.run(digital::Serializer::serialize({frame}));
   ASSERT_TRUE(result.aligned);
-  ASSERT_GE(result.frames.size(), 1u);
-  EXPECT_EQ(result.frames[0], frame);
+  ASSERT_GE(result.rx.frames.size(), 1u);
+  EXPECT_EQ(result.rx.frames[0], frame);
 }
 
 TEST(Link, DeterministicAcrossRuns) {

@@ -157,13 +157,6 @@ TEST(EqTraining, BatchReportsInvariantToThreadCount) {
   }
 }
 
-TEST(EqTraining, TrainedRequiresStreamingPath) {
-  auto spec = LinkBuilder(lossy_spec(4096)).eq("trained").build_spec();
-  spec.streaming = false;
-  EXPECT_NE(api::validate_spec_with_paths(spec), "");
-  EXPECT_THROW((void)Simulator().run(spec), std::invalid_argument);
-}
-
 // ---- DFE / glitch-filter interaction ---------------------------------
 
 /// Strips the fields that legitimately differ between a zero-tap-DFE

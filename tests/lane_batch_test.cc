@@ -119,18 +119,19 @@ TEST(LaneBatch, CapturedWaveformsMatchScalarByteForByte) {
 }
 
 TEST(LaneBatch, MixedEligibilityBatchStaysBitIdentical) {
-  // Tiled lanes, a non-streaming lane and a scalar (lane_batch = 1) lane
-  // interleaved in one batch: grouping must keep report order and
+  // Tiled lanes, a PAM4 lane (never tiled) and a scalar (lane_batch = 1)
+  // lane interleaved in one batch: grouping must keep report order and
   // per-lane seed derivation exactly as the scalar path computes them.
   std::vector<LinkSpec> specs = lane_specs(ChannelSpec::flat(34.0), 4);
   LinkSpec batchless = tile_spec(ChannelSpec::flat(34.0));
   batchless.name = "scalar";
   batchless.lane_batch = 1;
   specs.insert(specs.begin() + 1, batchless);
-  LinkSpec unstreamed = tile_spec(ChannelSpec::flat(34.0));
-  unstreamed.name = "batch_path";
-  unstreamed.streaming = false;
-  specs.push_back(unstreamed);
+  LinkSpec pam4 = tile_spec(ChannelSpec::flat(34.0));
+  pam4.name = "pam4";
+  pam4.modulation = "pam4";
+  pam4.tx_ffe_deemphasis = 0.0;
+  specs.push_back(pam4);
 
   Simulator::Options scalar_options;
   scalar_options.lane_tiling = false;
@@ -209,9 +210,6 @@ TEST(LaneBatch, ValidationRejectsOutOfRangeLaneBatch) {
 TEST(LaneBatch, TileEligibilityRequiresStreamingMonteCarlo) {
   LinkSpec spec = tile_spec(ChannelSpec::flat(34.0));
   EXPECT_TRUE(Simulator::tile_eligible(spec));
-  spec.streaming = false;
-  EXPECT_FALSE(Simulator::tile_eligible(spec));
-  spec.streaming = true;
   spec.analysis = "stat";
   EXPECT_FALSE(Simulator::tile_eligible(spec));
   spec.analysis = "mc";

@@ -1,6 +1,7 @@
 // Streaming-equivalence suite: the block pipeline must be bit-identical to
-// the whole-waveform batch path — per channel kind, per block size, and
-// end-to-end through SerDesLink and api::Simulator.
+// the whole-waveform reference (whole_waveform_reference.h) — per channel
+// kind, per block size, and end-to-end through SerDesLink — and
+// api::Simulator reports must not depend on the block size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +11,15 @@
 #include <vector>
 
 #include "api/api.h"
+#include "api/spec_json.h"
 #include "channel/channel.h"
+#include "core/eye.h"
 #include "core/link.h"
 #include "core/receiver.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/prbs.h"
+#include "whole_waveform_reference.h"
 
 namespace serdes {
 namespace {
@@ -264,8 +268,8 @@ TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   EXPECT_EQ(sink.cdr().recovered(), cdr.recover(samples));
 }
 
-/// End-to-end: batch and streaming LinkResults must match exactly,
-/// including captured waveforms and CDR diagnostics.
+/// End-to-end: SerDesLink::run and the whole-waveform reference must
+/// match exactly, including captured waveforms and CDR diagnostics.
 void expect_identical_runs(core::LinkConfig cfg, const api::ChannelSpec& ch,
                            std::size_t payload_bits,
                            std::size_t block_samples) {
@@ -273,31 +277,29 @@ void expect_identical_runs(core::LinkConfig cfg, const api::ChannelSpec& ch,
   const auto payload = prbs.next_bits(payload_bits);
 
   cfg.capture_waveforms = true;
-  cfg.execution = core::LinkConfig::Execution::kBatch;
-  core::SerDesLink batch_link(
-      cfg, api::ChannelFactory::instance().create(ch, cfg));
-  const core::LinkResult batch = batch_link.run(payload);
-
-  cfg.execution = core::LinkConfig::Execution::kStreaming;
   cfg.stream_block_samples = block_samples;
+  const core::LinkResult reference = whole_waveform::run(
+      cfg, *api::ChannelFactory::instance().create(ch, cfg), payload, 0);
   core::SerDesLink stream_link(
       cfg, api::ChannelFactory::instance().create(ch, cfg));
   const core::LinkResult streamed = stream_link.run(payload);
 
-  EXPECT_EQ(batch.aligned, streamed.aligned);
-  EXPECT_EQ(batch.bit_errors, streamed.bit_errors);
-  EXPECT_EQ(batch.payload_bits_compared, streamed.payload_bits_compared);
-  EXPECT_EQ(batch.ber, streamed.ber);
-  EXPECT_EQ(batch.rx_swing_pp, streamed.rx_swing_pp);
-  EXPECT_EQ(batch.rx.recovered_bits, streamed.rx.recovered_bits);
-  EXPECT_EQ(batch.rx.payload, streamed.rx.payload);
-  EXPECT_EQ(batch.rx.cdr_decision_phase, streamed.rx.cdr_decision_phase);
-  EXPECT_EQ(batch.rx.cdr_phase_updates, streamed.rx.cdr_phase_updates);
-  EXPECT_EQ(batch.rx.metastable_samples, streamed.rx.metastable_samples);
-  expect_identical(batch.tx_out, streamed.tx_out, "tx_out");
-  expect_identical(batch.channel_out, streamed.channel_out, "channel_out");
-  expect_identical(batch.rx.rfi_out, streamed.rx.rfi_out, "rfi_out");
-  expect_identical(batch.rx.restored, streamed.rx.restored, "restored");
+  EXPECT_EQ(reference.aligned, streamed.aligned);
+  EXPECT_EQ(reference.bit_errors, streamed.bit_errors);
+  EXPECT_EQ(reference.payload_bits_compared, streamed.payload_bits_compared);
+  EXPECT_EQ(reference.ber, streamed.ber);
+  EXPECT_EQ(reference.rx_swing_pp, streamed.rx_swing_pp);
+  EXPECT_EQ(reference.rx.recovered_bits, streamed.rx.recovered_bits);
+  EXPECT_EQ(reference.rx.payload, streamed.rx.payload);
+  EXPECT_EQ(reference.rx.frames, streamed.rx.frames);
+  EXPECT_EQ(reference.rx.cdr_decision_phase, streamed.rx.cdr_decision_phase);
+  EXPECT_EQ(reference.rx.cdr_phase_updates, streamed.rx.cdr_phase_updates);
+  EXPECT_EQ(reference.rx.metastable_samples, streamed.rx.metastable_samples);
+  EXPECT_EQ(reference.decision_threshold, streamed.decision_threshold);
+  expect_identical(reference.tx_out, streamed.tx_out, "tx_out");
+  expect_identical(reference.channel_out, streamed.channel_out, "channel_out");
+  expect_identical(reference.rx.rfi_out, streamed.rx.rfi_out, "rfi_out");
+  expect_identical(reference.rx.restored, streamed.rx.restored, "restored");
 }
 
 TEST(LinkStreaming, BitIdenticalToBatchForEveryChannelKind) {
@@ -324,31 +326,23 @@ TEST(LinkStreaming, BitIdenticalWithEqualizationAndImpairments) {
                         512, 2048);
 }
 
-TEST(SimulatorStreaming, ReportsMatchBatchExactly) {
+TEST(SimulatorStreaming, ReportsInvariantToBlockSize) {
+  // Whole serialized reports, captured waveforms included, must not depend
+  // on the block size (the goldens pin the bytes at the default).  The
+  // spec echo is the one field that differs.
   api::LinkSpec spec;
   spec.payload_bits = 8192;
   spec.chunk_bits = 2048;
   spec.channel = api::ChannelSpec::flat(34.0);
-  spec.streaming = false;
+  spec.capture_waveforms = true;
   const api::Simulator sim;
-  const api::RunReport batch = sim.run(spec);
-
-  spec.streaming = true;
-  for (std::uint64_t block : {std::uint64_t{1024}, std::uint64_t{16384}}) {
-    spec.stream_block_samples = block;
-    const api::RunReport streamed = sim.run(spec);
-    EXPECT_EQ(batch.aligned, streamed.aligned);
-    EXPECT_EQ(batch.bits, streamed.bits);
-    EXPECT_EQ(batch.errors, streamed.errors);
-    EXPECT_EQ(batch.ber, streamed.ber);
-    EXPECT_EQ(batch.ber_upper_bound, streamed.ber_upper_bound);
-    EXPECT_EQ(batch.cdr_decision_phase, streamed.cdr_decision_phase);
-    EXPECT_EQ(batch.cdr_phase_updates, streamed.cdr_phase_updates);
-    EXPECT_EQ(batch.rx_swing_pp, streamed.rx_swing_pp);
-    EXPECT_EQ(batch.decision_threshold, streamed.decision_threshold);
-    EXPECT_EQ(batch.eye.eye_height, streamed.eye.eye_height);
-    EXPECT_EQ(batch.eye.eye_width_ui, streamed.eye.eye_width_ui);
-    EXPECT_EQ(batch.eye.best_phase_ui, streamed.eye.best_phase_ui);
+  const std::string reference = api::to_json(sim.run(spec)).dump();
+  for (std::uint64_t block : {std::uint64_t{1024}, std::uint64_t{7}}) {
+    api::LinkSpec blocked = spec;
+    blocked.stream_block_samples = block;
+    api::RunReport report = sim.run(blocked);
+    report.spec = spec;
+    EXPECT_EQ(api::to_json(report).dump(), reference) << block;
   }
 }
 
@@ -371,53 +365,48 @@ TEST(SimulatorStreaming, DiagnosticCaptureIsBoundedOnDeepChunks) {
   EXPECT_TRUE(r.aligned);
 }
 
-TEST(SimulatorStreaming, BatchLanesMatchAcrossExecutionModes) {
-  std::vector<api::LinkSpec> specs(3);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    specs[i].name = "lane" + std::to_string(i);
-    specs[i].payload_bits = 2048;
-    specs[i].chunk_bits = 1024;
-  }
-  const api::Simulator sim;
-  auto batch_specs = specs;
-  for (auto& s : batch_specs) s.streaming = false;
-  const auto batch = sim.run_batch(batch_specs, 2);
-  const auto streamed = sim.run_batch(specs, 2);
-  ASSERT_EQ(batch.size(), streamed.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].errors, streamed[i].errors) << i;
-    EXPECT_EQ(batch[i].bits, streamed[i].bits) << i;
-    EXPECT_EQ(batch[i].aligned, streamed[i].aligned) << i;
-    EXPECT_EQ(batch[i].rx_swing_pp, streamed[i].rx_swing_pp) << i;
-  }
-}
-
 // ---- SlowDeep tier: nightly-depth streaming equivalence -------------------
 
 TEST(SlowDeep, StreamingMatchesBatchAtOneMillionBits) {
-  // One 2^20-bit chunk through both execution paths — the O(block) vs
-  // O(payload) memory regimes — must agree on every observable.
+  // One 2^20-bit chunk through SerDesLink and the whole-waveform reference
+  // — the O(block) vs O(chunk) memory regimes — must agree on every
+  // observable, including the diagnostic window api::Simulator folds its
+  // eye from.
   api::LinkSpec spec;
   spec.payload_bits = 1u << 20;
   spec.chunk_bits = 1u << 20;
   spec.channel = api::ChannelSpec::flat(34.0);
   spec.noise_rms_v = 0.004;  // measurable-BER point: errors must agree too
-  const api::Simulator sim;
+  const api::Simulator::Options options;
+  core::LinkConfig cfg = spec.to_link_config();
+  cfg.capture_waveforms = true;
+  cfg.capture_max_samples = static_cast<std::size_t>(
+      options.diagnostic_window_uis *
+      static_cast<std::uint64_t>(cfg.samples_per_ui));
+  util::PrbsGenerator prbs(spec.prbs_order);
+  const auto payload = prbs.next_bits(spec.payload_bits);
 
-  spec.streaming = false;
-  const api::RunReport batch = sim.run(spec);
-  spec.streaming = true;
-  const api::RunReport streamed = sim.run(spec);
+  const core::LinkResult reference = whole_waveform::run(
+      cfg, *api::ChannelFactory::instance().create(spec.channel, cfg),
+      payload, 0);
+  core::SerDesLink link(
+      cfg, api::ChannelFactory::instance().create(spec.channel, cfg));
+  const core::LinkResult streamed = link.run(payload);
 
-  EXPECT_EQ(batch.aligned, streamed.aligned);
-  EXPECT_EQ(batch.bits, streamed.bits);
-  EXPECT_EQ(batch.errors, streamed.errors);
-  EXPECT_EQ(batch.ber, streamed.ber);
-  EXPECT_EQ(batch.cdr_decision_phase, streamed.cdr_decision_phase);
-  EXPECT_EQ(batch.cdr_phase_updates, streamed.cdr_phase_updates);
-  EXPECT_EQ(batch.rx_swing_pp, streamed.rx_swing_pp);
-  EXPECT_EQ(batch.eye.eye_height, streamed.eye.eye_height);
-  EXPECT_GT(batch.bits, (1u << 20) - 8u);
+  EXPECT_EQ(reference.aligned, streamed.aligned);
+  EXPECT_EQ(reference.payload_bits_compared, streamed.payload_bits_compared);
+  EXPECT_EQ(reference.bit_errors, streamed.bit_errors);
+  EXPECT_EQ(reference.ber, streamed.ber);
+  EXPECT_EQ(reference.rx.cdr_decision_phase, streamed.rx.cdr_decision_phase);
+  EXPECT_EQ(reference.rx.cdr_phase_updates, streamed.rx.cdr_phase_updates);
+  EXPECT_EQ(reference.rx_swing_pp, streamed.rx_swing_pp);
+  expect_identical(reference.rx.restored, streamed.rx.restored, "restored");
+  const core::EyeAnalyzer eye(cfg.bit_rate, options.eye_bins_per_ui);
+  EXPECT_EQ(eye.analyze(reference.rx.restored, reference.decision_threshold)
+                .eye_height,
+            eye.analyze(streamed.rx.restored, streamed.decision_threshold)
+                .eye_height);
+  EXPECT_GT(reference.payload_bits_compared, (1u << 20) - 8u);
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST(StatGolden, LossSweepReport) {
 }
 
 TEST(SlowDeep, CiMatrixSweepReport) {
-  // 64 scenarios; nightly tier.  Byte-compares the full aggregated grid.
+  // 32 scenarios; nightly tier.  Byte-compares the full aggregated grid.
   check_golden("ci_matrix", render_sweep_report(source_dir() / "examples" /
                                                 "specs" / "ci_matrix.json"));
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -343,7 +344,6 @@ TEST(SpecJson, LinkSpecRoundTripIsFixedPoint) {
   spec.noise_rms_v = 0.0025;
   spec.seed = 18446744073709551615ull;  // above 2^53: must stay exact
   spec.prbs_order = util::PrbsOrder::kPrbs15;
-  spec.streaming = false;
   spec.dsp = true;
 
   const std::string once = api::to_json(spec).dump();
@@ -469,6 +469,20 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
                 "$.stream_block_samples"},
            Case{R"({"rx_ctle_boost_db": 1e6})", "$.rx_ctle_boost_db"},
            Case{R"({"rx_ctle_boost_db": 400})", "$.rx_ctle_boost_db"},
+           // Phase offsets outside one UI: below 0 the sampler clock walks
+           // up to the stream for as long as the offset is (-1e12 hung),
+           // and far past 1 it starts beyond the data (a dead link).
+           Case{R"({"rx_phase_offset_ui": -1e12})", "$.rx_phase_offset_ui"},
+           Case{R"({"rx_phase_offset_ui": -1})", "$.rx_phase_offset_ui"},
+           Case{R"({"rx_phase_offset_ui": 1})", "$.rx_phase_offset_ui"},
+           Case{R"({"rx_phase_offset_ui": 1e6})", "$.rx_phase_offset_ui"},
+           // A 2^36-bit chunk threw a bare bad_alloc; payloads near 2^64
+           // ran with no end in sight.
+           Case{R"({"chunk_bits": 16777217})", "$.chunk_bits"},
+           Case{R"({"chunk_bits": 68719476736})", "$.chunk_bits"},
+           Case{R"({"payload_bits": 1099511627777})", "$.payload_bits"},
+           Case{R"({"payload_bits": 18446744073709551615})",
+                "$.payload_bits"},
        }) {
     const std::string bad_err = api::validate_spec_with_paths(
         api::link_spec_from_json(util::Json::parse(c.json)));
@@ -502,7 +516,64 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   size_edge.preamble_bits = 65536;
   size_edge.stream_block_samples = 1048576;
   size_edge.rx_ctle_boost_db = 40.0;
+  size_edge.chunk_bits = std::uint64_t{1} << 24;
+  size_edge.payload_bits = std::uint64_t{1} << 40;
   EXPECT_EQ(api::validate_spec_with_paths(size_edge), "");
+  // The phase offset's bounds: [0, 1) UI.
+  for (const double phase : {0.0, 0.999}) {
+    api::LinkSpec phase_edge;
+    phase_edge.rx_phase_offset_ui = phase;
+    EXPECT_EQ(api::validate_spec_with_paths(phase_edge), "") << phase;
+  }
+}
+
+/// The message of the util::JsonError `parse` throws ("" if none).
+template <class F>
+std::string json_error(F&& parse) {
+  try {
+    parse();
+  } catch (const util::JsonError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SpecJson, RetiredStreamingFieldIsRejectedWithItsPath) {
+  // "streaming" selected the removed batch execution path.  true still
+  // loads as a no-op and to_json keeps writing it (schema v3); false is
+  // rejected with its JSON path in a LinkSpec, a sweep base and a sweep
+  // axis value.  `serdes_cli run`, `sweep` and `lint` read through these
+  // same functions.
+  const api::LinkSpec accepted =
+      api::link_spec_from_json(Json::parse(R"({"streaming": true})"));
+  const Json echoed = api::to_json(accepted);
+  ASSERT_NE(echoed.find("streaming"), nullptr);
+  EXPECT_TRUE(echoed.find("streaming")->as_bool());
+  EXPECT_EQ(echoed.dump(), api::to_json(api::LinkSpec{}).dump());
+
+  const std::string removed = "streaming is the only execution path";
+  std::string err = json_error([] {
+    (void)api::link_spec_from_json(Json::parse(R"({"streaming": false})"));
+  });
+  EXPECT_EQ(err.rfind("$.streaming:", 0), 0u) << err;
+  EXPECT_NE(err.find(removed), std::string::npos) << err;
+
+  err = json_error([] {
+    (void)SweepSpec::from_json(Json::parse(R"({"name": "s",
+        "base": {"streaming": false},
+        "axes": [{"field": "seed", "values": [1]}]})"));
+  });
+  EXPECT_EQ(err.rfind("$.base.streaming:", 0), 0u) << err;
+
+  const SweepSpec axis = SweepSpec::from_json(Json::parse(R"({"name": "s",
+      "axes": [{"field": "noise_rms_v", "values": [0.001]},
+               {"field": "streaming", "values": [true, false]}]})"));
+  err = axis.validate();
+  EXPECT_EQ(err.rfind("$.axes[1].values[1]:", 0), 0u) << err;
+  EXPECT_NE(err.find(removed), std::string::npos) << err;
+  const SweepSpec constant = SweepSpec::from_json(Json::parse(
+      R"({"name": "s", "axes": [{"field": "streaming", "values": [true]}]})"));
+  EXPECT_EQ(constant.validate(), "");
 }
 
 }  // namespace
