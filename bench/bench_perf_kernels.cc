@@ -560,6 +560,22 @@ int main(int argc, char** argv) {
     });
   }
 
+  // The same scenario as the sweep rows and optimizer scores run it: the
+  // engine bisects only the best phase's eye contour.  Items = scenarios.
+  // The margins are bit-identical either way, so only the ratio gate
+  // against stat_engine_paper_default notices if every phase is bisected
+  // again.
+  {
+    api::LinkSpec spec = api::LinkBuilder().analysis("stat").build_spec();
+    api::Simulator::Options options;
+    options.stat_contours = false;
+    const api::Simulator sim(options);
+    run_bench(results, "stat_engine_margins_paper_default", 1, [&] {
+      volatile double margin = sim.run(spec).stat->voltage_margin_v;
+      (void)margin;
+    });
+  }
+
   // The eye-contour bisections alone: one lower_quantile + upper_quantile
   // pair at 1e-15 and sigma = 1 mV on a 20-cursor grid mixture (0.02 V x
   // 0.8^k, 4073 support points).  Items = quantile pairs.  Each bisection

@@ -46,11 +46,14 @@ EXCLUDE = ("deep_ber_streaming_bit",)
 # byte-identical either way, so losing the memo is a gate failure only
 # here); stat_contour_grid pins the bisection deciders that settle each
 # eye-contour step from the leading tail terms (without them it runs ~4.5x
-# slower, below its floor, and the quantiles are bit-identical either way).
+# slower, below its floor, and the quantiles are bit-identical either way);
+# stat_engine_margins_paper_default is the stat engine as sweep rows and
+# optimizer scores run it, bisecting the best phase's contour alone.
 REQUIRED = (
     "receiver_build",
     "stat_contour_grid",
     "stat_engine_paper_default",
+    "stat_engine_margins_paper_default",
     "stat_engine_bus4_pam4",
     "stat_engine_dfe_sample",
     "optimize_paper_default",
@@ -77,9 +80,15 @@ REQUIRED = (
 #     two one-pole recurrences, the CTLE one.  In one loop the lossy line's
 #     two latency chains overlap: 0.98-1.03x the CTLE on the same box.  As
 #     separate passes over the block they run back to back: 1.9-2.1x.
+#   stat_engine_margins_paper_default / stat_engine_paper_default: the
+#     margins-only analysis bisects one eye contour where the full one
+#     bisects 64: 0.18-0.19x on the same box.  A margins mode that bisects
+#     every phase again reads about 1.0x, and its margins are bit-identical,
+#     so only this gate notices.
 RATIOS = (
     ("rng_gaussian", "rng_u64", 4.0),
     ("stage_channel_lossy_sample", "stage_ctle_sample", 1.25),
+    ("stat_engine_margins_paper_default", "stat_engine_paper_default", 0.5),
 )
 
 

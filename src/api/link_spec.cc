@@ -115,9 +115,15 @@ LinkSpec::Issue LinkSpec::first_issue() const {
   if (auto issue = validate_channel(channel, "channel", 0); !issue.ok()) {
     return issue;
   }
-  if (noise_rms_v < 0.0) return {"noise_rms_v", "must be non-negative"};
-  if (noise_reference_bandwidth_hz <= 0.0) {
-    return {"noise_reference_bandwidth_hz", "must be positive"};
+  // The per-sample noise sigma grows as noise_rms_v * sqrt(nyquist /
+  // noise_reference_bandwidth_hz).  Unbounded, it overflowed (at 1e160 V,
+  // or a 1e-300 Hz bandwidth) and stat reports came out null; the supply
+  // and 1 Hz keep it finite at every accepted bit rate.
+  if (!(noise_rms_v >= 0.0 && noise_rms_v <= 1.8)) {
+    return {"noise_rms_v", "must be in [0, 1.8] V (the supply)"};
+  }
+  if (!(noise_reference_bandwidth_hz >= 1.0)) {
+    return {"noise_reference_bandwidth_hz", "must be at least 1 Hz"};
   }
   if (random_jitter_s < 0.0) {
     return {"random_jitter_s", "must be non-negative"};
@@ -267,9 +273,6 @@ core::LinkConfig LinkSpec::to_link_config() const {
       static_cast<std::size_t>(stream_block_samples);
   cfg.lane_batch = lane_batch;
   cfg.dsp = dsp;
-  cfg.analysis = analysis == "stat"   ? core::LinkConfig::Analysis::kStatistical
-                 : analysis == "both" ? core::LinkConfig::Analysis::kBoth
-                                      : core::LinkConfig::Analysis::kMonteCarlo;
   return cfg;
 }
 

@@ -84,6 +84,7 @@ RunReport Simulator::run_impl(
     stat::StatAnalyzer::Options stat_options;
     stat_options.phase_bins_per_ui = options_.stat_phase_bins_per_ui;
     stat_options.target_ber = spec.stat_target_ber;
+    stat_options.contours = options_.stat_contours;
     const stat::StatAnalyzer analyzer(stat_options);
     const auto channel = ChannelFactory::instance().create(spec.channel, cfg);
     report.stat = analyzer.analyze(cfg, *channel);

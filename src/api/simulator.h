@@ -105,6 +105,12 @@ class Simulator {
     bool lane_tiling = true;
     /// Sampling-phase resolution of the stat engine's bathtub/contours.
     int stat_phase_bins_per_ui = 64;
+    /// When false, the stat engine bisects only the best phase's eye
+    /// contour (stat::StatAnalyzer::Options::contours): every margin is
+    /// bit-identical, but `contour_high_v` / `contour_low_v` come back
+    /// empty, so such reports are not for serialization.  For callers that
+    /// read only the margins (sweep rows, optimizer scores).
+    bool stat_contours = true;
     /// `"both"`-mode model slack: the MC BER must fall within
     /// [band_low / slack, band_high * slack], Poisson-widened (see
     /// stat::StatAnalyzer::cross_check).

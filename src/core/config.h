@@ -116,16 +116,6 @@ struct LinkConfig {
   std::size_t capture_max_samples = 0;
 
   // ---- Execution strategy ----
-  /// Which engine(s) produce the scenario's results:
-  ///   * kMonteCarlo   — bit-stream simulation (the datapath above);
-  ///   * kStatistical  — the analytical stat::StatAnalyzer engine only
-  ///     (no bit stream; reaches 1e-15 BER regimes instantly);
-  ///   * kBoth         — Monte Carlo plus the stat engine, with the MC
-  ///     BER cross-checked against the stat prediction band.
-  /// The core SerDesLink always runs Monte Carlo; this field is how the
-  /// api/sweep layers carry the choice alongside the rest of the config.
-  enum class Analysis { kMonteCarlo, kStatistical, kBoth };
-  Analysis analysis = Analysis::kMonteCarlo;
   /// Samples per streaming block (the O(block) memory knob).  Results are
   /// invariant to this value by construction.
   std::size_t stream_block_samples = 16384;

@@ -63,7 +63,11 @@ OptimizeReport optimize(const api::LinkSpec& authored,
   const bool nrz = authored.modulation == "nrz";
   const std::size_t n_taps = std::min<std::size_t>(options.n_dfe_taps, 8);
 
-  api::Simulator simulator;
+  // Scores read min_ber and voltage_margin_v, and the winner's "both" run
+  // reads only the cross-check verdict: none needs the per-phase contours.
+  api::Simulator::Options simulator_options;
+  simulator_options.stat_contours = false;
+  const api::Simulator simulator(simulator_options);
   const auto evaluate = [&](const Knobs& k) {
     api::LinkSpec s = authored;
     s.eq = "fixed";  // the optimizer owns the knobs; no inner training

@@ -646,8 +646,9 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
       next_pulse.empty() ? 0 : static_cast<int>(next_pulse.size()) / spu + 1;
 
   std::vector<double> raw_ber(static_cast<std::size_t>(n_phases), 0.5);
-  report.contour_high_v.assign(static_cast<std::size_t>(n_phases), 0.0);
-  report.contour_low_v.assign(static_cast<std::size_t>(n_phases), 0.0);
+  // The eye contour per phase: under PAM4 the middle sub-eye's.
+  std::vector<double> contour_high(static_cast<std::size_t>(n_phases), 0.0);
+  std::vector<double> contour_low(static_cast<std::size_t>(n_phases), 0.0);
   std::vector<double> phase_main(static_cast<std::size_t>(n_phases), 0.0);
   std::vector<int> phase_isi_count(static_cast<std::size_t>(n_phases), 0);
   std::vector<double> phase_burst(static_cast<std::size_t>(n_phases), 1.0);
@@ -666,9 +667,13 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
                                              {2, 1, 0, 1},
                                              {1, 2, 1, 0}};
 
+  // One sampling phase: slices the pulse into cursors, builds the ISI
+  // mixture once and records the slicer BER and DFE burst factor.  With
+  // `with_contour` it also bisects the eye contour at target_ber (under
+  // PAM4, all three sub-eyes) from that same mixture.
   std::vector<double> cursors;
   std::vector<double> isi;
-  for (int b = 0; b < n_phases; ++b) {
+  const auto phase = [&](int b, bool with_contour) {
     const double off = (static_cast<double>(b) + 0.5) / n_phases;
     cursors.clear();
     double sum_all = 0.0;
@@ -686,7 +691,7 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
         main_idx = m;
       }
     }
-    if (main_idx < 0 || h0 <= 0.0) continue;  // dead eye: BER 0.5
+    if (main_idx < 0 || h0 <= 0.0) return;  // dead eye: BER 0.5
 
     // DFE residual cancellation: tap k feeds back the decision of symbol
     // n-1-k, i.e. the cursor at main+1+k.  Only the data-dependent +/-
@@ -758,10 +763,12 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
         raw_ber[static_cast<std::size_t>(b)] =
             std::min(0.5, raw_ber[static_cast<std::size_t>(b)] * f);
       }
-      report.contour_high_v[static_cast<std::size_t>(b)] =
-          offset + 0.5 * h0 + mix.lower_quantile(options_.target_ber, sigma);
-      report.contour_low_v[static_cast<std::size_t>(b)] =
-          offset - 0.5 * h0 + mix.upper_quantile(options_.target_ber, sigma);
+      if (with_contour) {
+        contour_high[static_cast<std::size_t>(b)] =
+            offset + 0.5 * h0 + mix.lower_quantile(options_.target_ber, sigma);
+        contour_low[static_cast<std::size_t>(b)] =
+            offset - 0.5 * h0 + mix.upper_quantile(options_.target_ber, sigma);
+      }
     } else {
       // PAM4: each interfering cursor takes four equiprobable values
       // {-c/2, -c/6, +c/6, +c/2} — the sum of two independent binary
@@ -824,21 +831,23 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
         eye_ber[static_cast<std::size_t>(k)][static_cast<std::size_t>(b)] =
             0.5 * (mix.upper_tail(t[k] - mu_lo, sigma) +
                    mix.lower_tail(t[k] - mu_hi, sigma));
+        if (!with_contour) continue;
         eye_high[static_cast<std::size_t>(k)][static_cast<std::size_t>(b)] =
             mu_hi + mix.lower_quantile(options_.target_ber, sigma);
         eye_low[static_cast<std::size_t>(k)][static_cast<std::size_t>(b)] =
             mu_lo + mix.upper_quantile(options_.target_ber, sigma);
       }
-      // The report's scalar contours track the middle sub-eye (the NRZ
-      // analogue: the boundary at the calibrated midpoint).
-      report.contour_high_v[static_cast<std::size_t>(b)] =
+      // The scalar contours track the middle sub-eye (the NRZ analogue:
+      // the boundary at the calibrated midpoint).
+      contour_high[static_cast<std::size_t>(b)] =
           eye_high[1][static_cast<std::size_t>(b)];
-      report.contour_low_v[static_cast<std::size_t>(b)] =
+      contour_low[static_cast<std::size_t>(b)] =
           eye_low[1][static_cast<std::size_t>(b)];
     }
     phase_main[static_cast<std::size_t>(b)] = h0;
     phase_isi_count[static_cast<std::size_t>(b)] = isi_count;
-  }
+  };
+  for (int b = 0; b < n_phases; ++b) phase(b, options_.contours);
 
   // ---- 4. Jitter folding and margins ------------------------------------
   const double ui_s = cfg.unit_interval().value();
@@ -864,6 +873,11 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
       best = b;
     }
   }
+  // Margins-only mode bisects the one contour the margins read, from the
+  // same cursors and mixture as the full analysis, so every margin below
+  // is bit-identical.  The call also recomputes this phase's BER and burst
+  // factor, to the same bits.
+  if (!options_.contours) phase(best, true);
   report.best_phase_ui = (static_cast<double>(best) + 0.5) / n_phases;
   report.min_ber = report.bathtub_ber[static_cast<std::size_t>(best)];
   report.main_cursor_v = phase_main[static_cast<std::size_t>(best)];
@@ -872,11 +886,15 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
     report.dfe_taps_applied = dfe_lin;
     report.dfe_burst_factor = phase_burst[static_cast<std::size_t>(best)];
   }
-  report.eye_height_v = report.contour_high_v[static_cast<std::size_t>(best)] -
-                        report.contour_low_v[static_cast<std::size_t>(best)];
+  report.eye_height_v = contour_high[static_cast<std::size_t>(best)] -
+                        contour_low[static_cast<std::size_t>(best)];
   report.voltage_margin_v =
-      std::min(report.contour_high_v[static_cast<std::size_t>(best)],
-               -report.contour_low_v[static_cast<std::size_t>(best)]);
+      std::min(contour_high[static_cast<std::size_t>(best)],
+               -contour_low[static_cast<std::size_t>(best)]);
+  if (options_.contours) {
+    report.contour_high_v = std::move(contour_high);
+    report.contour_low_v = std::move(contour_low);
+  }
 
   if (pam4) {
     // Per-sub-eye margins at the best phase (lower, middle, upper), with

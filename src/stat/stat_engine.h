@@ -129,6 +129,12 @@ class StatAnalyzer {
     /// Post-cursor budget: the pulse response is extended (up to this many
     /// UIs) until its tail decays below isi_epsilon of the peak.
     int max_pulse_uis = 512;
+    /// When true, `contour_high_v` / `contour_low_v` are filled at every
+    /// phase.  When false, the two vectors stay empty and only the best
+    /// phase's contour is bisected: that one contour is all
+    /// `eye_height_v`, `voltage_margin_v` and the PAM4 sub-eye margins
+    /// read, and they stay bit-identical.
+    bool contours = true;
   };
 
   StatAnalyzer() = default;

@@ -43,6 +43,8 @@ struct StatReport {
   /// slicer threshold) below which a transmitted '1' dips with probability
   /// `target_ber`, and above which a transmitted '0' rises with the same
   /// probability.  `high > low` means the eye is open at that phase.
+  /// Both are empty when the analyzer ran with `contours = false`; the
+  /// margins below are the same either way.
   std::vector<double> contour_high_v;
   std::vector<double> contour_low_v;
 

@@ -293,7 +293,11 @@ std::vector<ScenarioResult> SweepRunner::run_indices(
   std::vector<ScenarioResult> rows(indices.size());
   if (indices.empty()) return rows;
 
-  const api::Simulator simulator(options_.simulator);
+  // A row reads only the stat margins, so the engine bisects the best
+  // phase's contour alone.
+  api::Simulator::Options simulator_options = options_.simulator;
+  simulator_options.stat_contours = false;
+  const api::Simulator simulator(simulator_options);
 
   // Scenario specs are rebuilt from their grid index inside the worker, so
   // the grouping pass only holds keys; each row's result is bit-identical

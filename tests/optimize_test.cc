@@ -1,8 +1,9 @@
 // Optimizer regression tier: the coordinate-descent EQ search driven by
 // the stat-engine oracle.  Pins the baseline short-circuit on
-// paper_default (plus its byte-for-byte OptimizeReport golden), the
-// descent actually rescuing a failing link, determinism, and the strict
-// OptimizeReport JSON round-trip.
+// paper_default, the descent actually rescuing a failing link,
+// determinism, the strict OptimizeReport JSON round-trip, and two
+// byte-for-byte OptimizeReport goldens: the paper_default short-circuit and
+// a full 4-pass descent.
 #include "opt/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -134,15 +135,13 @@ TEST(OptimizeJson, BaselineReportRoundTripsAndRejectsUnknownFields) {
   }
 }
 
-// Byte-pins the paper_default OptimizeReport, same contract as the
-// golden RunReports.  Regenerate intentionally:
-//   UPDATE_GOLDEN=1 ./build/optimize_test
-TEST(OptimizeJson, PaperDefaultReportMatchesGolden) {
-  const fs::path golden = fs::path(SERDES_SOURCE_DIR) / "tests" / "golden" /
-                          "paper_default_optimize.json";
-  const std::string actual =
-      api::to_json(opt::optimize(api::LinkSpec::paper_default())).dump(2) +
-      "\n";
+/// Byte-compares `report`'s JSON with tests/golden/`file`, or rewrites
+/// the golden when UPDATE_GOLDEN is set.
+void expect_matches_golden(const opt::OptimizeReport& report,
+                           const std::string& file) {
+  const fs::path golden =
+      fs::path(SERDES_SOURCE_DIR) / "tests" / "golden" / file;
+  const std::string actual = api::to_json(report).dump(2) + "\n";
   if (std::getenv("UPDATE_GOLDEN") != nullptr) {
     try {
       util::atomic_write_file(golden.string(), actual);
@@ -162,6 +161,32 @@ TEST(OptimizeJson, PaperDefaultReportMatchesGolden) {
     message << "\n  " << finding;
   }
   FAIL() << message.str();
+}
+
+// Byte-pins the paper_default OptimizeReport, same contract as the
+// golden RunReports.  Regenerate intentionally:
+//   UPDATE_GOLDEN=1 ./build/optimize_test
+TEST(OptimizeJson, PaperDefaultReportMatchesGolden) {
+  expect_matches_golden(opt::optimize(api::LinkSpec::paper_default()),
+                        "paper_default_optimize.json");
+}
+
+// Byte-pins a full descent: a 4-tap FIR channel the authored EQ misses
+// the 1e-15 target on, so all 4 passes run (41 stat evaluations) before
+// the winner's Monte Carlo cross-check.
+TEST(OptimizeJson, FirDescentReportMatchesGolden) {
+  const api::LinkSpec spec = api::link_spec_from_json(Json::parse(R"({
+    "name": "optimize",
+    "channel": {"kind": "fir", "fir_taps": [0.5, 0.3, 0.15, 0.05],
+                "fir_samples_per_tap": 0},
+    "noise_rms_v": 0.004,
+    "seed": 1732167174
+  })"));
+  const opt::OptimizeReport report = opt::optimize(spec);
+  EXPECT_EQ(report.evaluations, 41);
+  EXPECT_EQ(report.passes, 4);
+  EXPECT_FALSE(report.baseline_met);
+  expect_matches_golden(report, "fir_descent_optimize.json");
 }
 
 }  // namespace

@@ -2,18 +2,22 @@
 // primitives (pure AWGN and two-tap ISI at <= 1e-12), grid-vs-exact
 // consistency, the contour quantiles pinned bit for bit to a full-sum
 // bisection, engine-level sanity at the paper operating point, the
-// analysis-mode plumbing through api::Simulator, and — the core of the
+// analysis-mode plumbing through api::Simulator, margins-only analyses
+// pinned byte for byte to the full one, and — the core of the
 // golden-report tier — MC-vs-stat cross-validation: for every built-in
 // channel kind the Monte Carlo BER must fall inside the stat engine's
 // predicted band.  SlowDeep cases re-run the cross-validation at 1M bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "api/api.h"
+#include "api/bus_spec.h"
 #include "api/channel_factory.h"
 #include "api/spec_json.h"
 #include "stat/stat_engine.h"
@@ -267,6 +271,118 @@ TEST(StatAnalyzerTest, DeterministicAcrossCalls) {
   const stat::StatReport a = StatAnalyzer().analyze(cfg, *channel);
   const stat::StatReport b = StatAnalyzer().analyze(cfg, *channel);
   EXPECT_EQ(api::to_json(a).dump(), api::to_json(b).dump());
+}
+
+/// The margins-only report must be the full one with its two contour
+/// vectors cleared, byte for byte, and its best-phase eye height must be
+/// the full contour's opening there (the middle sub-eye under PAM4).
+void expect_margins_only_matches(const api::RunReport& full,
+                                 const api::RunReport& margins,
+                                 const std::string& label) {
+  ASSERT_TRUE(full.stat.has_value()) << label;
+  ASSERT_TRUE(margins.stat.has_value()) << label;
+  const stat::StatReport& f = *full.stat;
+  const stat::StatReport& m = *margins.stat;
+  EXPECT_TRUE(m.contour_high_v.empty()) << label;
+  EXPECT_TRUE(m.contour_low_v.empty()) << label;
+  ASSERT_EQ(f.contour_high_v.size(), f.bathtub_ber.size()) << label;
+  ASSERT_EQ(f.contour_low_v.size(), f.bathtub_ber.size()) << label;
+  const auto best = static_cast<std::size_t>(
+      std::min_element(f.bathtub_ber.begin(), f.bathtub_ber.end()) -
+      f.bathtub_ber.begin());
+  const double height = f.contour_high_v[best] - f.contour_low_v[best];
+  if (m.pam4_eye_height_v.empty()) {
+    EXPECT_EQ(m.eye_height_v, height) << label;
+  } else {
+    ASSERT_EQ(m.pam4_eye_height_v.size(), 3u) << label;
+    EXPECT_EQ(m.pam4_eye_height_v[1], height) << label;
+  }
+  api::RunReport cleared = full;
+  cleared.stat->contour_high_v.clear();
+  cleared.stat->contour_low_v.clear();
+  EXPECT_EQ(api::to_json(margins).dump(), api::to_json(cleared).dump())
+      << label;
+}
+
+TEST(StatAnalyzerTest, MarginsOnlyMatchesFullAnalysis) {
+  api::Simulator::Options margins_only;
+  margins_only.stat_contours = false;
+  const api::Simulator full_sim;
+  const api::Simulator margins_sim(margins_only);
+  // Runs `spec` both ways, compares, and returns the full report.
+  const auto check = [&](const std::string& label,
+                         const api::LinkSpec& spec) {
+    api::RunReport full = full_sim.run(spec);
+    expect_margins_only_matches(full, margins_sim.run(spec), label);
+    return full.stat.value();
+  };
+
+  api::LinkSpec paper = api::LinkSpec::paper_default();
+  paper.analysis = "stat";
+  EXPECT_LE(check("paper default", paper).isi_cursors, 12);  // exact
+  const api::LinkSpec lossy =
+      api::LinkBuilder()
+          .channel(api::ChannelSpec::lossy_line(8.0, 12.0, 4.0))
+          .noise_rms(0.004)
+          .analysis("stat")
+          .build_spec();
+  EXPECT_GT(check("lossy line", lossy).isi_cursors, 12);  // grid mixture
+  const api::LinkSpec dfe =
+      api::LinkBuilder()
+          .channel(api::ChannelSpec::fir({0.8, 0.15, 0.05}))
+          .noise_rms(0.002)
+          .dfe({0.01, 0.005, 0.002})
+          .analysis("stat")
+          .build_spec();
+  EXPECT_EQ(check("fir + dfe", dfe).dfe_taps_applied.size(), 3u);
+  const api::LinkSpec burst = api::LinkBuilder()
+                                  .channel(api::ChannelSpec::flat(34.0))
+                                  .noise_rms(0.004)
+                                  .dfe({0.04, 0.015, 0.005})
+                                  .analysis("stat")
+                                  .build_spec();
+  EXPECT_GT(check("dfe burst", burst).dfe_burst_factor, 1.0);
+  api::LinkSpec jitter = paper;
+  jitter.analysis = "both";
+  jitter.payload_bits = 4096;
+  jitter.chunk_bits = 4096;
+  jitter.random_jitter_s = 20e-12;
+  jitter.sinusoidal_jitter_s = 50e-12;
+  EXPECT_TRUE(check("rj + sj", jitter).cross_checked);
+  api::LinkSpec closed = paper;
+  closed.noise_rms_v = 0.05;
+  EXPECT_LT(check("closed eye", closed).eye_height_v, 0.0);
+
+  // A PAM4 bus with FEXT and NEXT: every lane's mixture carries the
+  // aggressor cursors, and all three sub-eyes are bisected at the best
+  // phase.
+  api::BusSpec bus;
+  bus.name = "margins_bus";
+  bus.lanes = 3;
+  bus.base = api::LinkBuilder()
+                 .channel(api::ChannelSpec::flat(4.0))
+                 .modulation("pam4")
+                 .noise_rms(0.005)
+                 .analysis("stat")
+                 .build_spec();
+  bus.coupling.assign(3, std::vector<double>(3, 0.0));
+  bus.next_coupling.assign(3, std::vector<double>(3, 0.0));
+  for (std::size_t v = 0; v < 3; ++v) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      if (a + 1 == v || v + 1 == a) {
+        bus.coupling[v][a] = 0.03;
+        bus.next_coupling[v][a] = 0.01;
+      }
+    }
+  }
+  const api::BusReport full_bus = full_sim.run_bus(bus, 1);
+  const api::BusReport margins_bus = margins_sim.run_bus(bus, 1);
+  ASSERT_EQ(full_bus.lanes.size(), 3u);
+  ASSERT_EQ(margins_bus.lanes.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    expect_margins_only_matches(full_bus.lanes[i], margins_bus.lanes[i],
+                                "pam4 bus lane " + std::to_string(i));
+  }
 }
 
 TEST(SimulatorAnalysisModes, StatSkipsMonteCarloEntirely) {

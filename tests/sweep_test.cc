@@ -1,7 +1,7 @@
 // Sweep engine contract tests: grid expansion, exact/disjoint shard
 // partitioning, thread-count invariance of the aggregated report (down
-// to the serialized bytes), and the JSON fixed-point round trip for
-// LinkSpec / RunReport / SweepSpec.
+// to the serialized bytes), stat rows equal to full analyses, and the
+// JSON fixed-point round trip for LinkSpec / RunReport / SweepSpec.
 #include "sweep/sweep_runner.h"
 
 #include <gtest/gtest.h>
@@ -334,6 +334,34 @@ TEST(SweepRunner, AggregatesMatchRows) {
   EXPECT_LT(report.error_free_count, 64u);
 }
 
+TEST(SweepRunner, StatRowsMatchFullReports) {
+  // The runner's stat engine bisects only the best phase's eye contour.
+  // Each row must equal the one distilled from a default Simulator run,
+  // which bisects every phase.
+  SweepSpec sweep;
+  sweep.name = "stat_rows";
+  sweep.base.name = "s";
+  sweep.base.payload_bits = 4096;
+  sweep.base.chunk_bits = 4096;
+  sweep.base.noise_rms_v = 0.004;
+  sweep.axes.push_back({"analysis", {Json("stat"), Json("both")}});
+  sweep.axes.push_back(
+      {"channel",
+       {Json::parse(R"({"kind": "flat", "loss_db": 34.0})"),
+        Json::parse(R"({"kind": "lossy_line", "loss_db": 8.0,
+                        "skin_loss_db_at_1ghz": 12.0,
+                        "dielectric_loss_db_at_1ghz": 4.0})")}});
+  const SweepReport report = SweepRunner().run(sweep);
+  ASSERT_EQ(report.scenarios.size(), 4u);
+  EXPECT_EQ(report.stat_count, 4u);
+  EXPECT_EQ(report.stat_cross_checked_count, 2u);
+  for (const ScenarioResult& row : report.scenarios) {
+    const ScenarioResult full = to_scenario_result(
+        row.index, api::Simulator().run(sweep.scenario(row.index)));
+    EXPECT_EQ(to_json(row).dump(), to_json(full).dump()) << row.name;
+  }
+}
+
 TEST(SpecJson, LinkSpecRoundTripIsFixedPoint) {
   api::LinkSpec spec;
   spec.name = "rt";
@@ -483,6 +511,15 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
            Case{R"({"payload_bits": 1099511627777})", "$.payload_bits"},
            Case{R"({"payload_bits": 18446744073709551615})",
                 "$.payload_bits"},
+           // Noise past the supply, and reference bandwidths below 1 Hz.
+           // At 1e300 V or 1e-300 Hz the per-sample noise sigma overflowed
+           // and stat reports came back with null margins.
+           Case{R"({"noise_rms_v": 1.9})", "$.noise_rms_v"},
+           Case{R"({"noise_rms_v": 1e300})", "$.noise_rms_v"},
+           Case{R"({"noise_reference_bandwidth_hz": 0.5})",
+                "$.noise_reference_bandwidth_hz"},
+           Case{R"({"noise_reference_bandwidth_hz": 1e-300})",
+                "$.noise_reference_bandwidth_hz"},
        }) {
     const std::string bad_err = api::validate_spec_with_paths(
         api::link_spec_from_json(util::Json::parse(c.json)));
@@ -519,6 +556,11 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   size_edge.chunk_bits = std::uint64_t{1} << 24;
   size_edge.payload_bits = std::uint64_t{1} << 40;
   EXPECT_EQ(api::validate_spec_with_paths(size_edge), "");
+  // The noise bounds: the supply, and a 1 Hz reference bandwidth.
+  api::LinkSpec noise_edge;
+  noise_edge.noise_rms_v = 1.8;
+  noise_edge.noise_reference_bandwidth_hz = 1.0;
+  EXPECT_EQ(api::validate_spec_with_paths(noise_edge), "");
   // The phase offset's bounds: [0, 1) UI.
   for (const double phase : {0.0, 0.999}) {
     api::LinkSpec phase_edge;
