@@ -1,12 +1,13 @@
 #include "api/bus_spec.h"
 
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/spec_json.h"
-#include "util/strings.h"
+#include "util/json_fields.h"
 
 namespace serdes::api {
 
@@ -110,133 +111,72 @@ std::vector<LinkSpec> BusSpec::expand() const {
 
 namespace {
 
-const std::vector<std::string> kBusFields = {
-    "name", "lanes", "base", "overrides", "coupling", "next_coupling"};
+using util::field;
+using util::JsonField;
 
-Json matrix_to_json(const std::vector<std::vector<double>>& m) {
-  Json rows = Json::array();
-  for (const std::vector<double>& row : m) {
-    Json r = Json::array();
-    for (const double v : row) r.push_back(Json(v));
-    rows.push_back(std::move(r));
-  }
-  return rows;
+/// Optional sections are written only when non-empty.
+template <auto Member, class T>
+bool non_empty(const T& obj) {
+  return !(obj.*Member).empty();
 }
 
-std::vector<std::vector<double>> matrix_from_json(const Json& j,
-                                                  const std::string& path) {
-  if (!j.is_array()) util::fail_at(path, "expected array of number arrays");
-  std::vector<std::vector<double>> m;
-  m.reserve(j.as_array().size());
-  for (std::size_t v = 0; v < j.as_array().size(); ++v) {
-    const Json& row = j.as_array()[v];
-    const std::string row_path = path + "[" + std::to_string(v) + "]";
-    if (!row.is_array()) util::fail_at(row_path, "expected array of numbers");
-    std::vector<double> out_row;
-    out_row.reserve(row.as_array().size());
-    for (std::size_t a = 0; a < row.as_array().size(); ++a) {
-      out_row.push_back(util::get_double(
-          row.as_array()[a], row_path + "[" + std::to_string(a) + "]"));
-    }
-    m.push_back(std::move(out_row));
-  }
-  return m;
-}
+constexpr auto kBusFields = std::to_array<JsonField<BusSpec>>({
+    field<&BusSpec::name>("name"),
+    {"lanes", [](const BusSpec& s) { return Json(s.lanes); },
+     [](BusSpec& s, const Json& j, const std::string& path) {
+       const std::int64_t v = util::get_int(j, path);
+       if (v < 1 || v > 64) util::fail_at(path, "must be between 1 and 64");
+       s.lanes = static_cast<int>(v);
+     }},
+    {"base", [](const BusSpec& s) { return to_json(s.base); },
+     [](BusSpec& s, const Json& j, const std::string& path) {
+       s.base = link_spec_from_json(j, path);
+     }},
+    field<&BusSpec::overrides>("overrides", non_empty<&BusSpec::overrides>),
+    field<&BusSpec::coupling>("coupling", non_empty<&BusSpec::coupling>),
+    field<&BusSpec::next_coupling>("next_coupling",
+                                   non_empty<&BusSpec::next_coupling>),
+});
+
+constexpr auto kBusReportFields = std::to_array<JsonField<BusReport>>({
+    field<&BusReport::schema_version>("schema_version"),
+    field<&BusReport::name>("name"),
+    {"lanes",
+     [](const BusReport& r) {
+       return util::write_array(r.lanes,
+                                [](const RunReport& l) { return to_json(l); });
+     },
+     [](BusReport& r, const Json& j, const std::string& path) {
+       r.lanes = util::read_array(j, path, run_report_from_json);
+     }},
+    field<&BusReport::coupling>("coupling", non_empty<&BusReport::coupling>),
+    field<&BusReport::next_coupling>("next_coupling",
+                                     non_empty<&BusReport::next_coupling>),
+});
 
 }  // namespace
 
 Json to_json(const BusSpec& spec) {
-  Json j = Json::object();
-  j.set("name", spec.name);
-  j.set("lanes", spec.lanes);
-  j.set("base", to_json(spec.base));
-  if (!spec.overrides.empty()) {
-    Json arr = Json::array();
-    for (const Json& o : spec.overrides) arr.push_back(o);
-    j.set("overrides", std::move(arr));
-  }
-  if (!spec.coupling.empty()) j.set("coupling", matrix_to_json(spec.coupling));
-  if (!spec.next_coupling.empty()) {
-    j.set("next_coupling", matrix_to_json(spec.next_coupling));
-  }
-  return j;
+  return util::write_fields(spec, kBusFields);
 }
 
 BusSpec bus_spec_from_json(const Json& json, const std::string& path) {
-  if (!json.is_object()) util::fail_at(path, "expected object");
   BusSpec spec;
-  bool saw_lanes = false;
-  for (const auto& [key, value] : json.as_object()) {
-    const std::string p = path + "." + key;
-    if (key == "name") {
-      spec.name = util::get_string(value, p);
-    } else if (key == "lanes") {
-      const std::int64_t v = util::get_int(value, p);
-      if (v < 1 || v > 64) util::fail_at(p, "must be between 1 and 64");
-      spec.lanes = static_cast<int>(v);
-      saw_lanes = true;
-    } else if (key == "base") {
-      spec.base = link_spec_from_json(value, p);
-    } else if (key == "overrides") {
-      if (!value.is_array()) util::fail_at(p, "expected array of objects");
-      spec.overrides.assign(value.as_array().begin(), value.as_array().end());
-    } else if (key == "coupling") {
-      spec.coupling = matrix_from_json(value, p);
-    } else if (key == "next_coupling") {
-      spec.next_coupling = matrix_from_json(value, p);
-    } else {
-      std::string message = "unknown BusSpec field '" + key + "'";
-      if (const std::string hint = util::closest_match(key, kBusFields);
-          !hint.empty()) {
-        message += " — did you mean '" + hint + "'?";
-      }
-      util::fail_at(p, message);
-    }
+  util::read_fields(spec, kBusFields, json, path, "BusSpec");
+  if (json.find("lanes") == nullptr) {
+    util::fail_at(path, "missing required field 'lanes'");
   }
-  if (!saw_lanes) util::fail_at(path, "missing required field 'lanes'");
   return spec;
 }
 
 Json to_json(const BusReport& report) {
-  Json j = Json::object();
-  j.set("schema_version", report.schema_version);
-  j.set("name", report.name);
-  Json lanes = Json::array();
-  for (const RunReport& lane : report.lanes) lanes.push_back(to_json(lane));
-  j.set("lanes", std::move(lanes));
-  if (!report.coupling.empty()) {
-    j.set("coupling", matrix_to_json(report.coupling));
-  }
-  if (!report.next_coupling.empty()) {
-    j.set("next_coupling", matrix_to_json(report.next_coupling));
-  }
-  return j;
+  return util::write_fields(report, kBusReportFields);
 }
 
 BusReport bus_report_from_json(const Json& json, const std::string& path) {
-  if (!json.is_object()) util::fail_at(path, "expected object");
   BusReport report;
   report.schema_version = 1;  // absent means version 1
-  for (const auto& [key, value] : json.as_object()) {
-    const std::string p = path + "." + key;
-    if (key == "schema_version") {
-      report.schema_version = static_cast<int>(util::get_int(value, p));
-    } else if (key == "name") {
-      report.name = util::get_string(value, p);
-    } else if (key == "lanes") {
-      if (!value.is_array()) util::fail_at(p, "expected array of reports");
-      for (std::size_t i = 0; i < value.as_array().size(); ++i) {
-        report.lanes.push_back(run_report_from_json(
-            value.as_array()[i], p + "[" + std::to_string(i) + "]"));
-      }
-    } else if (key == "coupling") {
-      report.coupling = matrix_from_json(value, p);
-    } else if (key == "next_coupling") {
-      report.next_coupling = matrix_from_json(value, p);
-    } else {
-      util::fail_at(p, "unknown BusReport field '" + key + "'");
-    }
-  }
+  util::read_fields(report, kBusReportFields, json, path, "BusReport");
   return report;
 }
 

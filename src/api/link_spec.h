@@ -56,9 +56,11 @@ struct ChannelSpec {
 /// held at the paper's design point.  Defaults reproduce the headline
 /// operating condition: 2 Gbps PRBS-31 through 34 dB of flat loss.
 ///
-/// When adding a field, also extend `apply_link_field` and `to_json` in
-/// api/spec_json.cc — JSON specs, sweep axes and the did-you-mean hints
-/// all derive from those two.
+/// When adding a field, add its row to the LinkSpec field table in
+/// api/spec_json.cc (JSON specs, sweep axes, bus overrides and the
+/// did-you-mean hints all read through it), its bound in `first_issue`,
+/// its lowering in `to_link_config`, and its line in the field reference
+/// of examples/specs/README.md, which a tier-1 test checks.
 struct LinkSpec {
   /// Label carried into the RunReport (sweep axis value, lane name, ...).
   std::string name = "link";

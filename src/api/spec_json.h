@@ -10,6 +10,11 @@
 //
 // Serialization is deterministic (field order fixed, shortest-round-trip
 // numbers) and `parse(serialize(parse(x)))` is a fixed point.
+//
+// Each type's keys are one field table in spec_json.cc (see
+// util/json_fields.h): the writer, the strict reader, `apply_link_field`
+// and the did-you-mean vocabulary all walk the same rows, so every key is
+// named exactly once.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +30,8 @@
 namespace serdes::api {
 
 /// Serializes a channel spec, emitting only the fields its kind reads
-/// (unrecognized kinds — runtime registrations — emit every field).
+/// (any other kind — a runtime registration — emits all four scalars,
+/// plus the FIR taps and the stages when they are non-empty).
 [[nodiscard]] util::Json to_json(const ChannelSpec& spec);
 
 /// Serializes every LinkSpec field in declaration order.

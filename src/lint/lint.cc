@@ -1,12 +1,14 @@
 #include "lint/lint.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <utility>
 
 #include "api/bus_spec.h"
 #include "api/spec_json.h"
+#include "util/json_fields.h"
 #include "util/math.h"
 
 namespace serdes::lint {
@@ -717,98 +719,100 @@ LintReport Linter::lint(const api::BusSpec& bus) const {
   return report;
 }
 
+namespace {
+
+using util::field;
+using util::JsonField;
+
+constexpr auto kFindingFields = std::to_array<JsonField<Finding>>({
+    field<&Finding::rule>("rule"),
+    {"severity",
+     [](const Finding& f) { return Json(std::string(to_string(f.severity))); },
+     [](Finding& f, const Json& j, const std::string& path) {
+       f.severity = severity_from_string(util::get_string(j, path), path);
+     }},
+    field<&Finding::path>("path"),
+    field<&Finding::message>("message"),
+    field<&Finding::hint>("hint"),
+});
+
+/// The "counts" section: derived from the findings, never stored.
+struct SeverityCounts {
+  std::uint64_t error = 0;
+  std::uint64_t warning = 0;
+  std::uint64_t info = 0;
+};
+
+SeverityCounts counts_of(const LintReport& report) {
+  return {report.count(Severity::kError), report.count(Severity::kWarning),
+          report.count(Severity::kInfo)};
+}
+
+constexpr auto kCountFields = std::to_array<JsonField<SeverityCounts>>({
+    field<&SeverityCounts::error>("error"),
+    field<&SeverityCounts::warning>("warning"),
+    field<&SeverityCounts::info>("info"),
+});
+
+constexpr auto kLintFields = std::to_array<JsonField<LintReport>>({
+    field<&LintReport::schema_version>("schema_version"),
+    field<&LintReport::subject>("subject"),
+    {"kind", [](const LintReport& r) { return Json(r.kind); },
+     [](LintReport& r, const Json& j, const std::string& path) {
+       r.kind = util::get_string(j, path);
+       if (r.kind != "link" && r.kind != "sweep" && r.kind != "bus") {
+         util::fail_at(path, "kind must be 'link', 'sweep' or 'bus'");
+       }
+     }},
+    // Read for its shape only; lint_report_from_json checks the values
+    // against the findings once both are read.
+    {"counts",
+     [](const LintReport& r) {
+       return util::write_fields(counts_of(r), kCountFields);
+     },
+     [](LintReport&, const Json& j, const std::string& path) {
+       SeverityCounts counts;
+       util::read_fields(counts, kCountFields, j, path, "counts");
+     }},
+    {"findings",
+     [](const LintReport& r) {
+       return util::write_array(r.findings, [](const Finding& f) {
+         return util::write_fields(f, kFindingFields);
+       });
+     },
+     [](LintReport& r, const Json& j, const std::string& path) {
+       r.findings = util::read_array(j, path, [](const Json& fj,
+                                                 const std::string& p) {
+         Finding f;
+         util::read_fields(f, kFindingFields, fj, p, "Finding");
+         return f;
+       });
+     }},
+});
+
+}  // namespace
+
 Json to_json(const LintReport& report) {
-  Json j = Json::object();
-  j.set("schema_version", report.schema_version);
-  j.set("subject", report.subject);
-  j.set("kind", report.kind);
-  Json counts = Json::object();
-  counts.set("error", static_cast<std::uint64_t>(
-                          report.count(Severity::kError)));
-  counts.set("warning", static_cast<std::uint64_t>(
-                            report.count(Severity::kWarning)));
-  counts.set("info",
-             static_cast<std::uint64_t>(report.count(Severity::kInfo)));
-  j.set("counts", std::move(counts));
-  Json findings = Json::array();
-  for (const auto& f : report.findings) {
-    Json fj = Json::object();
-    fj.set("rule", f.rule);
-    fj.set("severity", std::string(to_string(f.severity)));
-    fj.set("path", f.path);
-    fj.set("message", f.message);
-    fj.set("hint", f.hint);
-    findings.push_back(std::move(fj));
-  }
-  j.set("findings", std::move(findings));
-  return j;
+  return util::write_fields(report, kLintFields);
 }
 
 LintReport lint_report_from_json(const Json& json, const std::string& path) {
-  if (!json.is_object()) util::fail_at(path, "expected lint report object");
   LintReport report;
   report.schema_version = 1;  // absent means version 1
-  const Json* counts = nullptr;
-  for (const auto& [key, value] : json.as_object()) {
-    const std::string p = path + "." + key;
-    if (key == "schema_version") {
-      report.schema_version = static_cast<int>(util::get_int(value, p));
-    } else if (key == "subject") {
-      report.subject = util::get_string(value, p);
-    } else if (key == "kind") {
-      report.kind = util::get_string(value, p);
-      if (report.kind != "link" && report.kind != "sweep" &&
-          report.kind != "bus") {
-        util::fail_at(p, "kind must be 'link', 'sweep' or 'bus'");
-      }
-    } else if (key == "counts") {
-      if (!value.is_object()) util::fail_at(p, "expected counts object");
-      counts = &value;
-    } else if (key == "findings") {
-      if (!value.is_array()) util::fail_at(p, "expected array of findings");
-      for (std::size_t i = 0; i < value.as_array().size(); ++i) {
-        const Json& fj = value.as_array()[i];
-        const std::string fp = p + "[" + std::to_string(i) + "]";
-        if (!fj.is_object()) util::fail_at(fp, "expected finding object");
-        Finding f;
-        for (const auto& [fkey, fvalue] : fj.as_object()) {
-          const std::string ffp = fp + "." + fkey;
-          if (fkey == "rule") {
-            f.rule = util::get_string(fvalue, ffp);
-          } else if (fkey == "severity") {
-            f.severity =
-                severity_from_string(util::get_string(fvalue, ffp), ffp);
-          } else if (fkey == "path") {
-            f.path = util::get_string(fvalue, ffp);
-          } else if (fkey == "message") {
-            f.message = util::get_string(fvalue, ffp);
-          } else if (fkey == "hint") {
-            f.hint = util::get_string(fvalue, ffp);
-          } else {
-            util::fail_at(ffp, "unknown Finding field '" + fkey + "'");
-          }
-        }
-        report.findings.push_back(std::move(f));
-      }
-    } else {
-      util::fail_at(p, "unknown LintReport field '" + key + "'");
-    }
-  }
-  if (counts) {
+  util::read_fields(report, kLintFields, json, path, "LintReport");
+  if (const Json* counts = json.find("counts")) {
     // Strictness: checked-in artifacts whose counts drifted from their
     // findings are corrupt, not quietly reinterpretable.
-    const auto check = [&](const char* key, Severity severity) {
+    const SeverityCounts expected = counts_of(report);
+    for (const JsonField<SeverityCounts>& row : kCountFields) {
+      const std::string key(row.name);
       const Json* v = counts->find(key);
-      if (v == nullptr) util::fail_at(path + ".counts", std::string(key) + " is missing");
-      if (util::get_uint(*v, path + ".counts." + key) !=
-          report.count(severity)) {
+      if (v == nullptr) util::fail_at(path + ".counts", key + " is missing");
+      if (*v != row.write(expected)) {
         util::fail_at(path + ".counts." + key,
                       "count disagrees with the findings array");
       }
-    };
-    check("error", Severity::kError);
-    check("warning", Severity::kWarning);
-    check("info", Severity::kInfo);
+    }
   }
   return report;
 }

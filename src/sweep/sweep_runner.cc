@@ -1,11 +1,13 @@
 #include "sweep/sweep_runner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json_fields.h"
 #include "util/parallel.h"
 
 namespace serdes::sweep {
@@ -79,126 +81,74 @@ Json to_json(const SurfaceStats& s, std::uint64_t count) {
   return j;
 }
 
+using util::field;
+using util::JsonField;
+
+/// The row's stat surface, written under "stat" when `has_stat` is set.
+constexpr auto kRowStatFields = std::to_array<JsonField<ScenarioResult>>({
+    field<&ScenarioResult::stat_min_ber>("min_ber"),
+    field<&ScenarioResult::stat_timing_margin_ui>("timing_margin_ui"),
+    field<&ScenarioResult::stat_eye_height_v>("eye_height_v"),
+    field<&ScenarioResult::stat_cross_checked>("cross_checked"),
+    field<&ScenarioResult::stat_consistent>("consistent"),
+});
+
+constexpr auto kRowFields = std::to_array<JsonField<ScenarioResult>>({
+    field<&ScenarioResult::index>("index"),
+    field<&ScenarioResult::name>("name"),
+    field<&ScenarioResult::seed>("seed"),
+    field<&ScenarioResult::aligned>("aligned"),
+    field<&ScenarioResult::bits>("bits"),
+    field<&ScenarioResult::errors>("errors"),
+    field<&ScenarioResult::ber>("ber"),
+    field<&ScenarioResult::ber_upper_bound>("ber_upper_bound"),
+    field<&ScenarioResult::cdr_decision_phase>("cdr_decision_phase"),
+    field<&ScenarioResult::cdr_phase_updates>("cdr_phase_updates"),
+    field<&ScenarioResult::rx_swing_pp>("rx_swing_pp"),
+    field<&ScenarioResult::decision_threshold>("decision_threshold"),
+    field<&ScenarioResult::eye_height>("eye_height"),
+    field<&ScenarioResult::eye_width_ui>("eye_width_ui"),
+    {"stat",
+     [](const ScenarioResult& row) {
+       return util::write_fields(row, kRowStatFields);
+     },
+     [](ScenarioResult& row, const Json& j, const std::string& path) {
+       row.has_stat = true;
+       util::read_fields(row, kRowStatFields, j, path, "scenario stat");
+     },
+     [](const ScenarioResult& row) { return row.has_stat; }},
+});
+
+constexpr auto kQuarantineFields =
+    std::to_array<JsonField<QuarantinedScenario>>({
+        field<&QuarantinedScenario::index>("index"),
+        field<&QuarantinedScenario::name>("name"),
+        field<&QuarantinedScenario::seed>("seed"),
+        field<&QuarantinedScenario::attempts>("attempts"),
+        field<&QuarantinedScenario::error>("error"),
+    });
+
 }  // namespace
 
 Json to_json(const ScenarioResult& row) {
-  Json j = Json::object();
-  j.set("index", row.index);
-  j.set("name", row.name);
-  j.set("seed", row.seed);
-  j.set("aligned", row.aligned);
-  j.set("bits", row.bits);
-  j.set("errors", row.errors);
-  j.set("ber", row.ber);
-  j.set("ber_upper_bound", row.ber_upper_bound);
-  j.set("cdr_decision_phase", row.cdr_decision_phase);
-  j.set("cdr_phase_updates", row.cdr_phase_updates);
-  j.set("rx_swing_pp", row.rx_swing_pp);
-  j.set("decision_threshold", row.decision_threshold);
-  j.set("eye_height", row.eye_height);
-  j.set("eye_width_ui", row.eye_width_ui);
-  if (row.has_stat) {
-    Json s = Json::object();
-    s.set("min_ber", row.stat_min_ber);
-    s.set("timing_margin_ui", row.stat_timing_margin_ui);
-    s.set("eye_height_v", row.stat_eye_height_v);
-    s.set("cross_checked", row.stat_cross_checked);
-    s.set("consistent", row.stat_consistent);
-    j.set("stat", std::move(s));
-  }
-  return j;
+  return util::write_fields(row, kRowFields);
 }
 
 ScenarioResult scenario_result_from_json(const Json& json,
                                          const std::string& path) {
-  if (!json.is_object()) util::fail_at(path, "expected a scenario row object");
   ScenarioResult row;
-  for (const auto& [key, value] : json.as_object()) {
-    const std::string p = path + "." + key;
-    if (key == "index") {
-      row.index = util::get_uint(value, p);
-    } else if (key == "name") {
-      row.name = util::get_string(value, p);
-    } else if (key == "seed") {
-      row.seed = util::get_uint(value, p);
-    } else if (key == "aligned") {
-      row.aligned = util::get_bool(value, p);
-    } else if (key == "bits") {
-      row.bits = util::get_uint(value, p);
-    } else if (key == "errors") {
-      row.errors = util::get_uint(value, p);
-    } else if (key == "ber") {
-      row.ber = util::get_double(value, p);
-    } else if (key == "ber_upper_bound") {
-      row.ber_upper_bound = util::get_double(value, p);
-    } else if (key == "cdr_decision_phase") {
-      row.cdr_decision_phase = static_cast<int>(util::get_int(value, p));
-    } else if (key == "cdr_phase_updates") {
-      row.cdr_phase_updates = util::get_uint(value, p);
-    } else if (key == "rx_swing_pp") {
-      row.rx_swing_pp = util::get_double(value, p);
-    } else if (key == "decision_threshold") {
-      row.decision_threshold = util::get_double(value, p);
-    } else if (key == "eye_height") {
-      row.eye_height = util::get_double(value, p);
-    } else if (key == "eye_width_ui") {
-      row.eye_width_ui = util::get_double(value, p);
-    } else if (key == "stat") {
-      if (!value.is_object()) util::fail_at(p, "expected a stat object");
-      row.has_stat = true;
-      for (const auto& [stat_key, stat_value] : value.as_object()) {
-        const std::string sp = p + "." + stat_key;
-        if (stat_key == "min_ber") {
-          row.stat_min_ber = util::get_double(stat_value, sp);
-        } else if (stat_key == "timing_margin_ui") {
-          row.stat_timing_margin_ui = util::get_double(stat_value, sp);
-        } else if (stat_key == "eye_height_v") {
-          row.stat_eye_height_v = util::get_double(stat_value, sp);
-        } else if (stat_key == "cross_checked") {
-          row.stat_cross_checked = util::get_bool(stat_value, sp);
-        } else if (stat_key == "consistent") {
-          row.stat_consistent = util::get_bool(stat_value, sp);
-        } else {
-          util::fail_at(sp, "unknown scenario stat field '" + stat_key + "'");
-        }
-      }
-    } else {
-      util::fail_at(p, "unknown scenario row field '" + key + "'");
-    }
-  }
+  util::read_fields(row, kRowFields, json, path, "scenario row");
   return row;
 }
 
 Json to_json(const QuarantinedScenario& row) {
-  Json j = Json::object();
-  j.set("index", row.index);
-  j.set("name", row.name);
-  j.set("seed", row.seed);
-  j.set("attempts", row.attempts);
-  j.set("error", row.error);
-  return j;
+  return util::write_fields(row, kQuarantineFields);
 }
 
 QuarantinedScenario quarantined_from_json(const Json& json,
                                           const std::string& path) {
-  if (!json.is_object()) util::fail_at(path, "expected a quarantine object");
   QuarantinedScenario row;
-  for (const auto& [key, value] : json.as_object()) {
-    const std::string p = path + "." + key;
-    if (key == "index") {
-      row.index = util::get_uint(value, p);
-    } else if (key == "name") {
-      row.name = util::get_string(value, p);
-    } else if (key == "seed") {
-      row.seed = util::get_uint(value, p);
-    } else if (key == "attempts") {
-      row.attempts = util::get_uint(value, p);
-    } else if (key == "error") {
-      row.error = util::get_string(value, p);
-    } else {
-      util::fail_at(p, "unknown quarantine field '" + key + "'");
-    }
-  }
+  util::read_fields(row, kQuarantineFields, json, path, "quarantine");
   return row;
 }
 

@@ -1,11 +1,12 @@
 #include "sweep/sweep_spec.h"
 
+#include <array>
 #include <stdexcept>
 #include <utility>
 
 #include "api/simulator.h"
 #include "api/spec_json.h"
-#include "util/strings.h"
+#include "util/json_fields.h"
 
 namespace serdes::sweep {
 
@@ -180,77 +181,48 @@ std::string SweepSpec::validate() const {
   return {};
 }
 
+namespace {
+
+using util::field;
+using util::JsonField;
+
+constexpr auto kAxisFields = std::to_array<JsonField<SweepAxis>>({
+    field<&SweepAxis::field>("field"),
+    field<&SweepAxis::values>("values"),
+});
+
+constexpr auto kSweepFields = std::to_array<JsonField<SweepSpec>>({
+    field<&SweepSpec::name>("name"),
+    field<&SweepSpec::derive_seeds>("derive_seeds"),
+    {"base", [](const SweepSpec& s) { return api::to_json(s.base); },
+     [](SweepSpec& s, const Json& j, const std::string& path) {
+       s.base = api::link_spec_from_json(j, path);
+     }},
+    {"axes",
+     [](const SweepSpec& s) {
+       return util::write_array(s.axes, [](const SweepAxis& axis) {
+         return util::write_fields(axis, kAxisFields);
+       });
+     },
+     [](SweepSpec& s, const Json& j, const std::string& path) {
+       s.axes = util::read_array(j, path, [](const Json& a,
+                                             const std::string& p) {
+         SweepAxis axis;
+         util::read_fields(axis, kAxisFields, a, p, "SweepAxis");
+         return axis;
+       });
+     }},
+});
+
+}  // namespace
+
 Json SweepSpec::to_json() const {
-  Json j = Json::object();
-  j.set("name", name);
-  j.set("derive_seeds", derive_seeds);
-  j.set("base", api::to_json(base));
-  Json axes_json = Json::array();
-  for (const auto& axis : axes) {
-    Json a = Json::object();
-    a.set("field", axis.field);
-    Json values = Json::array();
-    for (const auto& v : axis.values) values.push_back(v);
-    a.set("values", std::move(values));
-    axes_json.push_back(std::move(a));
-  }
-  j.set("axes", std::move(axes_json));
-  return j;
+  return util::write_fields(*this, kSweepFields);
 }
 
 SweepSpec SweepSpec::from_json(const Json& json, const std::string& path) {
-  if (!json.is_object()) {
-    throw JsonError(path + ": expected sweep spec object");
-  }
   SweepSpec sweep;
-  for (const auto& [key, value] : json.as_object()) {
-    const std::string p = path + "." + key;
-    if (key == "name") {
-      sweep.name = util::get_string(value, p);
-    } else if (key == "derive_seeds") {
-      sweep.derive_seeds = util::get_bool(value, p);
-    } else if (key == "base") {
-      sweep.base = api::link_spec_from_json(value, p);
-    } else if (key == "axes") {
-      if (!value.is_array()) throw JsonError(p + ": expected array of axes");
-      for (std::size_t a = 0; a < value.as_array().size(); ++a) {
-        const Json& axis_json = value.as_array()[a];
-        const std::string ap = p + "[" + std::to_string(a) + "]";
-        if (!axis_json.is_object()) {
-          throw JsonError(ap + ": expected axis object");
-        }
-        SweepAxis axis;
-        for (const auto& [axis_key, axis_value] : axis_json.as_object()) {
-          if (axis_key == "field") {
-            axis.field = util::get_string(axis_value, ap + ".field");
-          } else if (axis_key == "values") {
-            if (!axis_value.is_array()) {
-              throw JsonError(ap + ".values: expected array");
-            }
-            axis.values = axis_value.as_array();
-          } else {
-            std::string message =
-                ap + ": unknown axis field '" + axis_key + "'";
-            if (const std::string hint =
-                    util::closest_match(axis_key, {"field", "values"});
-                !hint.empty()) {
-              message += " — did you mean '" + hint + "'?";
-            }
-            throw JsonError(message);
-          }
-        }
-        sweep.axes.push_back(std::move(axis));
-      }
-    } else {
-      std::string message = p + ": unknown SweepSpec field '" + key + "'";
-      if (const std::string hint = util::closest_match(
-              key, {"name", "derive_seeds", "base", "axes"});
-          !hint.empty()) {
-        message += " — did you mean '" + hint + "'?";
-      }
-      throw JsonError(message);
-    }
-  }
+  util::read_fields(sweep, kSweepFields, json, path, "SweepSpec");
   return sweep;
 }
 

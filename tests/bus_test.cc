@@ -545,5 +545,18 @@ TEST(SchemaVersion, AbsentMeansVersionOne) {
             1);
 }
 
+TEST(SchemaVersion, OutOfIntRangeIsRejectedWithItsPath) {
+  // 2^32 + 2 must not wrap to version 2.
+  util::Json j = to_json(BusReport{});
+  j.set("schema_version", util::Json(std::int64_t{4294967298}));
+  try {
+    (void)bus_report_from_json(j);
+    FAIL() << "expected util::JsonError";
+  } catch (const util::JsonError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("$.schema_version:", 0), 0u)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace serdes::api

@@ -541,9 +541,33 @@ TEST(LintReportJson, LintDemoReportMatchesGolden) {
 }
 
 TEST(LintReportJson, StrictParseRejectsUnknownFields) {
-  Json j = lint::to_json(Linter().lint(api::LinkSpec{}));
+  const Json report = lint::to_json(Linter().lint(api::LinkSpec{}));
+  Json j = report;
   j.set("extra", true);
   EXPECT_THROW((void)lint::lint_report_from_json(j), util::JsonError);
+
+  const auto rejected_at = [](const Json& bad, const std::string& path) {
+    try {
+      (void)lint::lint_report_from_json(bad);
+    } catch (const util::JsonError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(path + ":", 0), 0u) << what;
+      return what;
+    }
+    ADD_FAILURE() << "expected util::JsonError at " << path;
+    return std::string();
+  };
+  // 2^32 + 2 must not wrap to version 2.
+  Json wide = report;
+  wide.set("schema_version", Json(std::int64_t{4294967298}));
+  (void)rejected_at(wide, "$.schema_version");
+  // "counts" is read strictly too: a misspelled severity is not ignored.
+  Json counts = *report.find("counts");
+  counts.set("eror", Json(std::uint64_t{5}));
+  Json typo = report;
+  typo.set("counts", std::move(counts));
+  const std::string what = rejected_at(typo, "$.counts.eror");
+  EXPECT_NE(what.find("did you mean 'error'"), std::string::npos) << what;
 }
 
 }  // namespace

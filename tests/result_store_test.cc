@@ -430,6 +430,16 @@ TEST(RowJson, ScenarioResultRoundTripIsFixedPoint) {
   Json j = to_json(report.scenarios[0]);
   j.set("extra", true);
   EXPECT_THROW((void)sweep::scenario_result_from_json(j), util::JsonError);
+  // An int member is read bounded: 2^32 + 1 must not reload as phase 1.
+  Json wide = to_json(report.scenarios[0]);
+  wide.set("cdr_decision_phase", Json(std::int64_t{4294967297}));
+  try {
+    (void)sweep::scenario_result_from_json(wide);
+    FAIL() << "expected util::JsonError";
+  } catch (const util::JsonError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("$.cdr_decision_phase:", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(RowJson, QuarantinedRoundTripIsFixedPoint) {

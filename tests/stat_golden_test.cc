@@ -16,9 +16,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/bus_spec.h"
 #include "api/spec_json.h"
+#include "lint/lint.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 #include "util/fs.h"
@@ -157,6 +159,51 @@ TEST(SlowDeep, CiMatrixSweepReport) {
   // 32 scenarios; nightly tier.  Byte-compares the full aggregated grid.
   check_golden("ci_matrix", render_sweep_report(source_dir() / "examples" /
                                                 "specs" / "ci_matrix.json"));
+}
+
+TEST(GoldenReports, ReadBackIsByteIdentical) {
+  // Each golden, read with its report's reader and written back, must
+  // reproduce its own bytes: every key of every report type, optional
+  // sections included, survives a strict read.  Runs no simulation.
+  struct Golden {
+    const char* name;
+    util::Json (*read_back)(const util::Json&);
+    std::vector<std::string> sections;  // optional keys it must still write
+  };
+  const auto run = [](const util::Json& j) {
+    return api::to_json(api::run_report_from_json(j));
+  };
+  const auto optimize = [](const util::Json& j) {
+    return api::to_json(api::optimize_report_from_json(j));
+  };
+  const Golden goldens[] = {
+      {"paper_default", run, {}},
+      {"stat_ci", run, {"stat"}},
+      {"trained_ci", run, {"training", "dfe_burst_factor"}},
+      {"pam4_dfe_ci", run, {"pam4_eye_height_v", "dfe_taps_applied"}},
+      {"bus_ci",
+       [](const util::Json& j) {
+         return api::to_json(api::bus_report_from_json(j));
+       },
+       {"coupling", "next_coupling"}},
+      {"paper_default_optimize", optimize, {}},
+      {"fir_descent_optimize", optimize, {}},
+      {"lint_demo_lint",
+       [](const util::Json& j) {
+         return lint::to_json(lint::lint_report_from_json(j));
+       },
+       {"findings"}},
+  };
+  for (const Golden& g : goldens) {
+    const std::string text = read_file(source_dir() / "tests" / "golden" /
+                                       (std::string(g.name) + ".json"));
+    for (const std::string& key : g.sections) {
+      EXPECT_NE(text.find("\"" + key + "\""), std::string::npos)
+          << g.name << " no longer writes " << key;
+    }
+    EXPECT_EQ(g.read_back(util::Json::parse(text)).dump(2) + "\n", text)
+        << g.name;
+  }
 }
 
 TEST(StatGolden, JsonDiffNamesThePathsThatMoved) {

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/channel_factory.h"
 #include "api/spec_json.h"
 #include "sweep/sweep_spec.h"
 #include "util/json.h"
@@ -421,6 +424,17 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
     EXPECT_NE(what.find("noise_rms_v"), std::string::npos) << what;
   }
 
+  // An unknown sweep-axis key fails at its own path, with a hint.
+  try {
+    (void)SweepSpec::from_json(util::Json::parse(
+        R"({"axes": [{"feld": "noise_rms_v", "values": [0.001]}]})"));
+    FAIL() << "expected JsonError";
+  } catch (const util::JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("$.axes[0].feld:", 0), 0u) << what;
+    EXPECT_NE(what.find("did you mean 'field'"), std::string::npos) << what;
+  }
+
   // Type mismatch deep in a composite channel.
   try {
     (void)api::link_spec_from_json(util::Json::parse(
@@ -616,6 +630,97 @@ TEST(SpecJson, RetiredStreamingFieldIsRejectedWithItsPath) {
   const SweepSpec constant = SweepSpec::from_json(Json::parse(
       R"({"name": "s", "axes": [{"field": "streaming", "values": [true]}]})"));
   EXPECT_EQ(constant.validate(), "");
+}
+
+/// The keys `to_json` writes for `channel`, in order.
+std::vector<std::string> written_keys(const api::ChannelSpec& channel) {
+  std::vector<std::string> keys;
+  const Json j = api::to_json(channel);
+  for (const auto& [key, value] : j.as_object()) keys.push_back(key);
+  return keys;
+}
+
+TEST(SpecJson, ChannelKindsWriteTheKeysTheyRead) {
+  // A built-in kind writes only the keys it reads.  Any other kind (a
+  // runtime registration, which ChannelFactory hands the whole spec)
+  // writes all four scalars, and the taps and stages only when set.
+  api::ChannelFactory::instance().register_kind(
+      "test_passthrough",
+      [](const api::ChannelSpec& spec, const core::LinkConfig& cfg) {
+        return api::ChannelFactory::instance().create(
+            api::ChannelSpec::flat(spec.loss_db), cfg);
+      });
+  api::ChannelSpec custom;
+  custom.kind = "test_passthrough";
+  api::ChannelSpec custom_taps = custom;
+  custom_taps.fir_taps = {1.0, 0.25};
+  custom_taps.fir_samples_per_tap = 4;
+  api::ChannelSpec custom_stages = custom;
+  custom_stages.stages = {api::ChannelSpec::flat(2.0)};
+  api::ChannelSpec custom_both = custom_taps;
+  custom_both.stages = custom_stages.stages;
+
+  using Keys = std::vector<std::string>;
+  const Keys scalars = {"kind", "loss_db", "pole_hz", "skin_loss_db_at_1ghz",
+                        "dielectric_loss_db_at_1ghz"};
+  const auto with = [&scalars](const Keys& extra) {
+    Keys keys = scalars;
+    keys.insert(keys.end(), extra.begin(), extra.end());
+    return keys;
+  };
+  const struct {
+    api::ChannelSpec spec;
+    Keys keys;
+  } cases[] = {
+      {api::ChannelSpec::flat(3.0), {"kind", "loss_db"}},
+      {api::ChannelSpec::rc(1.5e9, 2.0), {"kind", "loss_db", "pole_hz"}},
+      {api::ChannelSpec::lossy_line(1.0, 2.0, 3.0),
+       {"kind", "loss_db", "skin_loss_db_at_1ghz",
+        "dielectric_loss_db_at_1ghz"}},
+      {api::ChannelSpec::fir({1.0, -0.2}, 2),
+       {"kind", "fir_taps", "fir_samples_per_tap"}},
+      {api::ChannelSpec::cascade({api::ChannelSpec::flat(1.0)}),
+       {"kind", "stages"}},
+      {custom, scalars},
+      {custom_taps, with({"fir_taps", "fir_samples_per_tap"})},
+      {custom_stages, with({"stages"})},
+      {custom_both, with({"fir_taps", "fir_samples_per_tap", "stages"})},
+  };
+  for (const auto& c : cases) {
+    const Json once = api::to_json(c.spec);
+    EXPECT_EQ(written_keys(c.spec), c.keys) << once.dump();
+    EXPECT_EQ(api::to_json(api::channel_spec_from_json(once)).dump(),
+              once.dump());
+  }
+  api::LinkSpec spec;
+  spec.channel = custom_both;
+  EXPECT_EQ(api::validate_spec_with_paths(spec), "");
+}
+
+TEST(SpecJson, FieldReferenceListsEveryKey) {
+  // examples/specs/README.md documents every key a spec file may hold;
+  // this fails when a key is added without its reference line.
+  std::ifstream in(std::string(SERDES_SOURCE_DIR) +
+                   "/examples/specs/README.md");
+  ASSERT_TRUE(in) << "cannot open examples/specs/README.md";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string readme = text.str();
+
+  std::vector<std::string> keys;
+  const Json link = api::to_json(api::LinkSpec{});
+  for (const auto& [key, value] : link.as_object()) keys.push_back(key);
+  for (const api::ChannelSpec& channel :
+       {api::ChannelSpec::flat(0.0), api::ChannelSpec::rc(1.0),
+        api::ChannelSpec::lossy_line(0.0, 0.0, 0.0),
+        api::ChannelSpec::fir({1.0}),
+        api::ChannelSpec::cascade({api::ChannelSpec::flat(0.0)})}) {
+    for (const std::string& key : written_keys(channel)) keys.push_back(key);
+  }
+  for (const std::string& key : keys) {
+    EXPECT_NE(readme.find("`" + key + "`"), std::string::npos)
+        << "examples/specs/README.md does not list `" << key << "`";
+  }
 }
 
 }  // namespace
