@@ -27,6 +27,7 @@
 #include "analog/rfi.h"
 #include "api/api.h"
 #include "channel/channel.h"
+#include "core/eye.h"
 #include "core/link.h"
 #include "core/receiver.h"
 #include "digital/cdr.h"
@@ -486,6 +487,29 @@ int main(int argc, char** argv) {
       core::SerDesLink link = builder.build_link();
       volatile std::uint64_t e = link.run_prbs(1024).bit_errors;
       (void)e;
+    });
+  }
+
+  // The eye fold every sweep cell and MC report runs: EyeAnalyzer::analyze
+  // over a fixed 4096-UI restored capture of the paper link (64 bins, each
+  // one linear interpolation per UI).  Items = UIs of capture.
+  {
+    api::LinkBuilder builder;
+    builder.payload_bits(4096).chunk_bits(4096).capture_waveforms(true);
+    core::SerDesLink link = builder.build_link();
+    const core::LinkResult run = link.run_prbs(4096);
+    constexpr std::size_t kUis = 4096;
+    const auto spu = static_cast<std::size_t>(link.config().samples_per_ui);
+    std::vector<double> samples = run.rx.restored.samples();
+    samples.resize(kUis * spu);
+    const analog::Waveform capture{run.rx.restored.start_time(),
+                                   run.rx.restored.sample_period(),
+                                   std::move(samples)};
+    const core::EyeAnalyzer eye(link.config().bit_rate);
+    const double threshold = link.receiver().decision_threshold();
+    run_bench(results, "eye_fold_ui", kUis, [&] {
+      volatile double h = eye.analyze(capture, threshold).eye_height;
+      (void)h;
     });
   }
 

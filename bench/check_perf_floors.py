@@ -48,8 +48,10 @@ EXCLUDE = ("deep_ber_streaming_bit",)
 # eye-contour step from the leading tail terms (without them it runs ~4.5x
 # slower, below its floor, and the quantiles are bit-identical either way);
 # stat_engine_margins_paper_default is the stat engine as sweep rows and
-# optimizer scores run it, bisecting the best phase's contour alone.
+# optimizer scores run it, bisecting the best phase's contour alone;
+# eye_fold_ui is the eye fold every MC report and sweep cell runs.
 REQUIRED = (
+    "eye_fold_ui",
     "receiver_build",
     "stat_contour_grid",
     "stat_engine_paper_default",
@@ -85,10 +87,17 @@ REQUIRED = (
 #     bisects 64: 0.18-0.19x on the same box.  A margins mode that bisects
 #     every phase again reads about 1.0x, and its margins are bit-identical,
 #     so only this gate notices.
+#   stage_channel_fir513_fft_sample / stage_channel_fir513_direct_sample:
+#     overlap-save with butterflies on plain doubles runs at 0.07-0.09x the
+#     513-tap direct kernel on the same box.  std::complex<double> products
+#     (a NaN test and a recovery branch per butterfly) put it at
+#     0.31-0.40x, with bit-identical output, so only this gate notices.
 RATIOS = (
     ("rng_gaussian", "rng_u64", 4.0),
     ("stage_channel_lossy_sample", "stage_ctle_sample", 1.25),
     ("stat_engine_margins_paper_default", "stat_engine_paper_default", 0.5),
+    ("stage_channel_fir513_fft_sample", "stage_channel_fir513_direct_sample",
+     0.2),
 )
 
 

@@ -61,16 +61,6 @@ Waveform Waveform::nrz(const std::vector<std::uint8_t>& bits,
   return Waveform{util::seconds(0.0), dt, std::move(samples)};
 }
 
-double Waveform::value_at(util::Second t) const {
-  if (samples_.empty()) return 0.0;
-  const double idx = (t - t0_) / dt_;
-  if (idx <= 0.0) return samples_.front();
-  const auto lo = static_cast<std::size_t>(idx);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  const double frac = idx - static_cast<double>(lo);
-  return samples_[lo] + frac * (samples_[lo + 1] - samples_[lo]);
-}
-
 Waveform& Waveform::scale(double gain) {
   for (double& s : samples_) s *= gain;
   return *this;

@@ -48,7 +48,25 @@ class Waveform {
   double& operator[](std::size_t i) { return samples_[i]; }
 
   /// Linear-interpolated value at time t (end values held outside range).
-  [[nodiscard]] double value_at(util::Second t) const;
+  [[nodiscard]] double value_at(util::Second t) const {
+    return value_at_index((t - t0_) / dt_);
+  }
+  /// value_at at the fractional sample index `idx` = (t - t0) / dt, for
+  /// callers that compute many indices in one flat loop (the eye fold).
+  [[nodiscard]] double value_at_index(double idx) const {
+    if (samples_.empty()) return 0.0;
+    if (idx <= 0.0) return samples_.front();
+    const auto lo = static_cast<std::size_t>(idx);
+    if (lo + 1 >= samples_.size()) return samples_.back();
+    return interpolate(samples_[lo], samples_[lo + 1],
+                       idx - static_cast<double>(lo));
+  }
+  /// The interpolation step: `frac` of the way from sample `a` to the
+  /// next sample `b`.  Every fractional-time read of a sampled stream
+  /// (value_at, the eye fold, the streaming sampler/CDR sink) uses it.
+  [[nodiscard]] static double interpolate(double a, double b, double frac) {
+    return a + frac * (b - a);
+  }
 
   // ---- In-place transformations ----
   Waveform& scale(double gain);

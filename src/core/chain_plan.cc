@@ -112,12 +112,18 @@ std::vector<pipe::XtalkInjectStage::Path> ChainPlan::xtalk_paths(
   return paths;
 }
 
+std::size_t ChainPlan::capture_samples(const Launch& tx,
+                                       std::size_t capture) const {
+  return std::min(capture,
+                  tx.levels.size() * static_cast<std::size_t>(spu_));
+}
+
 ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
                                 const PassOptions& options) const {
   Pass p;
   const auto probe = [&] {
-    return static_cast<pipe::WaveformTapStage*>(&p.pipeline.add(
-        std::make_unique<pipe::WaveformTapStage>(*options.probes)));
+    return &p.pipeline.add_probe(std::make_unique<pipe::WaveformTap>(
+        capture_samples(tx, *options.probes), options.statistics));
   };
   for (const Step step : steps(options.stop, options.awgn_seed.has_value(),
                                options.probes.has_value())) {
@@ -166,13 +172,13 @@ ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
 ChainPlan::TilePass ChainPlan::tile_pass(
     const channel::Channel& ch, const Launch& tx,
     const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
-    const std::vector<double>& means,
-    std::optional<std::size_t> probes) const {
+    const std::vector<double>& means, std::optional<std::size_t> probes,
+    bool statistics) const {
   TilePass p;
   const std::size_t n = awgn_seeds.size();
   const auto probe = [&] {
-    return static_cast<pipe::LaneWaveformTap*>(&p.lanes.add(
-        std::make_unique<pipe::LaneWaveformTap>(n, *probes)));
+    return &p.lanes.add_probe(std::make_unique<pipe::LaneWaveformTap>(
+        n, capture_samples(tx, *probes), statistics));
   };
   for (const Step step : steps(stop, /*noise=*/true, probes.has_value())) {
     switch (step) {
@@ -220,9 +226,12 @@ ChainPlan::TilePass ChainPlan::tile_pass(
 FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
                                 std::uint64_t awgn_seed) const {
   Pass noisy = pass(ch, tx, {pam4_ ? Stop::kNoisy : Stop::kEqualized,
-                             awgn_seed, 0.0, 0});
+                             awgn_seed, 0.0, 0, /*statistics=*/true});
   std::optional<Pass> clean;
-  if (pam4_) clean = pass(ch, tx, {Stop::kEqualized, std::nullopt, 0.0, 0});
+  if (pam4_) {
+    clean = pass(ch, tx, {Stop::kEqualized, std::nullopt, 0.0, 0,
+                          /*statistics=*/true});
+  }
   pipe::LevelPulseSource src = source(tx);
   pipe::Block blk;
   while (src.produce(blk, block_) > 0) {
@@ -248,7 +257,8 @@ std::vector<FirstPass> ChainPlan::first_pass(
   if (pam4_) {
     throw std::invalid_argument("ChainPlan: lane tiles run NRZ only");
   }
-  TilePass p = tile_pass(ch, tx, awgn_seeds, Stop::kEqualized, {}, 0);
+  TilePass p = tile_pass(ch, tx, awgn_seeds, Stop::kEqualized, {}, 0,
+                         /*statistics=*/true);
   pipe::LevelPulseSource src = source(tx);
   pipe::Block blk;
   while (src.produce(blk, block_) > 0) (void)p.process(blk.view());

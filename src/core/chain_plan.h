@@ -75,19 +75,23 @@ class ChainPlan {
     std::optional<std::uint64_t> awgn_seed;
     /// NRZ: the stream mean the RFI subtracts (FirstPass::mean).
     double mean = 0.0;
-    /// Probes after the AWGN, after the RFI and at the end, each retaining
-    /// this many samples (pipe::WaveformTapStage; one tap serves as both
-    /// the first and the last when the pass ends at the receiver input);
+    /// Probes after the AWGN, after the RFI and at the end, each capturing
+    /// up to this many samples (pipe::WaveformTap, its storage reserved
+    /// once for at most the stream's length; one tap serves as both the
+    /// first and the last when the pass ends at the receiver input);
     /// nullopt: no probes.
     std::optional<std::size_t> probes;
+    /// The probes also keep the stream statistics (min, max, sample-order
+    /// sum) — only first_pass reads them.
+    bool statistics = false;
   };
 
   /// An instantiated scalar pass and its probes (null when absent).
   struct Pass {
     pipe::Pipeline pipeline;
-    pipe::WaveformTapStage* noisy = nullptr;
-    pipe::WaveformTapStage* rfi = nullptr;
-    pipe::WaveformTapStage* out = nullptr;
+    pipe::WaveformTap* noisy = nullptr;
+    pipe::WaveformTap* rfi = nullptr;
+    pipe::WaveformTap* out = nullptr;
   };
 
   /// An instantiated N-lane pass: the lane-invariant prefix (channel,
@@ -154,12 +158,14 @@ class ChainPlan {
   [[nodiscard]] Pass pass(const channel::Channel& ch, const Launch& tx,
                           const PassOptions& options) const;
   /// The chain as an N-lane tile, one lane per AWGN seed; `means` holds
-  /// the lanes' RFI means when the pass reaches the RFI.
+  /// the lanes' RFI means when the pass reaches the RFI.  `probes` and
+  /// `statistics` as in PassOptions.
   [[nodiscard]] TilePass tile_pass(const channel::Channel& ch,
                                    const Launch& tx,
                                    const std::vector<std::uint64_t>& awgn_seeds,
                                    Stop stop, const std::vector<double>& means,
-                                   std::optional<std::size_t> probes) const;
+                                   std::optional<std::size_t> probes,
+                                   bool statistics) const;
 
   // ---- First pass -----------------------------------------------------------
   /// Streams `tx` once through the front of the chain and measures what
@@ -217,6 +223,10 @@ class ChainPlan {
   /// so a zero-coupling bus lane stays byte-identical to a standalone link.
   [[nodiscard]] std::vector<pipe::XtalkInjectStage::Path> xtalk_paths(
       const channel::Channel& ch, const std::vector<double>& levels) const;
+  /// Samples a probe captures for a `capture` cap: no more than the
+  /// stream of `tx` holds.
+  [[nodiscard]] std::size_t capture_samples(const Launch& tx,
+                                            std::size_t capture) const;
 
   LinkConfig config_;
   const Receiver* rx_;

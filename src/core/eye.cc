@@ -1,8 +1,11 @@
 #include "core/eye.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace serdes::core {
 
@@ -31,20 +34,26 @@ EyeAnalyzer::FoldedEye EyeAnalyzer::fold(const analog::Waveform& w,
   const double t_start = w.start_time().value() + skip_uis * ui;
   const double t_end = w.end_time().value();
   const auto total_uis = static_cast<std::int64_t>((t_end - t_start) / ui) - 1;
+  // Waveform::value_at per bin, split into passes: the bins' sample
+  // indices (the same (t - t0) / dt) in one flat loop the divisions
+  // vectorize in, then the interpolated reads, then the envelope update.
+  const double w0 = w.start_time().value();
+  const double dt = w.sample_period().value();
+  const std::size_t bins = static_cast<std::size_t>(bins_);
+  const double* offsets = offsets_.data();
+  std::vector<double> at(bins);
+  double* hm = eye.high_min.data();
+  double* lm = eye.low_max.data();
   for (std::int64_t n = 0; n < total_uis; ++n) {
     const double t0 = t_start + static_cast<double>(n) * ui;
     // Classify the UI by its centre sample.
     const bool high = w.value_at(util::seconds(t0 + 0.5 * ui)) > threshold;
-    for (int b = 0; b < bins_; ++b) {
-      const double t = t0 + offsets_[static_cast<std::size_t>(b)];
-      const double v = w.value_at(util::seconds(t));
-      auto& hm = eye.high_min[static_cast<std::size_t>(b)];
-      auto& lm = eye.low_max[static_cast<std::size_t>(b)];
-      if (high) {
-        hm = std::min(hm, v);
-      } else {
-        lm = std::max(lm, v);
-      }
+    for (std::size_t b = 0; b < bins; ++b) at[b] = (t0 + offsets[b] - w0) / dt;
+    for (std::size_t b = 0; b < bins; ++b) at[b] = w.value_at_index(at[b]);
+    if (high) {
+      for (std::size_t b = 0; b < bins; ++b) hm[b] = std::min(hm[b], at[b]);
+    } else {
+      for (std::size_t b = 0; b < bins; ++b) lm[b] = std::max(lm[b], at[b]);
     }
   }
   // Bins never hit by one polarity (e.g. all-high pattern): collapse to the

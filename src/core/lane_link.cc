@@ -53,13 +53,18 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
                                       : static_cast<std::size_t>(-1);
   ChainPlan::TilePass chain =
       plan.tile_pass(*channel_, tx, awgn_seeds, ChainPlan::Stop::kSlicer,
-                     means, capture ? std::optional(capture_cap)
-                                    : std::nullopt);
+                     means,
+                     capture ? std::optional(capture_cap) : std::nullopt,
+                     /*statistics=*/false);
   pipe::LevelPulseSource source = plan.source(tx);
   // The slicer threshold is lane-invariant (the restoring-stage midpoint).
   pipe::SamplerCdrSink sink(plan.sink_config(first[0], source, noise_seeds));
 
   std::vector<double> tx_capture;
+  if (capture) {
+    tx_capture.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(capture_cap, source.total_samples())));
+  }
   pipe::Block blk;
   while (source.produce(blk, plan.block()) > 0) {
     const pipe::BlockView tx_view = blk.view();

@@ -49,6 +49,10 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
       plan.sink_config(first, source, {config_.noise_seed}));
 
   std::vector<double> tx_capture;
+  if (capture) {
+    tx_capture.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(capture_cap, source.total_samples())));
+  }
   pipe::Block blk;
   while (source.produce(blk, plan.block()) > 0) {
     const pipe::BlockView tx_view = blk.view();

@@ -30,7 +30,9 @@ namespace serdes::dsp {
 /// Overlap-save convolution with a precomputed tap spectrum.  Stateless
 /// with respect to the stream: the caller owns the history (the trailing
 /// taps-1 input samples) so it can share one history between this and the
-/// direct kernel.
+/// direct kernel.  The transform tables are the process-wide ones of its
+/// FFT size (dsp/fft.h), so a convolver owns only its tap spectrum and
+/// scratch, and opening one per stream costs one tap transform.
 class OverlapSaveConvolver {
  public:
   /// `taps` is the dense impulse response (length >= 1).

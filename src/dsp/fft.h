@@ -4,9 +4,19 @@
 // truncated lossy-line impulse responses) are convolved per block; above a
 // measured tap-count/block-size crossover an overlap-save FFT convolution
 // (see convolution.h) beats the direct kernel, and these plans supply the
-// transforms it needs.  A plan precomputes the bit-reversal permutation and
-// twiddle factors for one power-of-two size, so per-block work is pure
-// butterflies over contiguous arrays.
+// transforms it needs.  A size's bit-reversal swaps, per-stage twiddle
+// tables and real-transform unpack table never change, so they are built
+// once per process and shared read-only by every plan of that size (one
+// mutex-guarded memo per table kind, never evicted; sizes are powers of
+// two, so it stays small).  A plan object is a handle to those tables plus,
+// for RealFft, its own scratch — per-block work is pure butterflies over
+// contiguous arrays.
+//
+// The butterflies run on plain doubles with exactly the operations
+// std::complex<double> multiplication performs for finite operands
+// (re = a*c - b*d, im = a*d + b*c), in the same order, without its NaN
+// recovery branch: outputs are bit-identical to the complex-typed kernels
+// they replaced (pinned by FftPin.* in tests/dsp_fft_test.cc).
 //
 // `RealFft` packs a real signal of even length n into an n/2-point complex
 // transform and untangles the half-spectrum, halving the butterfly work the
@@ -22,7 +32,8 @@ namespace serdes::dsp {
 /// Returns the smallest power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
 
-/// In-place complex FFT plan for one power-of-two size.
+/// In-place complex FFT plan for one power-of-two size.  Cheap to build:
+/// the tables come from the process-wide per-size memo.
 class Fft {
  public:
   /// `n` must be a power of two >= 1.
@@ -37,13 +48,13 @@ class Fft {
   [[nodiscard]] std::size_t size() const { return n_; }
 
  private:
-  void transform(std::complex<double>* data,
-                 const std::vector<std::complex<double>>& twiddles) const;
+  /// A size's shared tables (defined in fft.cc).
+  struct Plan;
+
+  void transform(std::complex<double>* data, const double* twiddles) const;
 
   std::size_t n_;
-  std::vector<std::size_t> bit_reverse_;
-  std::vector<std::complex<double>> fwd_twiddles_;  // e^{-2πi k/n}, k < n/2
-  std::vector<std::complex<double>> inv_twiddles_;  // e^{+2πi k/n}, k < n/2
+  const Plan* plan_ = nullptr;  // shared per size, never freed
 };
 
 /// Real-signal FFT of even power-of-two length n, via an n/2-point complex
@@ -67,7 +78,8 @@ class RealFft {
  private:
   std::size_t n_;
   Fft half_;
-  std::vector<std::complex<double>> unpack_;  // e^{-2πi k/n}, k <= n/2
+  /// e^{-2πi k/n} for k <= n/2, re/im interleaved; shared per size.
+  const std::vector<double>* unpack_ = nullptr;
   mutable std::vector<std::complex<double>> work_;
 };
 

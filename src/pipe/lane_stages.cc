@@ -126,35 +126,42 @@ void LaneRestoreStage::process(const LaneView& in, LaneBlock& out) {
 
 // ---- LaneWaveformTap --------------------------------------------------------
 
-LaneWaveformTap::LaneWaveformTap(std::size_t lanes, std::size_t max_samples)
-    : max_samples_(max_samples),
+LaneWaveformTap::LaneWaveformTap(std::size_t lanes, std::size_t capture,
+                                 bool statistics)
+    : capture_(capture),
+      statistics_(statistics),
       captured_(lanes),
       min_(lanes, std::numeric_limits<double>::infinity()),
       max_(lanes, -std::numeric_limits<double>::infinity()),
-      sum_(lanes, 0.0) {}
+      sum_(lanes, 0.0) {
+  for (std::vector<double>& lane : captured_) lane.reserve(capture_);
+}
 
-void LaneWaveformTap::process(const LaneView& in, LaneBlock& out) {
-  out.match(in);
-  std::copy(in.data, in.data + in.size * in.lanes, out.data());
+void LaneWaveformTap::observe(const LaneView& in) {
   if (!stamped_ && in.size > 0) {
     t0_ = in.stream_t0;
     dt_ = in.dt;
     stamped_ = true;
   }
   const std::size_t lanes = captured_.size();
-  for (std::size_t i = 0; i < in.size; ++i) {
-    const double* row = in.data + i * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      min_[l] = std::min(min_[l], row[l]);
-      max_[l] = std::max(max_[l], row[l]);
-      sum_[l] += row[l];
+  if (statistics_) {
+    for (std::size_t i = 0; i < in.size; ++i) {
+      const double* row = in.data + i * lanes;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        min_[l] = std::min(min_[l], row[l]);
+        max_[l] = std::max(max_[l], row[l]);
+        sum_[l] += row[l];
+      }
     }
   }
   for (std::size_t l = 0; l < lanes; ++l) {
     std::vector<double>& lane = captured_[l];
-    if (lane.size() >= max_samples_) continue;
-    const std::size_t take = std::min(max_samples_ - lane.size(), in.size);
-    for (std::size_t i = 0; i < take; ++i) lane.push_back(in.at(i, l));
+    if (lane.size() >= capture_) continue;
+    const std::size_t take = std::min(capture_ - lane.size(), in.size);
+    const std::size_t at = lane.size();
+    lane.resize(at + take);
+    double* dst = lane.data() + at;
+    for (std::size_t i = 0; i < take; ++i) dst[i] = in.data[i * lanes + l];
   }
 }
 

@@ -17,8 +17,10 @@
 //   LaneCtleStage      — CTLE peaking with per-lane pole state
 //   LaneRfiStage       — RFI front end with per-lane DC means and poles
 //   LaneRestoreStage   — restoring inverter VTC + per-lane output pole
-//   LaneWaveformTap    — per-lane probe: diagnostic window + range/sum
-//   LanePipeline       — pipe::Pipeline's ping-pong chain, over tiles
+//   LaneWaveformTap    — per-lane probe: capture window and, in first
+//                        passes, range/sum
+//   LanePipeline       — pipe::Pipeline's chain of stages and probes,
+//                        over tiles
 //
 // The gaussian draw (ziggurat with a variable-draw edge path) stays scalar
 // per lane by design: batching it across lanes would change each lane's
@@ -52,6 +54,7 @@ class LaneStage {
   virtual void process(const LaneView& in, LaneBlock& out) = 0;
 };
 
+using LaneProbe = BasicProbe<LaneView>;
 using LanePipeline = BasicPipeline<LaneStage, LaneBlock, LaneView>;
 
 /// Fan-out stage: replicates a shared one-lane tile (the lane-invariant
@@ -123,25 +126,28 @@ class LaneRestoreStage final : public LaneStage {
   std::vector<double> y1_;
 };
 
-/// Per-lane pass-through probe: retains up to `max_samples` of each
-/// lane's stream flowing past and keeps each lane's running minimum,
-/// maximum and sample-order sum (the per-lane WaveformTapStage).
-class LaneWaveformTap final : public LaneStage {
+/// Per-lane probe (the lane WaveformTap): captures the first `capture`
+/// samples of each lane's stream flowing past, storage reserved once at
+/// construction, and, with `statistics`, keeps each lane's running
+/// minimum, maximum and sample-order sum.
+class LaneWaveformTap final : public LaneProbe {
  public:
-  LaneWaveformTap(std::size_t lanes, std::size_t max_samples);
+  LaneWaveformTap(std::size_t lanes, std::size_t capture, bool statistics);
 
-  void process(const LaneView& in, LaneBlock& out) override;
+  void observe(const LaneView& in) override;
 
   /// Moves lane `lane`'s captured window out (stream t0 / dt stamped).
   [[nodiscard]] analog::Waveform take(std::size_t lane) {
     return analog::Waveform{t0_, dt_, std::move(captured_[lane])};
   }
+  /// Statistics of lane `lane`'s whole stream (with `statistics` only).
   [[nodiscard]] double min(std::size_t lane) const { return min_[lane]; }
   [[nodiscard]] double max(std::size_t lane) const { return max_[lane]; }
   [[nodiscard]] double sum(std::size_t lane) const { return sum_[lane]; }
 
  private:
-  std::size_t max_samples_;
+  std::size_t capture_;
+  bool statistics_;
   std::vector<std::vector<double>> captured_;
   std::vector<double> min_;
   std::vector<double> max_;

@@ -1,11 +1,16 @@
-// Stage interface and pipeline composer for the streaming link datapath.
+// Stage and probe interfaces and the pipeline composer for the streaming
+// link datapath.
 //
 // A Stage maps one input block to one output block, carrying whatever
 // state it needs (IIR filter memories, RNG streams, tap delay lines)
 // across calls so that processing a stream block-by-block is bit-identical
-// to processing it as one waveform.  A Pipeline chains stages and
-// ping-pongs between two scratch blocks, so the whole datapath holds at
-// most two blocks of samples regardless of stream length.
+// to processing it as one waveform.  A Probe only observes: it reads each
+// block as it flows past (statistics, a capture window) and never writes
+// it.  A Pipeline chains stages and probes; stages ping-pong between two
+// scratch blocks, so the whole datapath holds at most two blocks of
+// samples regardless of stream length, while a probe is handed the
+// current view and the same view goes on to the next step — no copy and
+// no swap.
 #pragma once
 
 #include <memory>
@@ -32,8 +37,23 @@ class Stage {
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-/// Runs blocks through an ordered chain of stages.  Owns the stages and
-/// two scratch blocks (the only per-pipeline sample storage).  Scalar
+/// Pass-through observer of a block stream: reads each block as it flows
+/// past and leaves it untouched.  `ViewT` is the view type of the pipeline
+/// it sits in (BlockView, or LaneView for lane tiles).
+template <class ViewT>
+class BasicProbe {
+ public:
+  virtual ~BasicProbe() = default;
+
+  /// Observes one block; `in` stays valid only for the duration of the
+  /// call.
+  virtual void observe(const ViewT& in) = 0;
+};
+
+using Probe = BasicProbe<BlockView>;
+
+/// Runs blocks through an ordered chain of stages and probes.  Owns them
+/// and two scratch blocks (the only per-pipeline sample storage).  Scalar
 /// stages chain as a Pipeline; the lane-tile stages of pipe/lane_stages.h
 /// chain as a LanePipeline.
 template <class StageT, class BlockT, class ViewT>
@@ -41,33 +61,46 @@ class BasicPipeline {
  public:
   /// Appends a stage; returns it for optional post-wiring.
   StageT& add(std::unique_ptr<StageT> stage) {
-    stages_.push_back(std::move(stage));
-    return *stages_.back();
+    StageT& added = *stage;
+    steps_.push_back({std::move(stage), nullptr});
+    return added;
   }
 
-  /// Pushes one block through every stage; the returned view aliases one
-  /// of the internal scratch blocks and is valid until the next call.
+  /// Appends a probe; returns it so the caller can read it afterwards.
+  template <class ProbeT>
+  ProbeT& add_probe(std::unique_ptr<ProbeT> probe) {
+    ProbeT& added = *probe;
+    steps_.push_back({nullptr, std::move(probe)});
+    return added;
+  }
+
+  /// Pushes one block through every step; the returned view aliases `in`
+  /// or one of the internal scratch blocks and is valid until the next
+  /// call.
   [[nodiscard]] ViewT process(const ViewT& in) {
     ViewT view = in;
     bool use_ping = true;
-    for (auto& stage : stages_) {
+    for (Step& step : steps_) {
+      if (step.probe) {
+        step.probe->observe(view);
+        continue;
+      }
       BlockT& out = use_ping ? ping_ : pong_;
-      stage->process(view, out);
+      step.stage->process(view, out);
       view = out.view();
       use_ping = !use_ping;
     }
     return view;
   }
 
-  /// Resets every stage to its start-of-stream state.
-  void reset() {
-    for (auto& stage : stages_) stage->reset();
-  }
-
-  [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
-
  private:
-  std::vector<std::unique_ptr<StageT>> stages_;
+  /// One step of the chain: a stage or a probe (exactly one is set).
+  struct Step {
+    std::unique_ptr<StageT> stage;
+    std::unique_ptr<BasicProbe<ViewT>> probe;
+  };
+
+  std::vector<Step> steps_;
   BlockT ping_;
   BlockT pong_;
 };

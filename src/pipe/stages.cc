@@ -157,33 +157,36 @@ void RestoringStage::process(const BlockView& in, Block& out) {
   pole_ = pole;
 }
 
-// ---- WaveformTapStage -------------------------------------------------------
+// ---- WaveformTap ------------------------------------------------------------
 
-void WaveformTapStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  std::copy(in.data, in.data + in.size, out.data());
-  for (std::size_t i = 0; i < in.size; ++i) {
-    const double v = in.data[i];
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-    sum_ += v;
+WaveformTap::WaveformTap(std::size_t capture, bool statistics)
+    : capture_(capture), statistics_(statistics) {
+  captured_.reserve(capture_);
+}
+
+void WaveformTap::observe(const BlockView& in) {
+  if (statistics_) {
+    double lo = min_;
+    double hi = max_;
+    double sum = sum_;
+    for (std::size_t i = 0; i < in.size; ++i) {
+      const double v = in.data[i];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      sum += v;
+    }
+    min_ = lo;
+    max_ = hi;
+    sum_ = sum;
   }
   if (captured_.empty()) {
     t0_ = in.stream_t0;
     dt_ = in.dt;
   }
-  if (captured_.size() < max_samples_) {
-    const std::size_t room = max_samples_ - captured_.size();
-    const std::size_t take = std::min(room, in.size);
+  if (captured_.size() < capture_) {
+    const std::size_t take = std::min(capture_ - captured_.size(), in.size);
     captured_.insert(captured_.end(), in.data, in.data + take);
   }
-}
-
-void WaveformTapStage::reset() {
-  captured_.clear();
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-  sum_ = 0.0;
 }
 
 // ---- SamplerCdrSink ---------------------------------------------------------
@@ -372,9 +375,9 @@ void SamplerCdrSink::drain(std::size_t index) {
     }
     if (lo + 1 >= appended_) return false;
     const double frac = idx - static_cast<double>(lo);
-    const double a = column[(lo & mask_) * n_lanes_];
-    const double b = column[((lo + 1) & mask_) * n_lanes_];
-    *v = a + frac * (b - a);
+    *v = analog::Waveform::interpolate(column[(lo & mask_) * n_lanes_],
+                                       column[((lo + 1) & mask_) * n_lanes_],
+                                       frac);
     return true;
   };
   while (!lane.done) {

@@ -15,7 +15,8 @@
 //   CtleStage          — channel::RxCtle::equalize with a carried pole
 //   RfiFrontEndStage   — analog::RfiStage::process given the stream DC mean
 //   RestoringStage     — analog::RestoringInverter::process, blockwise
-//   WaveformTapStage   — pass-through probe: diagnostic window + range/sum
+//   WaveformTap        — probe: capture window and, in first passes,
+//                        range/sum
 //   SamplerCdrSink     — jittered multiphase sampling, 1 (NRZ) or 3 (PAM4)
 //                        DFF slicers, DFE feedback and the oversampling CDR
 //                        over a rolling window of an N-lane tile (scalar
@@ -166,32 +167,31 @@ class RestoringStage final : public Stage {
   analog::OnePoleLowPass pole_;
 };
 
-/// Pass-through probe: retains up to `max_samples` of whatever flows past
-/// it (the optional waveform-capture window) and keeps the running
-/// minimum, maximum and sample-order sum of everything (the first-pass
-/// statistics).  Links insert probes only into first passes and while
+/// Probe: captures the first `capture` samples of the stream flowing past
+/// (the waveform-capture window; its storage is reserved once, so callers
+/// pass at most the stream's length) and, with `statistics`, keeps the
+/// running minimum, maximum and sample-order sum (what first passes
+/// measure).  Links insert probes only into first passes and while
 /// diagnostics capture is on (the first chunk of a BER run), so bulk
 /// streaming never accumulates waveform memory.
-class WaveformTapStage final : public Stage {
+class WaveformTap final : public Probe {
  public:
-  explicit WaveformTapStage(
-      std::size_t max_samples = static_cast<std::size_t>(-1))
-      : max_samples_(max_samples) {}
+  WaveformTap(std::size_t capture, bool statistics);
 
-  void process(const BlockView& in, Block& out) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const override { return "tap"; }
+  void observe(const BlockView& in) override;
 
   /// Moves the captured window out as a Waveform (stream t0 / dt stamped).
   [[nodiscard]] analog::Waveform take() {
     return analog::Waveform{t0_, dt_, std::move(captured_)};
   }
+  /// Statistics of the whole stream (with `statistics` only).
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
   [[nodiscard]] double sum() const { return sum_; }
 
  private:
-  std::size_t max_samples_;
+  std::size_t capture_;
+  bool statistics_;
   std::vector<double> captured_;
   util::Second t0_{0.0};
   util::Second dt_{1e-12};

@@ -368,16 +368,9 @@ Json to_json(const SweepReport& report) {
 
   Json grid = Json::object();
   grid.set("total_scenarios", report.grid_total);
-  Json axes = Json::array();
-  for (const auto& axis : report.axes) {
-    Json a = Json::object();
-    a.set("field", axis.field);
-    Json values = Json::array();
-    for (const auto& v : axis.values) values.push_back(v);
-    a.set("values", std::move(values));
-    axes.push_back(std::move(a));
-  }
-  grid.set("axes", std::move(axes));
+  grid.set("axes", util::write_array(report.axes, [](const SweepAxis& axis) {
+             return to_json(axis);
+           }));
   j.set("grid", std::move(grid));
 
   Json shard = Json::object();

@@ -200,9 +200,8 @@ constexpr auto kSweepFields = std::to_array<JsonField<SweepSpec>>({
      }},
     {"axes",
      [](const SweepSpec& s) {
-       return util::write_array(s.axes, [](const SweepAxis& axis) {
-         return util::write_fields(axis, kAxisFields);
-       });
+       return util::write_array(
+           s.axes, [](const SweepAxis& axis) { return to_json(axis); });
      },
      [](SweepSpec& s, const Json& j, const std::string& path) {
        s.axes = util::read_array(j, path, [](const Json& a,
@@ -215,6 +214,10 @@ constexpr auto kSweepFields = std::to_array<JsonField<SweepSpec>>({
 });
 
 }  // namespace
+
+Json to_json(const SweepAxis& axis) {
+  return util::write_fields(axis, kAxisFields);
+}
 
 Json SweepSpec::to_json() const {
   return util::write_fields(*this, kSweepFields);

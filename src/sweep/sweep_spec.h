@@ -33,6 +33,9 @@ struct SweepAxis {
   std::vector<util::Json> values;
 };
 
+/// The axis as it appears in sweep specs and in sweep reports' grid echo.
+[[nodiscard]] util::Json to_json(const SweepAxis& axis);
+
 struct SweepSpec {
   std::string name = "sweep";
   api::LinkSpec base{};

@@ -180,6 +180,19 @@ TEST(CliFarm, UnwritableOutExitsTwoNamingThePath) {
   EXPECT_NE(err.find(target), std::string::npos) << err;
 }
 
+TEST(CliFarm, ValidateReportsAnInvalidSpecOnStderr) {
+  // A rejected input is an error: its verdict, path and did-you-mean hint
+  // go to stderr, as `run` reports spec errors, not to stdout.
+  const fs::path dir = scratch("validate_stderr");
+  const fs::path spec = dir / "mistyped_link.json";
+  std::ofstream(spec) << R"({"noise_rms": 0.001})" << "\n";
+  std::string err;
+  EXPECT_EQ(run_cli(dir, "validate " + spec.string(), "", &err), 1);
+  EXPECT_NE(err.find("INVALID"), std::string::npos) << err;
+  EXPECT_NE(err.find("$.noise_rms"), std::string::npos) << err;
+  EXPECT_NE(err.find("did you mean"), std::string::npos) << err;
+}
+
 TEST(CliFarm, UnwritableStoreExitsTwoNamingThePath) {
   const fs::path dir = scratch("unwritable_store");
   const fs::path spec = write_grid_spec(dir);

@@ -3,8 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "api/link_builder.h"
 #include "channel/channel.h"
@@ -72,9 +74,24 @@ TEST(Eye, BandwidthLimitedEyeSmaller) {
             eye.analyze(sharp, 0.5).eye_height);
 }
 
-/// Reference fold with the phase-bin edges recomputed per call — the
-/// formula EyeAnalyzer used before the offsets were hoisted to
-/// construction.  The hoisted implementation must match it bit for bit.
+/// Waveform::value_at as it was before the interpolation moved inline:
+/// one out-of-line call per time point.
+double reference_value_at(const analog::Waveform& w, util::Second t) {
+  const std::vector<double>& s = w.samples();
+  if (s.empty()) return 0.0;
+  const double idx = (t - w.start_time()) / w.sample_period();
+  if (idx <= 0.0) return s.front();
+  const auto lo = static_cast<std::size_t>(idx);
+  if (lo + 1 >= s.size()) return s.back();
+  const double frac = idx - static_cast<double>(lo);
+  return s[lo] + frac * (s[lo + 1] - s[lo]);
+}
+
+/// Reference fold with the phase-bin edges recomputed per call and one
+/// reference_value_at per bin — the formula EyeAnalyzer used before the
+/// offsets were hoisted to construction and the bins were split into
+/// flat index / read / update passes.  The library fold must match it bit
+/// for bit.
 EyeAnalyzer::FoldedEye reference_fold(const analog::Waveform& w,
                                       util::Hertz bit_rate, int bins,
                                       double threshold, int skip_uis = 8) {
@@ -89,10 +106,11 @@ EyeAnalyzer::FoldedEye reference_fold(const analog::Waveform& w,
   const auto total_uis = static_cast<std::int64_t>((t_end - t_start) / ui) - 1;
   for (std::int64_t n = 0; n < total_uis; ++n) {
     const double t0 = t_start + static_cast<double>(n) * ui;
-    const bool high = w.value_at(util::seconds(t0 + 0.5 * ui)) > threshold;
+    const bool high =
+        reference_value_at(w, util::seconds(t0 + 0.5 * ui)) > threshold;
     for (int b = 0; b < bins; ++b) {
       const double t = t0 + (static_cast<double>(b) + 0.5) * ui / bins;
-      const double v = w.value_at(util::seconds(t));
+      const double v = reference_value_at(w, util::seconds(t));
       auto& hm = eye.high_min[static_cast<std::size_t>(b)];
       auto& lm = eye.low_max[static_cast<std::size_t>(b)];
       if (high) {
@@ -134,6 +152,59 @@ TEST(Eye, FoldedEyeBinAssignmentPinnedAgainstPerCallEdges) {
                 (static_cast<double>(b) + 0.5) *
                     util::period(util::gigahertz(2.0)).value() / bins)
           << "bins=" << bins << " b=" << b;
+    }
+  }
+}
+
+/// True when both folds hold the same bits in every bin.
+bool same_fold_bits(const EyeAnalyzer::FoldedEye& a,
+                    const EyeAnalyzer::FoldedEye& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  return same(a.high_min, b.high_min) && same(a.low_max, b.low_max);
+}
+
+TEST(Eye, FoldMatchesValueAtReferenceOnLinkCapturesAndEdges) {
+  const util::Hertz rate = util::gigahertz(2.0);
+  const EyeAnalyzer eye(rate, 64);
+  // Restored captures of flat, RC and lossy-line links.
+  for (const api::ChannelSpec& ch :
+       {api::ChannelSpec::flat(20.0), api::ChannelSpec::rc(2.5e9, 6.0),
+        api::ChannelSpec::lossy_line(4.0, 6.0, 4.0)}) {
+    api::LinkBuilder builder;
+    builder.payload_bits(1024).chunk_bits(1024).channel(ch).capture_waveforms(
+        true);
+    core::SerDesLink link = builder.build_link();
+    const auto result = link.run_prbs(1024);
+    const double threshold = link.receiver().decision_threshold();
+    ASSERT_GT(result.rx.restored.size(), 1000u) << ch.kind;
+    EXPECT_TRUE(same_fold_bits(
+        eye.fold(result.rx.restored, threshold),
+        reference_fold(result.rx.restored, rate, 64, threshold)))
+        << ch.kind;
+  }
+  // Edges: fewer UIs than skip_uis (nothing folds at skip 8), one sample
+  // held across many UIs, and sampling coarser than the UI, whose last
+  // folded UIs read bins past the last sample (the end clamp).  A negative
+  // skip reads bins before the first sample (the start clamp).
+  std::vector<double> wave(100);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    wave[i] = std::sin(0.37 * static_cast<double>(i));
+  }
+  const analog::Waveform few_uis{util::seconds(0.0), util::picoseconds(31.25),
+                                 wave};
+  const analog::Waveform one_sample{util::seconds(1e-9),
+                                    util::nanoseconds(10.0), {0.7}};
+  const analog::Waveform coarse{util::picoseconds(-130.0),
+                                util::nanoseconds(1.0), wave};
+  for (const int skip : {8, 0, -2}) {
+    for (const analog::Waveform* w : {&few_uis, &one_sample, &coarse}) {
+      EXPECT_TRUE(same_fold_bits(eye.fold(*w, 0.1, skip),
+                                 reference_fold(*w, rate, 64, 0.1, skip)))
+          << "skip " << skip << " size " << w->size();
     }
   }
 }

@@ -1,11 +1,15 @@
-// DSP block-convolution engine: FFT round trips, overlap-save agreement
-// with direct convolution across tap counts and block sizes, exactness of
-// the strided direct kernel against per-sample stepping, and end-to-end
-// BER equivalence of the dsp channel path.
+// DSP block-convolution engine: the transforms' output bits pinned by
+// digest, FFT round trips, overlap-save agreement with direct convolution
+// across tap counts and block sizes, exactness of the strided direct
+// kernel against per-sample stepping, and end-to-end BER equivalence of
+// the dsp channel path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -51,6 +55,136 @@ double rms_diff(const std::vector<double>& a, const std::vector<double>& b) {
     acc += (a[i] - b[i]) * (a[i] - b[i]);
   }
   return std::sqrt(acc / static_cast<double>(a.size()));
+}
+
+/// splitmix64 step (Steele/Lea/Flood), kept local so the pinned corpus
+/// never follows a library change.
+std::uint64_t splitmix64(std::uint64_t& x) {
+  std::uint64_t z = (x += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Scales of the pin corpus: unit, near-subnormal (products underflow to
+/// signed zeros) and large.  Scale 0 draws only +0.0 and -0.0.
+constexpr double kPinScales[] = {1.0, 1e-300, 1e6, 0.0};
+
+/// `n` pin inputs: uniform in [-scale, scale), with +0.0 at every 7th and
+/// -0.0 at every 11th position so signed zeros reach every product.
+std::vector<double> pin_input(std::size_t n, std::uint64_t seed,
+                              double scale) {
+  std::vector<double> x(n);
+  std::uint64_t s = seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t u = splitmix64(s);
+    const double v = scale == 0.0 ? ((u & 1) ? -0.0 : 0.0)
+                                  : scale * (2.0 * (static_cast<double>(
+                                                        u >> 11) *
+                                                    0x1.0p-53) -
+                                             1.0);
+    x[i] = i % 7 == 3 ? 0.0 : i % 11 == 5 ? -0.0 : v;
+  }
+  return x;
+}
+
+std::vector<std::complex<double>> pin_complex(std::size_t n,
+                                              std::uint64_t seed,
+                                              double scale) {
+  const std::vector<double> parts = pin_input(2 * n, seed, scale);
+  std::vector<std::complex<double>> z(n);
+  for (std::size_t i = 0; i < n; ++i) z[i] = {parts[2 * i], parts[2 * i + 1]};
+  return z;
+}
+
+/// FNV-1a over the bit patterns of `n` doubles, continuing `digest`.
+void digest_bits(std::uint64_t& digest, const double* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x[i], sizeof bits);
+    for (int shift = 0; shift < 64; shift += 8) {
+      digest ^= (bits >> shift) & 0xffu;
+      digest *= 0x100000001b3ull;
+    }
+  }
+}
+
+void digest_bits(std::uint64_t& digest,
+                 const std::vector<std::complex<double>>& z) {
+  digest_bits(digest, reinterpret_cast<const double*>(z.data()),
+              2 * z.size());
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr std::size_t kPinSizes[] = {2, 64, 4096, 8192, 32768};
+
+TEST(FftPin, ComplexTransformsPinnedBitForBit) {
+  // Digests recorded with the std::complex<double> kernels the plain-
+  // double butterflies replaced: every output bit, signed zeros included.
+  std::uint64_t fwd = kFnvBasis;
+  std::uint64_t inv = kFnvBasis;
+  for (const std::size_t n : kPinSizes) {
+    const dsp::Fft fft(n);
+    for (const double scale : kPinScales) {
+      std::vector<std::complex<double>> z = pin_complex(n, n + 1, scale);
+      fft.forward(z.data());
+      digest_bits(fwd, z);
+      z = pin_complex(n, n + 2, scale);
+      fft.inverse(z.data());
+      digest_bits(inv, z);
+    }
+  }
+  EXPECT_EQ(fwd, 0x9ed53b311c0cf59dull) << std::hex << "forward 0x" << fwd;
+  EXPECT_EQ(inv, 0x1015d523c45a8031ull) << std::hex << "inverse 0x" << inv;
+}
+
+TEST(FftPin, RealTransformsPinnedBitForBit) {
+  std::uint64_t fwd = kFnvBasis;
+  std::uint64_t inv = kFnvBasis;
+  for (const std::size_t n : kPinSizes) {
+    dsp::RealFft fft(n);
+    for (const double scale : kPinScales) {
+      const std::vector<double> x = pin_input(n, n + 3, scale);
+      std::vector<std::complex<double>> spectrum(fft.bins());
+      fft.forward(x.data(), spectrum.data());
+      digest_bits(fwd, spectrum);
+      // Arbitrary bins, not a forward transform's: the DC and Nyquist
+      // imaginary parts are nonzero too.
+      const std::vector<std::complex<double>> bins =
+          pin_complex(fft.bins(), n + 4, scale);
+      std::vector<double> y(n);
+      fft.inverse(bins.data(), y.data());
+      digest_bits(inv, y.data(), y.size());
+    }
+  }
+  EXPECT_EQ(fwd, 0x2fd758208007835eull) << std::hex << "forward 0x" << fwd;
+  EXPECT_EQ(inv, 0x7c6513f7d5c8bd48ull) << std::hex << "inverse 0x" << inv;
+}
+
+TEST(FftPin, OverlapSaveOnThePaperLossyLinePinnedBitForBit) {
+  // The dsp impulse of the default lossy line at the paper's sample
+  // period, streamed in chunks that split segments unevenly.
+  const channel::LossyLineChannel line(
+      channel::LossyLineChannel::Params{},
+      core::LinkConfig::paper_default().sample_period(), /*dsp=*/true);
+  const std::vector<double>& taps = line.impulse_taps();
+  ASSERT_FALSE(taps.empty());
+  std::uint64_t digest = kFnvBasis;
+  for (const double scale : kPinScales) {
+    const dsp::OverlapSaveConvolver conv(taps);
+    std::vector<double> history(taps.size() - 1, 0.0);
+    const std::vector<double> x = pin_input(40000, 5, scale);
+    std::vector<double> y(x.size());
+    const std::size_t chunks[] = {16384, 7, 4096, 1};
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < x.size();) {
+      const std::size_t len = std::min(chunks[c++ % 4], x.size() - i);
+      conv.process(history.data(), x.data() + i, y.data() + i, len);
+      i += len;
+    }
+    digest_bits(digest, y.data(), y.size());
+  }
+  EXPECT_EQ(digest, 0xfaa329d3248cdf59ull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(RealFft, RoundTripRecoversSignal) {

@@ -7,12 +7,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
 #include "api/spec_json.h"
 #include "channel/channel.h"
+#include "core/chain_plan.h"
 #include "core/eye.h"
 #include "core/link.h"
 #include "core/receiver.h"
@@ -266,6 +271,186 @@ TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   const auto samples = digital::sample_waveform(w, clocks, sampler, &jitter);
   digital::OversamplingCdr cdr(c.cdr);
   EXPECT_EQ(sink.cdr().recovered(), cdr.recover(samples));
+}
+
+// ---- Probes: observers that leave the stream untouched ---------------------
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Lane `lane` of an interleaved stream (every sample when lanes == 1).
+std::vector<double> lane_of(const std::vector<double>& x, std::size_t lanes,
+                            std::size_t lane) {
+  std::vector<double> out;
+  for (std::size_t i = lane; i < x.size(); i += lanes) out.push_back(x[i]);
+  return out;
+}
+
+/// The first `n` samples of `x` (all of them when it is shorter).
+std::vector<double> head(const std::vector<double>& x, std::size_t n) {
+  return {x.begin(),
+          x.begin() + static_cast<std::ptrdiff_t>(std::min(n, x.size()))};
+}
+
+/// What a statistics probe keeps, computed directly.
+struct DirectStats {
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+};
+
+DirectStats direct_stats(const std::vector<double>& x) {
+  DirectStats s;
+  for (const double v : x) {
+    s.min = std::min(s.min, v);
+    s.max = std::max(s.max, v);
+    s.sum += v;
+  }
+  return s;
+}
+
+/// Streams `tx` through a scalar pass; returns the concatenated output.
+std::vector<double> run_pass(const core::ChainPlan& plan,
+                             core::ChainPlan::Pass& pass,
+                             const core::Launch& tx) {
+  pipe::LevelPulseSource src = plan.source(tx);
+  pipe::Block blk;
+  std::vector<double> out;
+  while (src.produce(blk, plan.block()) > 0) {
+    const pipe::BlockView v = pass.pipeline.process(blk.view());
+    out.insert(out.end(), v.data, v.data + v.size);
+  }
+  return out;
+}
+
+/// Streams `tx` through a tile pass; returns the interleaved output.
+std::vector<double> run_tile(const core::ChainPlan& plan,
+                             core::ChainPlan::TilePass& pass,
+                             const core::Launch& tx) {
+  pipe::LevelPulseSource src = plan.source(tx);
+  pipe::Block blk;
+  std::vector<double> out;
+  while (src.produce(blk, plan.block()) > 0) {
+    const pipe::LaneView v = pass.process(blk.view());
+    out.insert(out.end(), v.data, v.data + v.size * v.lanes);
+  }
+  return out;
+}
+
+/// A chain where every probe position differs: noise, a CTLE, and the
+/// NRZ RFI and restoring stages after it.
+core::LinkConfig probed_chain_config(std::size_t block) {
+  core::LinkConfig cfg = core::LinkConfig::paper_default();
+  cfg.channel_noise_rms = 0.004;
+  cfg.rx_ctle_boost = util::decibels(4.0);
+  cfg.stream_block_samples = block;
+  return cfg;
+}
+
+std::vector<std::uint8_t> probe_bits() {
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs7);
+  return prbs.next_bits(300);  // 4800 samples
+}
+
+TEST(ChainPlanProbes, ScalarProbesObserveWithoutChangingTheStream) {
+  const channel::LossyLineChannel line(
+      channel::LossyLineChannel::Params{2.0, 10.0, 8.0}, kDt);
+  constexpr std::size_t kCapture = 3001;
+  for (const std::size_t block : {1u, 7u, 4096u, 16384u}) {
+    const core::LinkConfig cfg = probed_chain_config(block);
+    const core::Receiver rx(cfg);
+    const core::ChainPlan plan(cfg, rx);
+    const core::Launch tx = plan.launch(probe_bits());
+    core::ChainPlan::PassOptions bare;
+    bare.awgn_seed = 77;
+    bare.mean = 0.012;
+    core::ChainPlan::PassOptions probed = bare;
+    probed.probes = kCapture;
+    probed.statistics = true;
+
+    core::ChainPlan::Pass plain = plan.pass(line, tx, bare);
+    core::ChainPlan::Pass with = plan.pass(line, tx, probed);
+    ASSERT_NE(with.noisy, nullptr);
+    ASSERT_NE(with.rfi, nullptr);
+    ASSERT_NE(with.out, nullptr);
+    const std::vector<double> out = run_pass(plan, plain, tx);
+    EXPECT_TRUE(same_bits(run_pass(plan, with, tx), out)) << "block " << block;
+
+    // The streams at the other probe positions, computed without probes:
+    // the receiver input, and the RFI front end over the equalized stream.
+    core::ChainPlan::PassOptions to_noisy = bare;
+    to_noisy.stop = core::ChainPlan::Stop::kNoisy;
+    core::ChainPlan::Pass noisy_pass = plan.pass(line, tx, to_noisy);
+    const std::vector<double> noisy = run_pass(plan, noisy_pass, tx);
+    core::ChainPlan::PassOptions to_eq = bare;
+    to_eq.stop = core::ChainPlan::Stop::kEqualized;
+    core::ChainPlan::Pass eq_pass = plan.pass(line, tx, to_eq);
+    const std::vector<double> equalized = run_pass(plan, eq_pass, tx);
+    pipe::RfiFrontEndStage rfi_stage(rx.rfi_stage(), kDt);
+    rfi_stage.set_mean(bare.mean);
+    pipe::Block eq_block;
+    eq_block.samples() = equalized;
+    pipe::Block rfi_block;
+    rfi_stage.process(eq_block.view(), rfi_block);
+    const std::vector<double>& rfi = rfi_block.samples();
+
+    const std::pair<pipe::WaveformTap*, const std::vector<double>*> probes[] =
+        {{with.noisy, &noisy}, {with.rfi, &rfi}, {with.out, &out}};
+    for (const auto& [tap, stream] : probes) {
+      const DirectStats direct = direct_stats(*stream);
+      EXPECT_EQ(tap->min(), direct.min) << "block " << block;
+      EXPECT_EQ(tap->max(), direct.max) << "block " << block;
+      EXPECT_EQ(tap->sum(), direct.sum) << "block " << block;
+      const analog::Waveform captured = tap->take();
+      EXPECT_TRUE(same_bits(captured.samples(), head(*stream, kCapture)))
+          << "block " << block;
+      EXPECT_EQ(captured.sample_period().value(), kDt.value());
+    }
+  }
+}
+
+TEST(ChainPlanProbes, LaneTileProbesObserveWithoutChangingTheStream) {
+  const channel::LossyLineChannel line(
+      channel::LossyLineChannel::Params{2.0, 10.0, 8.0}, kDt);
+  const std::vector<std::uint64_t> seeds = {11, 12, 13, 14, 15, 16, 17, 18};
+  const std::vector<double> means(seeds.size(), 0.012);
+  constexpr std::size_t kCapture = 3001;
+  for (const std::size_t block : {1u, 7u, 4096u, 16384u}) {
+    const core::LinkConfig cfg = probed_chain_config(block);
+    const core::Receiver rx(cfg);
+    const core::ChainPlan plan(cfg, rx);
+    const core::Launch tx = plan.launch(probe_bits());
+    core::ChainPlan::TilePass plain =
+        plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kSlicer, means,
+                       std::nullopt, false);
+    core::ChainPlan::TilePass with =
+        plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kSlicer, means,
+                       kCapture, true);
+    core::ChainPlan::TilePass noisy_pass =
+        plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kNoisy, means,
+                       std::nullopt, false);
+    const std::vector<double> out = run_tile(plan, plain, tx);
+    EXPECT_TRUE(same_bits(run_tile(plan, with, tx), out)) << "block " << block;
+    const std::vector<double> noisy = run_tile(plan, noisy_pass, tx);
+
+    for (std::size_t l = 0; l < seeds.size(); ++l) {
+      const std::pair<pipe::LaneWaveformTap*, const std::vector<double>*>
+          probes[] = {{with.noisy, &noisy}, {with.out, &out}};
+      for (const auto& [tap, tile] : probes) {
+        const std::vector<double> stream = lane_of(*tile, seeds.size(), l);
+        const DirectStats direct = direct_stats(stream);
+        const std::string where =
+            "block " + std::to_string(block) + " lane " + std::to_string(l);
+        EXPECT_EQ(tap->min(l), direct.min) << where;
+        EXPECT_EQ(tap->max(l), direct.max) << where;
+        EXPECT_EQ(tap->sum(l), direct.sum) << where;
+        EXPECT_TRUE(same_bits(tap->take(l).samples(), head(stream, kCapture)))
+            << where;
+      }
+    }
+  }
 }
 
 /// End-to-end: SerDesLink::run and the whole-waveform reference must

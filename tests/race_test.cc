@@ -2,9 +2,9 @@
 // (-DSERDES_SANITIZE=thread): every multi-threaded execution path the
 // engine ships — the SweepRunner work-stealing pool, offline shard
 // merging fed by concurrently-running shards, the run_batch lane
-// fan-out and the process-wide receiver characterization memo —
-// exercised at several thread counts with byte-identical report
-// assertions.  Without TSan this is an ordinary (fast) tier1
+// fan-out and the process-wide memos (receiver characterization, FFT
+// plan tables) — exercised at several thread counts with byte-identical
+// report assertions.  Without TSan this is an ordinary (fast) tier1
 // determinism test; under TSan any data race in the pool, the row
 // buffers or the aggregation step is a hard failure with a stack pair.
 //
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -24,6 +25,7 @@
 #include "analog/rfi.h"
 #include "analog/sampler.h"
 #include "api/simulator.h"
+#include "channel/channel.h"
 #include "api/spec_json.h"
 #include "core/receiver.h"
 #include "sweep/sweep_runner.h"
@@ -269,6 +271,80 @@ TEST(RaceHammer, ReceiverFrontEndMemoFirstMissesRace) {
     for (int k = 0; k < kRounds * 3; ++k) {
       EXPECT_EQ(built[t][k], reference[(t + k) % 3])
           << "thread " << t << " receiver " << k;
+    }
+  }
+}
+
+/// A dsp lossy line's output for a fixed pattern streamed in 4096-sample
+/// blocks — above the FFT crossover, so the overlap-save kernel and its
+/// transform size's shared tables carry every block.
+std::vector<double> dsp_line_output(const channel::Channel& line) {
+  constexpr std::size_t kBlock = 4096;
+  std::vector<double> in(3 * kBlock);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = (i / 16) % 3 == 0 ? 1.0 : 0.0;
+  }
+  std::vector<double> out(in.size());
+  const auto stream = line.open_stream();
+  for (std::size_t i = 0; i < in.size(); i += kBlock) {
+    stream->transmit_block(in.data() + i, out.data() + i, kBlock);
+  }
+  return out;
+}
+
+TEST(RaceHammer, FftPlanMemoFirstMissesRace) {
+  // Three dsp lossy lines whose overlap-save transforms (4096, 8192 and
+  // 2048 points) no other test in this binary builds, so each size's
+  // first plan is built inside the threaded section.  The serial run
+  // afterwards reads the populated memo; it must match every thread bit
+  // for bit and the exact IIR recurrence within the dsp engine's 1e-12
+  // RMS contract (garbage tables would not).
+  using Params = channel::LossyLineChannel::Params;
+  const channel::LossyLineChannel line_a(Params{0.5, 2.0, 1.0},
+                                         util::picoseconds(10.0), true);
+  const channel::LossyLineChannel line_b(Params{1.0, 4.0, 2.0},
+                                         util::picoseconds(10.0), true);
+  const channel::LossyLineChannel line_c(Params{2.0, 10.0, 8.0},
+                                         util::picoseconds(62.5), true);
+  const channel::LossyLineChannel* lines[] = {&line_a, &line_b, &line_c};
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::vector<double>>> built(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < kRounds * 3; ++k) {
+        built[t].push_back(dsp_line_output(*lines[(t + k) % 3]));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const util::Second periods[] = {util::picoseconds(10.0),
+                                  util::picoseconds(10.0),
+                                  util::picoseconds(62.5)};
+  std::vector<std::vector<double>> serial;
+  for (int d = 0; d < 3; ++d) {
+    serial.push_back(dsp_line_output(*lines[d]));
+    const std::vector<double> exact = dsp_line_output(
+        channel::LossyLineChannel(lines[d]->params(), periods[d]));
+    double err = 0.0;
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      err += (serial[d][i] - exact[i]) * (serial[d][i] - exact[i]);
+    }
+    EXPECT_LE(std::sqrt(err / static_cast<double>(exact.size())), 1e-12)
+        << "line " << d;
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(built[t].size(), std::size_t{kRounds * 3});
+    for (int k = 0; k < kRounds * 3; ++k) {
+      EXPECT_EQ(built[t][k], serial[(t + k) % 3])
+          << "thread " << t << " stream " << k;
     }
   }
 }

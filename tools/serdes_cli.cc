@@ -111,8 +111,8 @@ usage:
 
   serdes_cli validate <file.json> [...]
       Check spec files (SweepSpec when an "axes" key is present, BusSpec
-      when "lanes"/"base" are, LinkSpec otherwise).  Problems are
-      reported with their JSON path.
+      when "lanes"/"base" are, LinkSpec otherwise).  OK verdicts go to
+      stdout; problems go to stderr, named by their JSON path.
 
   serdes_cli lint <file.json> [...] [--deny SEVERITY] [--out FILE]
                   [--compact]
@@ -671,7 +671,7 @@ int cmd_validate(const CommonFlags& flags) {
         std::cout << path << ": OK — link spec '" << spec.name << "'\n";
       }
     } catch (const std::exception& e) {
-      std::cout << path << ": INVALID — " << e.what() << "\n";
+      std::cerr << path << ": INVALID — " << e.what() << "\n";
       ++failures;
     }
   }
