@@ -45,6 +45,7 @@
 #include "pipe/stages.h"
 #include "stat/stat_engine.h"
 #include "util/fs.h"
+#include "util/parallel.h"
 #include "util/prbs.h"
 #include "util/random.h"
 
@@ -575,12 +576,18 @@ int main(int argc, char** argv) {
   // contours at 1e-15) on the paper operating point; items = scenarios.
   // This is the kernel behind `serdes_cli stat` and the sweep engine's
   // "stat"/"both" scenarios, so it gets a CI floor like the MC kernels.
+  // Both paper-default kernels run inside a one-worker parallel_for, so
+  // the phases run inline on one thread (as in a sweep worker): their
+  // floors and the margins/full ratio gate measure the engine's work, not
+  // the runner's core count.
   {
     api::LinkSpec spec = api::LinkBuilder().analysis("stat").build_spec();
     const api::Simulator sim;
-    run_bench(results, "stat_engine_paper_default", 1, [&] {
-      volatile double ber = sim.run(spec).stat->min_ber;
-      (void)ber;
+    util::parallel_for(1, 1, [&](std::size_t) {
+      run_bench(results, "stat_engine_paper_default", 1, [&] {
+        volatile double ber = sim.run(spec).stat->min_ber;
+        (void)ber;
+      });
     });
   }
 
@@ -594,9 +601,11 @@ int main(int argc, char** argv) {
     api::Simulator::Options options;
     options.stat_contours = false;
     const api::Simulator sim(options);
-    run_bench(results, "stat_engine_margins_paper_default", 1, [&] {
-      volatile double margin = sim.run(spec).stat->voltage_margin_v;
-      (void)margin;
+    util::parallel_for(1, 1, [&](std::size_t) {
+      run_bench(results, "stat_engine_margins_paper_default", 1, [&] {
+        volatile double margin = sim.run(spec).stat->voltage_margin_v;
+        (void)margin;
+      });
     });
   }
 

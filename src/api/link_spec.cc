@@ -142,8 +142,14 @@ LinkSpec::Issue LinkSpec::first_issue() const {
             "must be at most 4 UI (twice the jitter-tolerance sweep's "
             "largest amplitude)"};
   }
-  if (sinusoidal_jitter_s > 0.0 && sj_freq_ratio <= 0.0) {
-    return {"sj_freq_ratio", "must be positive when sinusoidal jitter is on"};
+  // Jitter is phase modulation of the sampling clock: a modulation faster
+  // than the bit rate is not jitter, and at 1e308 the SJ frequency
+  // overflowed to infinity and every sampling instant came out NaN.
+  if (sinusoidal_jitter_s > 0.0 &&
+      !(sj_freq_ratio > 0.0 && sj_freq_ratio <= 1.0)) {
+    return {"sj_freq_ratio",
+            "must be in (0, 1] (a fraction of the bit rate) when sinusoidal "
+            "jitter is on"};
   }
   if (cdr_oversampling < 2 || cdr_oversampling > 64) {
     return {"cdr_oversampling", "must be in [2, 64]"};

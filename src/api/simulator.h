@@ -7,6 +7,14 @@
 // fans independent lanes out across worker threads; each lane derives a
 // deterministic seed from its base seed and lane index (splitmix64), so
 // results are bit-identical whatever the thread count.
+//
+// Threads: a top-level `run` fans out inside the engines — the stat
+// engine's 64 sampling phases and each training step's two candidate
+// replays go over util::parallel_for at the hardware concurrency.  Under
+// `run_batch`, `run_bus` and sweep::SweepRunner every lane or scenario is
+// a parallel_for task, so those inner fan-outs run inline on its thread:
+// a batch asked for N threads uses N, and a 1-thread sweep stays serial.
+// Reports are byte-identical either way.
 #pragma once
 
 #include <cstdint>

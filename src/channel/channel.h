@@ -55,7 +55,11 @@ class Channel {
 
   virtual ~Channel() = default;
 
-  /// Opens a fresh streaming transmission (state at zero).
+  /// Opens a fresh streaming transmission (state at zero).  Must be safe
+  /// to call concurrently on one channel, with streams that share no
+  /// mutable state: core::train_equalizer replays its candidates on several
+  /// threads through one instance.  Every kind keeps to this, including
+  /// the ones registered with api::ChannelFactory at run time.
   [[nodiscard]] virtual std::unique_ptr<Stream> open_stream() const = 0;
 
   /// Propagates `in` through the channel: a thin wrapper that pushes the

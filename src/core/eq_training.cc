@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/chain_plan.h"
 #include "core/receiver.h"
+#include "util/parallel.h"
 #include "util/prbs.h"
 
 namespace serdes::core {
@@ -30,7 +32,7 @@ constexpr double kMaxFfeAlpha = 0.4;
 /// whole-stream DC mean first, so it takes the same first pass as a link
 /// run; the PAM4 chain ends at the CTLE and needs none.
 std::vector<double> replay(const ChainPlan& plan, bool nrz,
-                           channel::Channel& channel, const Launch& tx,
+                           const channel::Channel& channel, const Launch& tx,
                            std::uint64_t awgn_seed) {
   ChainPlan::PassOptions options;
   options.awgn_seed = awgn_seed;
@@ -175,8 +177,8 @@ LmsOutcome run_lms(const std::vector<double>& y, const std::vector<double>& d,
 }  // namespace
 
 TrainingResult train_equalizer(const LinkConfig& config,
-                               channel::Channel& channel, int training_uis,
-                               std::size_t n_taps) {
+                               const channel::Channel& channel,
+                               int training_uis, std::size_t n_taps) {
   if (training_uis < 64) {
     throw std::invalid_argument(
         "train_equalizer: need at least 64 training UIs");
@@ -203,15 +205,22 @@ TrainingResult train_equalizer(const LinkConfig& config,
     }
   }
 
-  // One full evaluation of a candidate (alpha, boost): replay the chain,
-  // align, train the DFE taps by sign-sign LMS (warm-started), score the
-  // margin.  Every candidate replays against the same AWGN stream (the
-  // training seed, disjoint from the payload, jitter and sampler streams),
-  // so margin comparisons are paired, never noise-vs-noise.  The replay is
+  // A candidate (alpha, boost) is evaluated in two parts.  Its replay
+  // streams the chain, measures the reference and aligns the symbols; it
+  // depends on nothing but the candidate, so replays run concurrently and
+  // are reused.  Training then adapts the DFE taps by sign-sign LMS
+  // (warm-started from the current taps) and scores the margin.  Every
+  // candidate replays against the same AWGN stream (the training seed,
+  // disjoint from the payload, jitter and sampler streams), so margin
+  // comparisons are paired, never noise-vs-noise.  The replay is
   // crosstalk-free: training sees the victim's own channel only.
+  struct Replay {
+    std::vector<double> y;
+    double reference = 0.0;
+    std::size_t lag = 0;
+  };
   const std::uint64_t train_seed = ChainPlan::training_seed(config.noise_seed);
-  const auto evaluate = [&](double alpha, double boost_db,
-                            const std::vector<double>& warm) {
+  const auto replay_at = [&](double alpha, double boost_db) {
     LinkConfig candidate = config;
     candidate.xtalk.clear();
     candidate.tx_ffe_deemphasis = alpha;
@@ -219,19 +228,23 @@ TrainingResult train_equalizer(const LinkConfig& config,
     const ChainPlan plan(candidate, rx);
     const Launch tx =
         nrz ? plan.nrz_launch(bits) : plan.pam4_launch(bits, /*preamble=*/0);
-    const std::vector<double> y =
-        replay(plan, nrz, channel, tx, train_seed);
+    Replay r;
+    r.y = replay(plan, nrz, channel, tx, train_seed);
     // Reference the symbol deviation is measured against: the sampler
     // threshold in the restored NRZ domain; the stream mean in the PAM4
     // CTLE domain (the slicer calibration midpoint converges to it).
-    double reference = rx.decision_threshold();
+    r.reference = rx.decision_threshold();
     if (!nrz) {
       double sum = 0.0;
-      for (const double v : y) sum += v;
-      reference = y.empty() ? 0.0 : sum / static_cast<double>(y.size());
+      for (const double v : r.y) sum += v;
+      r.reference =
+          r.y.empty() ? 0.0 : sum / static_cast<double>(r.y.size());
     }
-    const std::size_t lag = align_lag(y, symbols, spu);
-    return run_lms(y, symbols, spu, reference, lag, warm, nrz);
+    r.lag = align_lag(r.y, symbols, spu);
+    return r;
+  };
+  const auto train = [&](const Replay& r, const std::vector<double>& warm) {
+    return run_lms(r.y, symbols, spu, r.reference, r.lag, warm, nrz);
   };
 
   double alpha = nrz ? config.tx_ffe_deemphasis : 0.0;
@@ -245,34 +258,44 @@ TrainingResult train_equalizer(const LinkConfig& config,
   // chain's restoring nonlinearity rails away small-signal gradients, so
   // a measured-margin comparison is the robust adaptation signal here —
   // the step direction is still decided by the sign of a preamble-averaged
-  // error statistic, in the sign-sign spirit.
-  LmsOutcome best = evaluate(alpha, boost_db, taps);
+  // error statistic, in the sign-sign spirit.  `current` is the replay at
+  // the current (alpha, boost).
+  Replay current = replay_at(alpha, boost_db);
+  LmsOutcome best = train(current, taps);
   taps = best.taps;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    const double boost_step = 2.0 * std::pow(0.5, pass);
-    for (const double cand :
-         {boost_db + boost_step, boost_db - boost_step}) {
-      const double c = std::clamp(cand, 0.0, kMaxCtleBoostDb);
-      if (c == boost_db) continue;
-      const LmsOutcome r = evaluate(alpha, c, taps);
-      if (r.margin > best.margin) {
-        best = r;
-        boost_db = c;
-        taps = r.taps;
+  // One coordinate step: `knob` +/- `step`, clamped to [0, max].  A
+  // candidate equal to the knob is skipped; the rest train from the current
+  // taps, in order, and are kept when they improve the margin.  A clamped
+  // candidate equal to the knob's starting value still trains once the
+  // other candidate has moved the knob off it; its replay is `current`.
+  // Every other candidate is a new replay, and those run concurrently.
+  const auto coordinate_step = [&](double& knob, double step, double max,
+                                   const auto& replay_with) {
+    const double start = knob;
+    const double cands[2] = {std::clamp(knob + step, 0.0, max),
+                             std::clamp(knob - step, 0.0, max)};
+    Replay replays[2];
+    util::parallel_for(2, 0, [&](std::size_t i) {
+      if (cands[i] != start) replays[i] = replay_with(cands[i]);
+    });
+    for (std::size_t i = 0; i < 2; ++i) {
+      const double c = cands[i];
+      if (c == knob) continue;
+      const LmsOutcome out = train(c == start ? current : replays[i], taps);
+      if (out.margin > best.margin) {
+        best = out;
+        knob = c;
+        taps = out.taps;
       }
     }
+    if (knob != start) current = std::move(replays[knob == cands[0] ? 0 : 1]);
+  };
+  for (int pass = 0; pass < kPasses; ++pass) {
+    coordinate_step(boost_db, 2.0 * std::pow(0.5, pass), kMaxCtleBoostDb,
+                    [&](double c) { return replay_at(alpha, c); });
     if (nrz) {
-      const double alpha_step = 0.1 * std::pow(0.5, pass);
-      for (const double cand : {alpha + alpha_step, alpha - alpha_step}) {
-        const double c = std::clamp(cand, 0.0, kMaxFfeAlpha);
-        if (c == alpha) continue;
-        const LmsOutcome r = evaluate(c, boost_db, taps);
-        if (r.margin > best.margin) {
-          best = r;
-          alpha = c;
-          taps = r.taps;
-        }
-      }
+      coordinate_step(alpha, 0.1 * std::pow(0.5, pass), kMaxFfeAlpha,
+                      [&](double c) { return replay_at(c, boost_db); });
     }
   }
 

@@ -58,9 +58,13 @@ struct TrainingResult {
 /// config's authored dfe_taps / tx_ffe_deemphasis / rx_ctle_boost seed
 /// the adaptation as starting values.  The channel is only read through
 /// open_stream(), so the caller's instance can be reused for the payload
-/// run afterwards.
+/// run afterwards.  Each coordinate step replays its new candidates
+/// concurrently over util::parallel_for (inline when called from inside a
+/// parallel_for task) and reuses the replay at the knob's current value,
+/// then trains and accepts the candidates in order, so the result is
+/// bit-identical to a serial search that replays every candidate.
 [[nodiscard]] TrainingResult train_equalizer(const LinkConfig& config,
-                                             channel::Channel& channel,
+                                             const channel::Channel& channel,
                                              int training_uis,
                                              std::size_t n_taps);
 

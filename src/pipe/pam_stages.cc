@@ -37,11 +37,4 @@ void XtalkInjectStage::process(const BlockView& in, Block& out) {
   }
 }
 
-void XtalkInjectStage::reset() {
-  for (Lane& lane : lanes_) {
-    lane.source.reset();
-    if (lane.channel_stream) lane.channel_stream->reset();
-  }
-}
-
 }  // namespace serdes::pipe

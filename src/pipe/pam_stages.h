@@ -46,7 +46,6 @@ class XtalkInjectStage final : public Stage {
                    util::Second stream_t0);
 
   void process(const BlockView& in, Block& out) override;
-  void reset() override;
   [[nodiscard]] std::string_view name() const override { return "xtalk"; }
 
  private:

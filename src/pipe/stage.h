@@ -30,9 +30,6 @@ class Stage {
   /// `out.match(in)`; `in` stays valid only for the duration of the call.
   virtual void process(const BlockView& in, Block& out) = 0;
 
-  /// Returns the stage to its start-of-stream state.
-  virtual void reset() = 0;
-
   /// Diagnostic label.
   [[nodiscard]] virtual std::string_view name() const = 0;
 };

@@ -90,7 +90,6 @@ class ChannelStage final : public Stage {
     out.match(in);
     stream_->transmit_block(in.data, out.data(), in.size);
   }
-  void reset() override { stream_->reset(); }
   [[nodiscard]] std::string_view name() const override { return "channel"; }
 
  private:
@@ -101,16 +100,13 @@ class ChannelStage final : public Stage {
 /// blockwise Waveform::add_noise.
 class AwgnStage final : public Stage {
  public:
-  AwgnStage(double sigma, std::uint64_t seed)
-      : sigma_(sigma), seed_(seed), rng_(seed) {}
+  AwgnStage(double sigma, std::uint64_t seed) : sigma_(sigma), rng_(seed) {}
 
   void process(const BlockView& in, Block& out) override;
-  void reset() override { rng_ = util::Rng(seed_); }
   [[nodiscard]] std::string_view name() const override { return "awgn"; }
 
  private:
   double sigma_;
-  std::uint64_t seed_;
   util::Rng rng_;
 };
 
@@ -121,7 +117,6 @@ class CtleStage final : public Stage {
       : k_(util::db_to_amplitude(boost) - 1.0), lpf_(pole, dt) {}
 
   void process(const BlockView& in, Block& out) override;
-  void reset() override { lpf_.reset(); }
   [[nodiscard]] std::string_view name() const override { return "ctle"; }
 
  private:
@@ -143,7 +138,6 @@ class RfiFrontEndStage final : public Stage {
   void set_mean(double mean) { delta_ = -mean; }
 
   void process(const BlockView& in, Block& out) override;
-  void reset() override { lpf_.reset(); }
   [[nodiscard]] std::string_view name() const override { return "rfi"; }
 
  private:
@@ -159,7 +153,6 @@ class RestoringStage final : public Stage {
       : inv_(&inv), pole_(inv.bandwidth(), dt) {}
 
   void process(const BlockView& in, Block& out) override;
-  void reset() override { pole_.reset(); }
   [[nodiscard]] std::string_view name() const override { return "restore"; }
 
  private:

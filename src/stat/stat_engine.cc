@@ -8,6 +8,7 @@
 #include <numbers>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "analog/filters.h"
 #include "core/chain_plan.h"
@@ -15,6 +16,7 @@
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/math.h"
+#include "util/parallel.h"
 
 namespace serdes::stat {
 
@@ -670,12 +672,13 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
   // One sampling phase: slices the pulse into cursors, builds the ISI
   // mixture once and records the slicer BER and DFE burst factor.  With
   // `with_contour` it also bisects the eye contour at target_ber (under
-  // PAM4, all three sub-eyes) from that same mixture.
-  std::vector<double> cursors;
-  std::vector<double> isi;
+  // PAM4, all three sub-eyes) from that same mixture.  A phase reads only
+  // shared inputs and writes only its own slot `b` of the per-phase
+  // vectors, so phases run concurrently.
   const auto phase = [&](int b, bool with_contour) {
     const double off = (static_cast<double>(b) + 0.5) / n_phases;
-    cursors.clear();
+    std::vector<double> cursors;
+    cursors.reserve(static_cast<std::size_t>(total_uis));
     double sum_all = 0.0;
     double l1_all = 0.0;
     double h0 = 0.0;
@@ -727,7 +730,8 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
       return 1.0 / (1.0 - std::clamp(q, 0.0, 0.5));
     };
 
-    isi.clear();
+    std::vector<double> isi;
+    isi.reserve(cursors.size());
     for (int m = 0; m < static_cast<int>(cursors.size()); ++m) {
       if (m == main_idx) continue;
       if (std::fabs(cursors[static_cast<std::size_t>(m)]) >
@@ -847,7 +851,10 @@ StatReport StatAnalyzer::analyze(const core::LinkConfig& cfg,
     phase_main[static_cast<std::size_t>(b)] = h0;
     phase_isi_count[static_cast<std::size_t>(b)] = isi_count;
   };
-  for (int b = 0; b < n_phases; ++b) phase(b, options_.contours);
+  util::parallel_for(static_cast<std::size_t>(n_phases), 0,
+                     [&](std::size_t b) {
+                       phase(static_cast<int>(b), options_.contours);
+                     });
 
   // ---- 4. Jitter folding and margins ------------------------------------
   const double ui_s = cfg.unit_interval().value();

@@ -142,7 +142,12 @@ class StatAnalyzer {
 
   /// Analyzes one scenario: the channel is the factory-built model the MC
   /// path would run (`dsp` and composite structure included).  Throws
-  /// std::invalid_argument on a config the engine cannot linearize.
+  /// std::invalid_argument on a config the engine cannot linearize.  The
+  /// sampling phases are independent, so they fan out over
+  /// util::parallel_for: a top-level call spreads them over every core,
+  /// and a call from inside a parallel_for task (a SweepRunner, run_batch
+  /// or run_bus worker) runs them inline on that task's thread.  The
+  /// report is byte-identical either way.
   [[nodiscard]] StatReport analyze(const core::LinkConfig& config,
                                    const channel::Channel& channel) const;
 

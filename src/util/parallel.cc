@@ -9,8 +9,19 @@
 
 namespace serdes::util {
 
+namespace {
+
+// True while this thread runs a worker loop of some parallel_for call.
+thread_local bool in_task = false;
+
+}  // namespace
+
 void parallel_for(std::size_t count, int n_threads,
                   const std::function<void(std::size_t)>& task) {
+  if (in_task) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
   std::size_t workers =
       n_threads > 0 ? static_cast<std::size_t>(n_threads)
                     : std::max(1u, std::thread::hardware_concurrency());
@@ -21,11 +32,14 @@ void parallel_for(std::size_t count, int n_threads,
   std::exception_ptr first_error;
   std::mutex error_mutex;
   const auto worker = [&] {
+    // The one-worker loop runs on the caller's thread, so the flag is
+    // restored on the way out, not just set.
+    in_task = true;
     for (;;) {
       // A thrown item voids the whole run, so stop picking up new work.
-      if (failed.load(std::memory_order_relaxed)) return;
+      if (failed.load(std::memory_order_relaxed)) break;
       const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
+      if (i >= count) break;
       try {
         task(i);
       } catch (...) {
@@ -34,6 +48,7 @@ void parallel_for(std::size_t count, int n_threads,
         if (!first_error) first_error = std::current_exception();
       }
     }
+    in_task = false;
   };
 
   if (workers <= 1) {

@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "api/channel_factory.h"
 #include "api/link_builder.h"
 #include "api/simulator.h"
 #include "api/spec_json.h"
+#include "util/parallel.h"
 
 namespace serdes {
 namespace {
@@ -155,6 +159,57 @@ TEST(EqTraining, BatchReportsInvariantToThreadCount) {
               api::to_json(threaded[i]).dump(2))
         << "lane " << i << " drifted across thread counts";
   }
+}
+
+// ---- Candidate fan-out ------------------------------------------------
+
+/// The bits of a training result, for exact comparison.
+std::vector<std::uint64_t> result_bits(const core::TrainingResult& r) {
+  std::vector<std::uint64_t> out = {
+      std::bit_cast<std::uint64_t>(r.tx_ffe_deemphasis),
+      std::bit_cast<std::uint64_t>(r.rx_ctle_boost_db),
+      std::bit_cast<std::uint64_t>(r.amplitude)};
+  for (const double t : r.dfe_taps) out.push_back(std::bit_cast<std::uint64_t>(t));
+  return out;
+}
+
+/// Trains `spec`'s link at top level, where each coordinate step replays
+/// its candidates concurrently, and inside a one-worker parallel_for,
+/// where they replay inline; the two results must match bit for bit.
+core::TrainingResult expect_fan_out_matches_inline(const LinkSpec& spec) {
+  const core::LinkConfig cfg = spec.to_link_config();
+  const auto channel =
+      api::ChannelFactory::instance().create(spec.channel, cfg);
+  const core::TrainingResult top =
+      core::train_equalizer(cfg, *channel, spec.training_uis, 3);
+  core::TrainingResult nested;
+  util::parallel_for(1, 1, [&](std::size_t) {
+    nested = core::train_equalizer(cfg, *channel, spec.training_uis, 3);
+  });
+  EXPECT_EQ(result_bits(top), result_bits(nested)) << spec.modulation;
+  return top;
+}
+
+TEST(EqTraining, CandidateFanOutMatchesInlineNrz) {
+  // Alpha starts at 0, so every FFE step's clamped `alpha - step`
+  // candidate equals the knob: skipped, or replayed late once the other
+  // candidate has moved the knob.  The lossy line moves a knob, so
+  // accepted candidates are in the comparison too.
+  const LinkSpec spec = lossy_spec(4096);
+  ASSERT_EQ(spec.tx_ffe_deemphasis, 0.0);
+  const core::TrainingResult trained = expect_fan_out_matches_inline(spec);
+  EXPECT_TRUE(trained.rx_ctle_boost_db != 0.0 ||
+              trained.tx_ffe_deemphasis != 0.0);
+}
+
+TEST(EqTraining, CandidateFanOutMatchesInlinePam4) {
+  const LinkSpec spec = LinkBuilder()
+                            .channel(api::ChannelSpec::rc(0.6e9, 6.0))
+                            .modulation("pam4")
+                            .noise_rms(0.008)
+                            .seed(20261016)
+                            .build_spec();
+  expect_fan_out_matches_inline(spec);
 }
 
 // ---- DFE / glitch-filter interaction ---------------------------------

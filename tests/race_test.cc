@@ -2,9 +2,11 @@
 // (-DSERDES_SANITIZE=thread): every multi-threaded execution path the
 // engine ships — the SweepRunner work-stealing pool, offline shard
 // merging fed by concurrently-running shards, the run_batch lane
-// fan-out and the process-wide memos (receiver characterization, FFT
-// plan tables) — exercised at several thread counts with byte-identical
-// report assertions.  Without TSan this is an ordinary (fast) tier1
+// fan-out, the pool's inline nesting rule, the stat engine's phase
+// fan-out and training's concurrent candidate replays, and the
+// process-wide memos (receiver characterization, FFT plan tables) —
+// exercised at several thread counts with byte-identical report
+// assertions.  Without TSan this is an ordinary (fast) tier1
 // determinism test; under TSan any data race in the pool, the row
 // buffers or the aggregation step is a hard failure with a stack pair.
 //
@@ -24,6 +26,7 @@
 
 #include "analog/rfi.h"
 #include "analog/sampler.h"
+#include "api/link_builder.h"
 #include "api/simulator.h"
 #include "channel/channel.h"
 #include "api/spec_json.h"
@@ -197,6 +200,122 @@ TEST(RaceHammer, WorkerPoolRunsEveryItemOnceAndFailsFast) {
                                     }),
                  std::runtime_error);
     EXPECT_LT(ran.load(), std::size_t{10000}) << "@" << threads;
+  }
+}
+
+TEST(RaceHammer, NestedCallsRunInlineOnTheirTasksThread) {
+  // A parallel_for called from inside a task spawns nothing: its items run
+  // in index order on that task's thread, so an outer N-worker call and
+  // everything nested in it use at most N threads.
+  for (const int threads : {1, 2, 4}) {
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    std::atomic<int> off_thread{0};
+    std::vector<std::vector<std::size_t>> order(8);
+    util::parallel_for(order.size(), threads, [&](std::size_t outer) {
+      const std::thread::id task_thread = std::this_thread::get_id();
+      util::parallel_for(16, 0, [&](std::size_t inner) {
+        if (std::this_thread::get_id() != task_thread) off_thread.fetch_add(1);
+        order[outer].push_back(inner);
+        const std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+      });
+    });
+    EXPECT_EQ(off_thread.load(), 0) << "@" << threads;
+    EXPECT_LE(ids.size(), static_cast<std::size_t>(threads)) << "@" << threads;
+    for (const std::vector<std::size_t>& items : order) {
+      ASSERT_EQ(items.size(), 16u) << "@" << threads;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        EXPECT_EQ(items[i], i) << "@" << threads;
+      }
+    }
+
+    // A nested item's exception surfaces from the outer call.
+    EXPECT_THROW(util::parallel_for(4, threads,
+                                    [](std::size_t outer) {
+                                      util::parallel_for(
+                                          4, 0, [outer](std::size_t inner) {
+                                            if (outer == 2 && inner == 3) {
+                                              throw std::runtime_error("2.3");
+                                            }
+                                          });
+                                    }),
+                 std::runtime_error)
+        << "@" << threads;
+  }
+
+  // The one-worker path runs its tasks on the caller's thread, and items
+  // nested in them stay there too, whatever width they ask for.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen;
+  util::parallel_for(1, 1, [&](std::size_t) {
+    util::parallel_for(4, 4, [&](std::size_t) {
+      seen.push_back(std::this_thread::get_id());
+    });
+  });
+  ASSERT_EQ(seen.size(), 4u);
+  for (const std::thread::id id : seen) EXPECT_EQ(id, caller);
+
+  // Once a call returns, the caller is top level again: a 4-worker call
+  // runs every item on its spawned threads.
+  std::atomic<int> on_caller{0};
+  util::parallel_for(4, 4, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(RaceHammer, ConcurrentFannedOutAnalysesAndTrainings) {
+  // Two plain host threads are each top level, so every stat analysis
+  // fans its sampling phases out and every training step replays its
+  // candidates concurrently, while the other host does the same.  The
+  // trained cell's replays also share one channel instance.  Each report
+  // must be byte-identical to the serial reference, which runs inside a
+  // one-worker parallel_for (every fan-out inline).
+  api::LinkSpec grid = api::LinkBuilder()
+                           .channel(api::ChannelSpec::lossy_line(8.0, 12.0,
+                                                                 4.0))
+                           .noise_rms(0.004)
+                           .analysis("stat")
+                           .build_spec();
+  api::LinkSpec trained = grid;
+  trained.eq = "trained";
+  trained.training_uis = 1024;
+  api::LinkSpec pam4 = api::LinkBuilder()
+                           .channel(api::ChannelSpec::flat(4.0))
+                           .modulation("pam4")
+                           .noise_rms(0.005)
+                           .analysis("stat")
+                           .build_spec();
+  const std::vector<api::LinkSpec> specs = {grid, trained, pam4};
+
+  const api::Simulator simulator;
+  std::vector<std::string> reference(specs.size());
+  util::parallel_for(1, 1, [&](std::size_t) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      reference[i] = api::to_json(simulator.run(specs[i])).dump();
+    }
+  });
+
+  constexpr int kHosts = 2;
+  std::vector<std::vector<std::string>> fanned(kHosts);
+  std::vector<std::thread> hosts;
+  hosts.reserve(kHosts);
+  for (int h = 0; h < kHosts; ++h) {
+    hosts.emplace_back([&, h] {
+      for (std::size_t k = 0; k < specs.size(); ++k) {
+        const api::LinkSpec& spec = specs[(k + h) % specs.size()];
+        fanned[h].push_back(api::to_json(simulator.run(spec)).dump());
+      }
+    });
+  }
+  for (auto& host : hosts) host.join();
+  for (int h = 0; h < kHosts; ++h) {
+    ASSERT_EQ(fanned[h].size(), specs.size());
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      EXPECT_EQ(fanned[h][k], reference[(k + h) % specs.size()])
+          << "host " << h << " spec " << (k + h) % specs.size();
+    }
   }
 }
 

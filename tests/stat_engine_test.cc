@@ -22,6 +22,7 @@
 #include "api/spec_json.h"
 #include "stat/stat_engine.h"
 #include "util/math.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace serdes {
@@ -309,11 +310,25 @@ TEST(StatAnalyzerTest, MarginsOnlyMatchesFullAnalysis) {
   margins_only.stat_contours = false;
   const api::Simulator full_sim;
   const api::Simulator margins_sim(margins_only);
-  // Runs `spec` both ways, compares, and returns the full report.
+  // Runs `spec` both ways, compares, and returns the full report.  Each
+  // mode runs again inside a one-worker parallel_for, where the engine's
+  // phases run inline instead of fanning out: the same bytes.
   const auto check = [&](const std::string& label,
                          const api::LinkSpec& spec) {
     api::RunReport full = full_sim.run(spec);
-    expect_margins_only_matches(full, margins_sim.run(spec), label);
+    const api::RunReport margins = margins_sim.run(spec);
+    expect_margins_only_matches(full, margins, label);
+    api::RunReport inline_full;
+    api::RunReport inline_margins;
+    util::parallel_for(1, 1, [&](std::size_t) {
+      inline_full = full_sim.run(spec);
+      inline_margins = margins_sim.run(spec);
+    });
+    EXPECT_EQ(api::to_json(inline_full).dump(), api::to_json(full).dump())
+        << label;
+    EXPECT_EQ(api::to_json(inline_margins).dump(),
+              api::to_json(margins).dump())
+        << label;
     return full.stat.value();
   };
 
@@ -352,6 +367,13 @@ TEST(StatAnalyzerTest, MarginsOnlyMatchesFullAnalysis) {
   api::LinkSpec closed = paper;
   closed.noise_rms_v = 0.05;
   EXPECT_LT(check("closed eye", closed).eye_height_v, 0.0);
+  const api::LinkSpec pam4 = api::LinkBuilder()
+                                 .channel(api::ChannelSpec::flat(4.0))
+                                 .modulation("pam4")
+                                 .noise_rms(0.005)
+                                 .analysis("stat")
+                                 .build_spec();
+  EXPECT_EQ(check("pam4", pam4).pam4_eye_height_v.size(), 3u);
 
   // A PAM4 bus with FEXT and NEXT: every lane's mixture carries the
   // aggressor cursors, and all three sub-eyes are bisected at the best

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -474,6 +475,14 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   for (const Case& c : {
            Case{R"({"random_jitter_s": 1.0})", "$.random_jitter_s"},
            Case{R"({"sinusoidal_jitter_s": 1.0})", "$.sinusoidal_jitter_s"},
+           // An SJ frequency past the bit rate: at 1e308 it overflowed to
+           // infinity, every sampling instant came out NaN, and the run
+           // exited 0 unaligned at BER 1.
+           Case{R"({"payload_bits": 4096, "sinusoidal_jitter_s": 1e-11,
+                    "sj_freq_ratio": 1e308})",
+                "$.sj_freq_ratio"},
+           Case{R"({"sinusoidal_jitter_s": 1e-11, "sj_freq_ratio": 1.5})",
+                "$.sj_freq_ratio"},
            Case{R"({"bit_rate_hz": 1e-300})", "$.bit_rate_hz"},
            Case{R"({"bit_rate_hz": 2e12})", "$.bit_rate_hz"},
            Case{R"({"channel": {"kind": "flat", "loss_db": -3.0}})",
@@ -549,6 +558,19 @@ TEST(SpecJson, ErrorsNameJsonPaths) {
   edge.modulation = "pam4";
   edge.random_jitter_s = 2.0 / edge.bit_rate_hz;
   EXPECT_EQ(api::validate_spec_with_paths(edge), "");
+  // The SJ frequency's bounds: the bit rate itself, and the jitter-
+  // tolerance bench's highest point.  NaN is rejected.
+  for (const double ratio : {1.0, 0.2}) {
+    api::LinkSpec sj_edge;
+    sj_edge.sinusoidal_jitter_s = 1e-11;
+    sj_edge.sj_freq_ratio = ratio;
+    EXPECT_EQ(api::validate_spec_with_paths(sj_edge), "") << ratio;
+  }
+  api::LinkSpec sj_nan;
+  sj_nan.sinusoidal_jitter_s = 1e-11;
+  sj_nan.sj_freq_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(api::validate_spec_with_paths(sj_nan).rfind("$.sj_freq_ratio:", 0),
+            0u);
   // The widest glitch filter still votes within one UI: 2 * 2 + 1 = 5.
   edge.cdr_glitch_filter_radius = 2;
   EXPECT_EQ(api::validate_spec_with_paths(edge), "");
