@@ -629,6 +629,7 @@ int main(int argc, char** argv) {
   // post-cursor cancellation and the error-propagation burst factor run
   // per phase bin on top of the plain bathtub.  Items = scenarios.
   // Backs the trained/DFE stat scenarios (examples/specs/trained_ci.json).
+  // Inline on one thread, like the paper-default kernels.
   {
     api::LinkSpec spec = api::LinkBuilder()
                              .channel(api::ChannelSpec::fir({0.8, 0.15, 0.05}))
@@ -637,21 +638,26 @@ int main(int argc, char** argv) {
                              .analysis("stat")
                              .build_spec();
     const api::Simulator sim;
-    run_bench(results, "stat_engine_dfe_sample", 1, [&] {
-      volatile double ber = sim.run(spec).stat->min_ber;
-      (void)ber;
+    util::parallel_for(1, 1, [&](std::size_t) {
+      run_bench(results, "stat_engine_dfe_sample", 1, [&] {
+        volatile double ber = sim.run(spec).stat->min_ber;
+        (void)ber;
+      });
     });
   }
 
   // The full `serdes_cli optimize` path on the paper operating point:
   // baseline stat evaluation (which already meets the 1e-15 target, so
   // the descent short-circuits) plus the winner's 2^16-bit Monte Carlo
-  // cross-check.  Items = optimize calls.
+  // cross-check.  Items = optimize calls.  Inline on one thread, so
+  // neither the stat phases nor the cross-check's chunks fan out.
   {
     const api::LinkSpec spec = api::LinkSpec::paper_default();
-    run_bench(results, "optimize_paper_default", 1, [&] {
-      volatile bool met = opt::optimize(spec).met;
-      (void)met;
+    util::parallel_for(1, 1, [&](std::size_t) {
+      run_bench(results, "optimize_paper_default", 1, [&] {
+        volatile bool met = opt::optimize(spec).met;
+        (void)met;
+      });
     });
   }
 

@@ -90,11 +90,13 @@ RunReport Simulator::run_impl(
     report.stat = analyzer.analyze(cfg, *channel);
     if (spec.analysis == "stat") return report;
   }
-  // The first chunk always captures waveforms: lock diagnostics and eye
-  // metrics come from it.  Whether they stay in the report is the spec's
-  // capture_waveforms choice.  Capture is bounded to the diagnostic window
-  // so a deep first chunk does not cost O(chunk) memory.
-  cfg.capture_waveforms = true;
+  // The first chunk carries the lock diagnostics and the eye, so it
+  // always captures the slicer input the eye folds; it captures all four
+  // waveforms only when the spec keeps them in the report.  Capture is
+  // bounded to the diagnostic window so a deep first chunk does not cost
+  // O(chunk) memory.
+  cfg.capture_waveforms = spec.capture_waveforms;
+  cfg.capture_slicer_input = true;
   cfg.capture_max_samples = static_cast<std::size_t>(
       options_.diagnostic_window_uis *
       static_cast<std::uint64_t>(cfg.samples_per_ui));
@@ -102,14 +104,11 @@ RunReport Simulator::run_impl(
                         ChannelFactory::instance().create(spec.channel, cfg));
 
   // The chunked-BER accounting lives in core::measure_ber; the observer
-  // lifts the diagnostics off the first chunk and turns capture off for
-  // the bulk chunks.
-  bool first_chunk = true;
+  // sees the first chunk alone, before any other starts, lifts the
+  // diagnostics off it and turns capture off for the bulk chunks.
   const core::BerMeasurement m = core::measure_ber(
       link, spec.payload_bits, spec.chunk_bits, options_.confidence_level,
       spec.prbs_order, [&](const core::LinkResult& r) {
-        if (!first_chunk) return;
-        first_chunk = false;
         report.cdr_decision_phase = r.rx.cdr_decision_phase;
         report.cdr_phase_updates = r.rx.cdr_phase_updates;
         report.rx_swing_pp = r.rx_swing_pp;
@@ -165,8 +164,11 @@ std::vector<RunReport> Simulator::run_lane_tile(
 
   core::LinkConfig cfg = base.to_link_config();
   // Same capture policy as run(): diagnostics come from each lane's first
-  // chunk, bounded to the diagnostic window.
-  cfg.capture_waveforms = true;
+  // chunk, bounded to the diagnostic window, and only the waveforms the
+  // reports read are captured (tile lanes share capture_waveforms, which
+  // tile_key keeps).
+  cfg.capture_waveforms = base.capture_waveforms;
+  cfg.capture_slicer_input = true;
   cfg.capture_max_samples = static_cast<std::size_t>(
       options_.diagnostic_window_uis *
       static_cast<std::uint64_t>(cfg.samples_per_ui));

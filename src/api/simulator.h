@@ -9,12 +9,14 @@
 // results are bit-identical whatever the thread count.
 //
 // Threads: a top-level `run` fans out inside the engines — the stat
-// engine's 64 sampling phases and each training step's two candidate
-// replays go over util::parallel_for at the hardware concurrency.  Under
-// `run_batch`, `run_bus` and sweep::SweepRunner every lane or scenario is
-// a parallel_for task, so those inner fan-outs run inline on its thread:
-// a batch asked for N threads uses N, and a 1-thread sweep stays serial.
-// Reports are byte-identical either way.
+// engine's 64 sampling phases, each training step's two candidate replays
+// and the Monte Carlo chunks after the first (core::measure_ber, in
+// windows of at most 2^18 payload bits) go over util::parallel_for at the
+// hardware concurrency.  Under `run_batch`, `run_bus` and
+// sweep::SweepRunner every lane or scenario is a parallel_for task, so
+// those inner fan-outs run inline on its thread: a batch asked for N
+// threads uses N, and a 1-thread sweep stays serial.  Reports are
+// byte-identical either way.
 #pragma once
 
 #include <cstdint>

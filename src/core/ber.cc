@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
+
+#include "util/parallel.h"
 
 namespace serdes::core {
 
@@ -39,37 +43,97 @@ double ber_upper_bound(std::uint64_t bits, std::uint64_t errors,
   return std::min(1.0, mu_up / static_cast<double>(bits));
 }
 
+namespace {
+
+/// Payload bits one window of fanned-out chunks may hold: no more than
+/// this is in flight at once, so a run's memory stays bounded however deep
+/// it is, and chunks of more than half of it run one at a time.
+constexpr std::uint64_t kWindowBits = std::uint64_t{1} << 18;
+
+/// What the accounting keeps of a chunk's LinkResult.
+struct ChunkCount {
+  bool aligned = false;
+  std::uint64_t compared = 0;
+  std::uint64_t errors = 0;
+};
+
+ChunkCount count_of(const LinkResult& r) {
+  return {r.aligned, r.payload_bits_compared, r.bit_errors};
+}
+
+}  // namespace
+
 BerMeasurement measure_ber(
     SerDesLink& link, std::uint64_t total_bits, std::uint64_t chunk_bits,
     double confidence_level, util::PrbsOrder order,
     const std::function<void(const LinkResult&)>& on_chunk) {
+  if (chunk_bits == 0) {
+    throw std::invalid_argument("measure_ber: chunk_bits must be > 0");
+  }
   BerMeasurement m;
   m.confidence_level = confidence_level;
-  util::PrbsGenerator prbs(order);
   // Footage is tracked by bits *sent*, not bits compared: an aligned chunk
   // may compare slightly fewer bits than it carried (the CDR pipeline's
   // tail allowance), and a residual micro-chunk re-run for that deficit
   // could never align — it would poison the whole measurement.
-  std::uint64_t sent = 0;
-  while (sent < total_bits) {
-    const std::uint64_t n = std::min(chunk_bits, total_bits - sent);
-    sent += n;
-    const auto payload = prbs.next_bits(static_cast<std::size_t>(n));
-    const LinkResult r = link.run(payload);
-    if (on_chunk) on_chunk(r);
-    if (!r.aligned) {
+  const auto tally = [&m](std::uint64_t sent, const ChunkCount& c) {
+    if (!c.aligned) {
       // Alignment failure: every payload bit in the chunk is lost.
       m.aligned = false;
-      m.errors += n;
-      m.bits += n;
-      continue;
+      m.errors += sent;
+      m.bits += sent;
+      return;
     }
-    m.bits += r.payload_bits_compared;
-    m.errors += r.bit_errors;
     // Bits the receiver truncated (pipeline tail) beyond the CDR allowance
-    // are already charged as errors inside LinkResult (SerDesLink::finalize);
-    // only the small allowance itself is excluded from both counts.
+    // are already charged as errors inside LinkResult
+    // (SerDesLink::finalize_result); only the small allowance itself is
+    // excluded from both counts.
+    m.bits += c.compared;
+    m.errors += c.errors;
+  };
+
+  util::PrbsGenerator prbs(order);
+  std::uint64_t sent = 0;
+  if (total_bits > 0) {
+    // Chunk 0 runs alone on this thread, and its observer may reconfigure
+    // the link before any other chunk starts.
+    const std::uint64_t n = std::min(chunk_bits, total_bits);
+    const LinkResult r = link.run(prbs.next_bits(static_cast<std::size_t>(n)));
+    if (on_chunk) on_chunk(r);
+    tally(n, count_of(r));
+    sent = n;
   }
+
+  // The rest fan out a window at a time.  This thread steps the PRBS past
+  // each chunk, keeping a copy of the generator at its start; the chunk's
+  // task regenerates its payload from that copy and runs with its own run
+  // index, so every chunk sees the payload and noise of the serial loop.
+  const std::uint64_t window =
+      std::max<std::uint64_t>(1, kWindowBits / chunk_bits);
+  std::vector<util::PrbsGenerator> starts;
+  std::vector<std::uint64_t> sizes;
+  std::vector<ChunkCount> counts;
+  const SerDesLink& shared = link;
+  while (sent < total_bits) {
+    starts.clear();
+    sizes.clear();
+    while (sizes.size() < window && sent < total_bits) {
+      const std::uint64_t n = std::min(chunk_bits, total_bits - sent);
+      starts.push_back(prbs);
+      for (std::uint64_t k = 0; k < n; ++k) (void)prbs.next();
+      sizes.push_back(n);
+      sent += n;
+    }
+    const std::uint64_t base = link.reserve_runs(sizes.size());
+    counts.assign(sizes.size(), ChunkCount{});
+    util::parallel_for(sizes.size(), 0, [&](std::size_t i) {
+      util::PrbsGenerator gen = starts[i];
+      counts[i] = count_of(shared.run(
+          gen.next_bits(static_cast<std::size_t>(sizes[i])), base + i));
+    });
+    for (std::size_t i = 0; i < sizes.size(); ++i) tally(sizes[i], counts[i]);
+  }
+
   if (m.bits > 0) {
     m.ber = static_cast<double>(m.errors) / static_cast<double>(m.bits);
   }

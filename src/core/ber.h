@@ -25,11 +25,24 @@ struct BerMeasurement {
   [[nodiscard]] bool error_free() const { return aligned && errors == 0; }
 };
 
-/// Runs the link over `total_bits` of PRBS data split into chunks (each
-/// chunk is an independent waveform with fresh noise), accumulating errors.
-/// `on_chunk`, if set, sees every chunk's LinkResult as it completes —
-/// api::Simulator uses it to lift diagnostics off the first chunk while
-/// sharing this loop's BER accounting.
+/// Runs the link over `total_bits` of PRBS data split into chunks of
+/// `chunk_bits` (each chunk is an independent waveform with fresh noise:
+/// one run of `link`), accumulating errors.  Throws std::invalid_argument
+/// when chunk_bits is 0.
+///
+/// `on_chunk`, if set, sees the first chunk's LinkResult and no other.
+/// The first chunk runs alone on the calling thread, and the observer may
+/// reconfigure `link` before any other chunk starts: api::Simulator lifts
+/// its diagnostics off that chunk and turns capture off for the rest.
+///
+/// The remaining chunks fan out over util::parallel_for at the hardware
+/// concurrency (inline inside another call's task), in windows of at most
+/// max(1, 2^18 / chunk_bits) chunks, so no more than 2^18 payload bits are
+/// in flight at once and chunks of more than 2^17 bits run one at a time.
+/// Chunk i runs as run number first + i of `link` (SerDesLink::run's const
+/// form), which advances the link's run counter by the number of chunks.
+/// The measurement, and every later run of `link`, is identical to
+/// running the chunks serially.
 BerMeasurement measure_ber(
     SerDesLink& link, std::uint64_t total_bits,
     std::uint64_t chunk_bits = 4096, double confidence_level = 0.95,

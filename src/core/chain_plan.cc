@@ -81,19 +81,22 @@ pipe::LevelPulseSource ChainPlan::source(const Launch& tx) const {
 // ---- Chain instantiation ----------------------------------------------------
 
 std::vector<ChainPlan::Step> ChainPlan::steps(Stop stop, bool noise,
-                                              bool probes) const {
+                                              Probes probes) const {
+  const bool all = probes == Probes::kAll;
   std::vector<Step> s{Step::kChannel};
   if (has_xtalk_) s.push_back(Step::kXtalk);
   if (noise) s.push_back(Step::kAwgn);
-  if (probes) s.push_back(Step::kNoisyProbe);
+  if (all) s.push_back(Step::kNoisyProbe);
   if (stop != Stop::kNoisy && use_ctle_) s.push_back(Step::kCtle);
   if (stop == Stop::kSlicer && !pam4_) {
     s.push_back(Step::kRfi);
-    if (probes) s.push_back(Step::kRfiProbe);
+    if (all) s.push_back(Step::kRfiProbe);
     s.push_back(Step::kRestore);
   }
   // A pass that ends at the receiver input reads both probes off one tap.
-  if (probes && s.back() != Step::kNoisyProbe) s.push_back(Step::kOutProbe);
+  if (probes != Probes::kNone && s.back() != Step::kNoisyProbe) {
+    s.push_back(Step::kOutProbe);
+  }
   return s;
 }
 
@@ -123,10 +126,10 @@ ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
   Pass p;
   const auto probe = [&] {
     return &p.pipeline.add_probe(std::make_unique<pipe::WaveformTap>(
-        capture_samples(tx, *options.probes), options.statistics));
+        capture_samples(tx, options.capture), options.statistics));
   };
   for (const Step step : steps(options.stop, options.awgn_seed.has_value(),
-                               options.probes.has_value())) {
+                               options.probes)) {
     switch (step) {
       case Step::kChannel:
         p.pipeline.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
@@ -172,15 +175,15 @@ ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
 ChainPlan::TilePass ChainPlan::tile_pass(
     const channel::Channel& ch, const Launch& tx,
     const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
-    const std::vector<double>& means, std::optional<std::size_t> probes,
+    const std::vector<double>& means, Probes probes, std::size_t capture,
     bool statistics) const {
   TilePass p;
   const std::size_t n = awgn_seeds.size();
   const auto probe = [&] {
     return &p.lanes.add_probe(std::make_unique<pipe::LaneWaveformTap>(
-        n, capture_samples(tx, *probes), statistics));
+        n, capture_samples(tx, capture), statistics));
   };
-  for (const Step step : steps(stop, /*noise=*/true, probes.has_value())) {
+  for (const Step step : steps(stop, /*noise=*/true, probes)) {
     switch (step) {
       case Step::kChannel:
         p.shared.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
@@ -221,16 +224,29 @@ ChainPlan::TilePass ChainPlan::tile_pass(
   return p;
 }
 
+// ---- Waveform capture -------------------------------------------------------
+
+ChainPlan::Probes ChainPlan::capture_probes() const {
+  if (config_.capture_waveforms) return Probes::kAll;
+  return config_.capture_slicer_input ? Probes::kOut : Probes::kNone;
+}
+
+std::size_t ChainPlan::capture_limit() const {
+  return config_.capture_max_samples > 0 ? config_.capture_max_samples
+                                         : static_cast<std::size_t>(-1);
+}
+
 // ---- First pass -------------------------------------------------------------
 
 FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
                                 std::uint64_t awgn_seed) const {
   Pass noisy = pass(ch, tx, {pam4_ ? Stop::kNoisy : Stop::kEqualized,
-                             awgn_seed, 0.0, 0, /*statistics=*/true});
+                             awgn_seed, 0.0, Probes::kAll, 0,
+                             /*statistics=*/true});
   std::optional<Pass> clean;
   if (pam4_) {
-    clean = pass(ch, tx, {Stop::kEqualized, std::nullopt, 0.0, 0,
-                          /*statistics=*/true});
+    clean = pass(ch, tx, {Stop::kEqualized, std::nullopt, 0.0, Probes::kAll,
+                          0, /*statistics=*/true});
   }
   pipe::LevelPulseSource src = source(tx);
   pipe::Block blk;
@@ -257,8 +273,8 @@ std::vector<FirstPass> ChainPlan::first_pass(
   if (pam4_) {
     throw std::invalid_argument("ChainPlan: lane tiles run NRZ only");
   }
-  TilePass p = tile_pass(ch, tx, awgn_seeds, Stop::kEqualized, {}, 0,
-                         /*statistics=*/true);
+  TilePass p = tile_pass(ch, tx, awgn_seeds, Stop::kEqualized, {},
+                         Probes::kAll, 0, /*statistics=*/true);
   pipe::LevelPulseSource src = source(tx);
   pipe::Block blk;
   while (src.produce(blk, block_) > 0) (void)p.process(blk.view());

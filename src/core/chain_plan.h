@@ -69,18 +69,26 @@ class ChainPlan {
     kSlicer,     // what the slicers read: restored (NRZ), equalized (PAM4)
   };
 
+  /// Where a pass carries probes (pipe::WaveformTap; pipe::LaneWaveformTap
+  /// in a tile).
+  enum class Probes {
+    kNone,
+    kOut,  // at the end only: what the slicers read, in a kSlicer pass
+    kAll,  // after the AWGN, after the RFI (scalar passes) and at the end
+  };
+
   struct PassOptions {
     Stop stop = Stop::kSlicer;
     /// AWGN stream seed; nullopt replays the chain noise-free.
     std::optional<std::uint64_t> awgn_seed;
     /// NRZ: the stream mean the RFI subtracts (FirstPass::mean).
     double mean = 0.0;
-    /// Probes after the AWGN, after the RFI and at the end, each capturing
-    /// up to this many samples (pipe::WaveformTap, its storage reserved
-    /// once for at most the stream's length; one tap serves as both the
-    /// first and the last when the pass ends at the receiver input);
-    /// nullopt: no probes.
-    std::optional<std::size_t> probes;
+    /// The probes, each capturing up to `capture` samples (its storage
+    /// reserved once for at most the stream's length).  One tap serves as
+    /// both the first and the last when the pass ends at the receiver
+    /// input.
+    Probes probes = Probes::kNone;
+    std::size_t capture = 0;
     /// The probes also keep the stream statistics (min, max, sample-order
     /// sum) — only first_pass reads them.
     bool statistics = false;
@@ -158,14 +166,23 @@ class ChainPlan {
   [[nodiscard]] Pass pass(const channel::Channel& ch, const Launch& tx,
                           const PassOptions& options) const;
   /// The chain as an N-lane tile, one lane per AWGN seed; `means` holds
-  /// the lanes' RFI means when the pass reaches the RFI.  `probes` and
-  /// `statistics` as in PassOptions.
+  /// the lanes' RFI means when the pass reaches the RFI.  `probes`,
+  /// `capture` and `statistics` as in PassOptions.
   [[nodiscard]] TilePass tile_pass(const channel::Channel& ch,
                                    const Launch& tx,
                                    const std::vector<std::uint64_t>& awgn_seeds,
                                    Stop stop, const std::vector<double>& means,
-                                   std::optional<std::size_t> probes,
+                                   Probes probes, std::size_t capture,
                                    bool statistics) const;
+
+  // ---- Waveform capture -----------------------------------------------------
+  /// The probes a run of this config captures into: every position under
+  /// LinkConfig::capture_waveforms, the slicer input alone under
+  /// capture_slicer_input, none otherwise.
+  [[nodiscard]] Probes capture_probes() const;
+  /// Samples each capture probe keeps: LinkConfig::capture_max_samples,
+  /// where 0 keeps the whole stream.
+  [[nodiscard]] std::size_t capture_limit() const;
 
   // ---- First pass -----------------------------------------------------------
   /// Streams `tx` once through the front of the chain and measures what
@@ -213,9 +230,9 @@ class ChainPlan {
   /// The stage order, written once: the steps this config runs up to
   /// `stop` — crosstalk only when a path has gain, the AWGN unless `noise`
   /// is off, the CTLE only when boosted, the RFI and restore only under
-  /// NRZ — with the probe positions when `probes` is set.
+  /// NRZ — with the positions of `probes`.
   [[nodiscard]] std::vector<Step> steps(Stop stop, bool noise,
-                                        bool probes) const;
+                                        Probes probes) const;
   /// Crosstalk injection paths for one pass: every lane of a bus carries
   /// the same framed stream, so an aggressor launches the victim's levels
   /// shifted by its UI delay (idle zeros prepended).  FEXT paths get a

@@ -105,10 +105,17 @@ struct LinkConfig {
 
   std::uint64_t noise_seed = 1234;
 
-  /// When false, LinkResult comes back without the tx/channel/restored
-  /// waveforms — batch sweeps that only read BER skip retaining two full
-  /// analog::Waveforms per run.
+  /// When true, a run captures all four waveforms of LinkResult: the TX
+  /// output, the receiver input (`channel_out`, after the AWGN), the RFI
+  /// output and the slicer input (`rx.restored`).  When false it captures
+  /// none, unless `capture_slicer_input` asks for the last one.
   bool capture_waveforms = true;
+  /// Internal: with `capture_waveforms` off, still capture the slicer
+  /// input, which is all an eye fold reads.  api::Simulator sets it for
+  /// its diagnostic chunk when the spec asks for no waveforms, so a deep
+  /// run does not hold three waveforms (eight lanes' worth in a tile)
+  /// that no report reads.
+  bool capture_slicer_input = false;
   /// When capturing, retain at most this many samples per waveform (the
   /// diagnostic window); 0 keeps everything.  Lets the streaming pipeline
   /// bound capture memory on deep chunks — api::Simulator sets it from its

@@ -1,7 +1,6 @@
 #include "core/lane_link.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -26,8 +25,8 @@ LaneLink::LaneLink(const LinkConfig& config,
 }
 
 void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
-                         const std::vector<std::size_t>& lanes, bool capture,
-                         std::vector<LinkResult>& results) {
+                         const std::vector<std::size_t>& lanes,
+                         bool first_chunk, std::vector<LinkResult>& results) {
   const std::size_t nl = lanes.size();
   std::vector<std::uint64_t> noise_seeds(nl);
   std::vector<std::uint64_t> awgn_seeds(nl);
@@ -48,14 +47,13 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
   std::vector<double> means(nl);
   for (std::size_t i = 0; i < nl; ++i) means[i] = first[i].mean;
 
-  const std::size_t capture_cap = config_.capture_max_samples > 0
-                                      ? config_.capture_max_samples
-                                      : static_cast<std::size_t>(-1);
+  const ChainPlan::Probes probes =
+      first_chunk ? plan.capture_probes() : ChainPlan::Probes::kNone;
+  const bool capture = probes == ChainPlan::Probes::kAll;
+  const std::size_t capture_cap = plan.capture_limit();
   ChainPlan::TilePass chain =
       plan.tile_pass(*channel_, tx, awgn_seeds, ChainPlan::Stop::kSlicer,
-                     means,
-                     capture ? std::optional(capture_cap) : std::nullopt,
-                     /*statistics=*/false);
+                     means, probes, capture_cap, /*statistics=*/false);
   pipe::LevelPulseSource source = plan.source(tx);
   // The slicer threshold is lane-invariant (the restoring-stage midpoint).
   pipe::SamplerCdrSink sink(plan.sink_config(first[0], source, noise_seeds));
@@ -77,8 +75,6 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
   }
   sink.finish();
 
-  LinkConfig finalize_cfg = config_;
-  finalize_cfg.capture_waveforms = capture;
   results.assign(nl, LinkResult{});
   for (std::size_t i = 0; i < nl; ++i) {
     LinkResult& result = results[i];
@@ -89,10 +85,10 @@ void LaneLink::run_chunk(const std::vector<std::uint8_t>& payload,
       result.tx_out =
           analog::Waveform{source.stream_t0(), source.dt(), tx_capture};
       result.channel_out = chain.noisy->take(i);
-      result.rx.restored = chain.out->take(i);
     }
+    if (chain.out != nullptr) result.rx.restored = chain.out->take(i);
     result.aligned = result.rx.aligned;
-    SerDesLink::finalize_result(finalize_cfg, payload, result);
+    SerDesLink::finalize_result(config_, payload, result);
   }
 }
 
@@ -100,6 +96,9 @@ std::vector<LaneOutcome> LaneLink::measure(std::uint64_t total_bits,
                                            std::uint64_t chunk_bits,
                                            double confidence_level,
                                            util::PrbsOrder order) {
+  if (chunk_bits == 0) {
+    throw std::invalid_argument("LaneLink::measure: chunk_bits must be > 0");
+  }
   const std::size_t n_lanes = lane_seeds_.size();
   std::vector<LaneOutcome> out(n_lanes);
   for (LaneOutcome& o : out) o.measurement.confidence_level = confidence_level;
@@ -149,9 +148,8 @@ std::vector<LaneOutcome> LaneLink::measure(std::uint64_t total_bits,
       // (and waveform capture when the config asks for it), exactly like
       // the scalar path's first-chunk observer.
       const bool first_chunk = group.drawn == 0;
-      const bool capture = config_.capture_waveforms && first_chunk;
       std::vector<LinkResult> results;
-      run_chunk(payload, group.lanes, capture, results);
+      run_chunk(payload, group.lanes, first_chunk, results);
       for (std::size_t i = 0; i < group.lanes.size(); ++i) {
         const std::size_t lane = group.lanes[i];
         LinkResult& r = results[i];

@@ -48,9 +48,10 @@ struct LaneOutcome {
   int cdr_decision_phase = 0;
   std::uint64_t cdr_phase_updates = 0;
   double rx_swing_pp = 0.0;
-  /// First-chunk diagnostic waveforms (empty when capture is off).
-  /// tx_out is lane-invariant (copied per lane); channel_out (post-AWGN,
-  /// like the scalar path's capture point) and restored are per lane.
+  /// First-chunk diagnostic waveforms (empty when capture is off;
+  /// restored alone under LinkConfig::capture_slicer_input).  tx_out is
+  /// lane-invariant (copied per lane); channel_out (post-AWGN, like the
+  /// scalar path's capture point) and restored are per lane.
   analog::Waveform tx_out;
   analog::Waveform channel_out;
   analog::Waveform restored;
@@ -68,10 +69,10 @@ class LaneLink {
   /// Runs every lane over `total_bits` of PRBS data in chunks of
   /// `chunk_bits` (core::measure_ber's loop, lane-batched): lanes at the
   /// same PRBS position share one payload and one datapath sweep.
-  /// Waveform/diagnostic capture follows the config: when
-  /// capture_waveforms is set, each lane's first chunk is captured (and
-  /// trimmed to capture_max_samples), exactly like api::Simulator's
-  /// scalar observer.
+  /// Waveform/diagnostic capture follows the config: each lane's first
+  /// chunk captures what capture_waveforms / capture_slicer_input ask for
+  /// (trimmed to capture_max_samples), exactly like api::Simulator's
+  /// scalar observer.  Throws std::invalid_argument when chunk_bits is 0.
   [[nodiscard]] std::vector<LaneOutcome> measure(std::uint64_t total_bits,
                                                  std::uint64_t chunk_bits,
                                                  double confidence_level,
@@ -83,9 +84,10 @@ class LaneLink {
 
  private:
   /// One shared datapath sweep over `payload` for the given lane subset
-  /// (indices into lane_seeds_), filling one LinkResult per entry.
+  /// (indices into lane_seeds_), filling one LinkResult per entry; only
+  /// the lanes' first chunk captures waveforms.
   void run_chunk(const std::vector<std::uint8_t>& payload,
-                 const std::vector<std::size_t>& lanes, bool capture,
+                 const std::vector<std::size_t>& lanes, bool first_chunk,
                  std::vector<LinkResult>& results);
 
   LinkConfig config_;

@@ -16,11 +16,16 @@ SerDesLink::SerDesLink(const LinkConfig& config,
 }
 
 LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
+  return run(payload, run_counter_++);
+}
+
+LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload,
+                           std::uint64_t run_index) const {
   // Receiver-input AWGN: a fresh seed per run keeps repeated runs
   // statistically independent while the whole experiment stays
   // deterministic.
   const std::uint64_t noise_run_seed =
-      ChainPlan::awgn_seed(config_.noise_seed, run_counter_++);
+      ChainPlan::awgn_seed(config_.noise_seed, run_index);
   const ChainPlan plan(config_, rx_);
   const Launch tx = plan.launch(tx_.wire_bits(payload));
 
@@ -34,15 +39,15 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
   // ---- Pass 2: the full chain into the sampler/CDR sink --------------------
   // It re-runs the same deterministic front half and carries on to the
   // slicers.  Capture probes sit at the receiver input, the RFI output and
-  // the slicer input.
-  const bool capture = config_.capture_waveforms;
-  const std::size_t capture_cap = config_.capture_max_samples > 0
-                                      ? config_.capture_max_samples
-                                      : static_cast<std::size_t>(-1);
+  // the slicer input, or at the slicer input alone.
+  const ChainPlan::Probes probes = plan.capture_probes();
+  const bool capture = probes == ChainPlan::Probes::kAll;
+  const std::size_t capture_cap = plan.capture_limit();
   ChainPlan::PassOptions options;
   options.awgn_seed = noise_run_seed;
   options.mean = first.mean;
-  if (capture) options.probes = capture_cap;
+  options.probes = probes;
+  options.capture = capture_cap;
   ChainPlan::Pass chain = plan.pass(*channel_, tx, options);
   pipe::LevelPulseSource source = plan.source(tx);
   pipe::SamplerCdrSink sink(
@@ -73,10 +78,12 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
     result.tx_out = analog::Waveform{source.stream_t0(), source.dt(),
                                      std::move(tx_capture)};
     result.channel_out = chain.noisy->take();
-    // PAM4 has no RFI: the slicers read the equalized stream, which fills
-    // the report's "restored" slot (the receiver input itself when there is
-    // no CTLE either, and one probe serves both).
     if (chain.rfi != nullptr) result.rx.rfi_out = chain.rfi->take();
+  }
+  // PAM4 has no RFI: the slicers read the equalized stream, which fills
+  // the report's "restored" slot (the receiver input itself when there is
+  // no CTLE either, and one probe serves both).
+  if (chain.out != nullptr) {
     result.rx.restored =
         chain.out == chain.noisy ? result.channel_out : chain.out->take();
   }
@@ -120,7 +127,7 @@ void SerDesLink::finalize_result(const LinkConfig& config,
     result.tx_out = {};
     result.channel_out = {};
     result.rx.rfi_out = {};
-    result.rx.restored = {};
+    if (!config.capture_slicer_input) result.rx.restored = {};
   }
 }
 

@@ -29,7 +29,9 @@ struct LinkResult {
   double decision_threshold = 0.0;
   ReceiveResult rx;
   /// TX output and channel output waveforms (for plotting / eye analysis).
-  /// Empty when `LinkConfig::capture_waveforms` is false.
+  /// Empty when `LinkConfig::capture_waveforms` is false.  `rx.restored`
+  /// (the slicer input) and `rx.rfi_out` follow the same rule, except that
+  /// `LinkConfig::capture_slicer_input` keeps `rx.restored` alone.
   analog::Waveform tx_out;
   analog::Waveform channel_out;
 
@@ -49,8 +51,24 @@ class SerDesLink {
 
   /// Transmits `payload` through the streaming block pipeline
   /// core::ChainPlan lays out (O(block) waveform memory, NRZ and PAM4) and
-  /// compares what the receiver recovered.
+  /// compares what the receiver recovered.  Each call is the link's next
+  /// run: run(payload, i) with i taken from the run counter.
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
+
+  /// `payload` as run number `run_index` of this link, whose receiver
+  /// AWGN seed comes from that index.  It leaves the link as it is, so
+  /// runs of distinct indices may proceed concurrently (core::measure_ber
+  /// fans its chunks out this way); take their indices from reserve_runs.
+  [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload,
+                               std::uint64_t run_index) const;
+
+  /// Advances the run counter past `count` runs and returns the first
+  /// index they own: the indices `count` calls of run(payload) would use.
+  std::uint64_t reserve_runs(std::uint64_t count) {
+    const std::uint64_t first = run_counter_;
+    run_counter_ += count;
+    return first;
+  }
 
   /// Convenience: PRBS payload of `nbits` using the config's pattern order.
   [[nodiscard]] LinkResult run_prbs(std::size_t nbits);
@@ -62,15 +80,18 @@ class SerDesLink {
   [[nodiscard]] const LinkConfig& config() const { return config_; }
 
   /// Toggles waveform capture after construction (see
-  /// LinkConfig::capture_waveforms); api::Simulator keeps the first
-  /// diagnostic chunk and drops waveforms for the bulk BER chunks.
+  /// LinkConfig::capture_waveforms): on captures all four waveforms, off
+  /// captures none (LinkConfig::capture_slicer_input included).
+  /// api::Simulator keeps the first diagnostic chunk and drops waveforms
+  /// for the bulk BER chunks.
   void set_capture_waveforms(bool capture) {
     config_.capture_waveforms = capture;
+    if (!capture) config_.capture_slicer_input = false;
   }
 
   /// Shared tail of every run path (including the lane-batched LaneLink):
   /// payload comparison, truncated-tail error accounting, BER, and
-  /// waveform dropping when `config` does not capture.
+  /// dropping the waveforms `config` does not capture.
   static void finalize_result(const LinkConfig& config,
                               const std::vector<std::uint8_t>& payload,
                               LinkResult& result);

@@ -2,17 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "analog/rfi.h"
 #include "analog/sampler.h"
 #include "api/channel_factory.h"
+#include "api/link_builder.h"
+#include "api/simulator.h"
+#include "api/spec_json.h"
 #include "channel/channel.h"
 #include "core/ber.h"
 #include "digital/serializer.h"
+#include "util/parallel.h"
 #include "util/prbs.h"
 
 namespace serdes::core {
@@ -290,6 +297,200 @@ TEST(Ber, DetectsBrokenLink) {
   const auto m = measure_ber(link, 4096, 2048);
   EXPECT_FALSE(m.error_free());
   EXPECT_GT(m.ber, 1e-3);
+}
+
+TEST(Ber, ZeroChunkBitsIsRejected) {
+  // A zero-bit chunk never advances the footage, so the run could never
+  // end; the spec bounds reject it for JSON, this check for C++ callers.
+  SerDesLink link(LinkConfig::paper_default(), flat(30.0));
+  EXPECT_THROW((void)measure_ber(link, 4096, 0), std::invalid_argument);
+}
+
+// ---- The chunk fan-out -------------------------------------------------------
+//
+// A top-level measure_ber runs its first chunk alone and fans the rest out
+// over util::parallel_for; inside a one-worker parallel_for every chunk
+// runs inline, in order, on the calling thread.  Both must give the same
+// report, byte for byte.
+
+/// to_json of Simulator::run at top level and inline.
+void expect_fan_out_matches_inline(const api::LinkSpec& spec,
+                                   const std::string& label) {
+  SCOPED_TRACE(label);
+  const api::Simulator simulator;
+  std::string inline_report;
+  util::parallel_for(1, 1, [&](std::size_t) {
+    inline_report = api::to_json(simulator.run(spec)).dump();
+  });
+  EXPECT_EQ(api::to_json(simulator.run(spec)).dump(), inline_report);
+}
+
+TEST(BerFanOut, SimulatorRunMatchesInlineByteForByte) {
+  // perfbench nrz_deep's physics: lossy line, CTLE and a 3-tap DFE, with a
+  // short trailing chunk.
+  const api::LinkSpec deep =
+      api::LinkBuilder()
+          .channel(api::ChannelSpec::lossy_line(8.0, 12.0, 4.0))
+          .noise_rms(0.002)
+          .rx_ctle(util::decibels(4.0))
+          .dfe({0.04, 0.015, 0.005})
+          .payload_bits(5 * 2048 + 700)
+          .chunk_bits(2048)
+          .seed(11)
+          .build_spec();
+  expect_fan_out_matches_inline(deep, "nrz_deep physics");
+
+  const api::LinkSpec pam4 = api::LinkBuilder()
+                                 .flat_channel(util::decibels(4.0))
+                                 .modulation("pam4")
+                                 .noise_rms(0.005)
+                                 .payload_bits(4 * 2048)
+                                 .chunk_bits(2048)
+                                 .seed(12)
+                                 .build_spec();
+  expect_fan_out_matches_inline(pam4, "pam4");
+
+  const api::LinkSpec both = api::LinkBuilder()
+                                 .flat_channel(util::decibels(30.0))
+                                 .noise_rms(0.004)
+                                 .analysis("both")
+                                 .payload_bits(4 * 2048)
+                                 .chunk_bits(2048)
+                                 .seed(13)
+                                 .build_spec();
+  expect_fan_out_matches_inline(both, "both");
+
+  // Chunks that fail to align are charged whole: some of them here, so
+  // both branches of the accounting run in the fanned-out chunks.
+  const api::LinkSpec lossy = api::LinkBuilder()
+                                  .flat_channel(util::decibels(58.0))
+                                  .payload_bits(6 * 1024)
+                                  .chunk_bits(1024)
+                                  .seed(14)
+                                  .build_spec();
+  const api::RunReport lost = api::Simulator().run(lossy);
+  EXPECT_FALSE(lost.aligned);
+  EXPECT_LT(lost.errors, lost.bits);
+  expect_fan_out_matches_inline(lossy, "unaligned chunks");
+
+  api::LinkSpec captured = deep;
+  captured.capture_waveforms = true;
+  expect_fan_out_matches_inline(captured, "capture_waveforms");
+}
+
+/// The measurement of a link driven chunk by chunk, every chunk through
+/// run(payload) on this thread.
+BerMeasurement serial_measurement(SerDesLink& link, std::uint64_t total,
+                                  std::uint64_t chunk) {
+  BerMeasurement m;
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs31);
+  for (std::uint64_t sent = 0; sent < total;) {
+    const std::uint64_t n = std::min(chunk, total - sent);
+    sent += n;
+    const LinkResult r = link.run(prbs.next_bits(static_cast<std::size_t>(n)));
+    if (!r.aligned) {
+      m.aligned = false;
+      m.errors += n;
+      m.bits += n;
+      continue;
+    }
+    m.bits += r.payload_bits_compared;
+    m.errors += r.bit_errors;
+  }
+  return m;
+}
+
+TEST(BerFanOut, SeveralWindowsMatchTheSerialLoop) {
+  // A window holds 2^18 payload bits: 2^15-bit chunks go 8 to a window,
+  // so 2^18 + 2^15 + 500 bits are the first chunk, one full window and a
+  // second window of one short chunk.  Four samples per UI keep it cheap,
+  // and the noise makes every chunk's error count depend on its seed.
+  constexpr std::uint64_t kTotal = (1u << 18) + (1u << 15) + 500;
+  constexpr std::uint64_t kChunk = 1u << 15;
+  const api::LinkSpec spec = api::LinkBuilder()
+                                 .flat_channel(util::decibels(40.0))
+                                 .noise_rms(0.004)
+                                 .samples_per_ui(4)
+                                 .payload_bits(kTotal)
+                                 .chunk_bits(kChunk)
+                                 .seed(15)
+                                 .build_spec();
+  expect_fan_out_matches_inline(spec, "several windows");
+
+  const LinkConfig cfg = spec.to_link_config();
+  const auto line = [&] {
+    return api::ChannelFactory::instance().create(spec.channel, cfg);
+  };
+  SerDesLink fanned(cfg, line());
+  SerDesLink serial(cfg, line());
+  const BerMeasurement m = measure_ber(fanned, kTotal, kChunk);
+  const BerMeasurement want = serial_measurement(serial, kTotal, kChunk);
+  EXPECT_GT(want.errors, 0u);
+  EXPECT_EQ(m.bits, want.bits);
+  EXPECT_EQ(m.errors, want.errors);
+  EXPECT_EQ(m.aligned, want.aligned);
+}
+
+TEST(BerFanOut, LinkContinuesWhereTheSerialLoopWould) {
+  // measure_ber advances the run counter by its chunk count, so the next
+  // run draws the noise a serially driven link would draw.
+  LinkConfig cfg = LinkConfig::paper_default();
+  cfg.channel_noise_rms = 0.004;
+  SerDesLink fanned(cfg, flat(40.0));
+  SerDesLink serial(cfg, flat(40.0));
+  const BerMeasurement m = measure_ber(fanned, 5 * 1024 + 300, 1024);
+  const BerMeasurement want = serial_measurement(serial, 5 * 1024 + 300, 1024);
+  EXPECT_EQ(m.bits, want.bits);
+  EXPECT_EQ(m.errors, want.errors);
+  EXPECT_EQ(m.aligned, want.aligned);
+
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs9);
+  const std::vector<std::uint8_t> payload = prbs.next_bits(1500);
+  const LinkResult next = fanned.run(payload);
+  const LinkResult ref = serial.run(payload);
+  EXPECT_EQ(next.rx.recovered_bits, ref.rx.recovered_bits);
+  EXPECT_EQ(next.bit_errors, ref.bit_errors);
+  EXPECT_EQ(bits(next.rx_swing_pp), bits(ref.rx_swing_pp));
+  expect_same_samples(next.channel_out, ref.channel_out, "channel_out");
+}
+
+TEST(Link, SlicerOnlyCaptureMatchesFullCapture) {
+  // The slicer input alone, bit-identical to a full capture's, and no
+  // other waveform: NRZ (RFI + restore), PAM4 through a CTLE, and PAM4
+  // without one, where one tap at the receiver input is the slicer input.
+  struct Case {
+    const char* name;
+    LinkConfig cfg;
+  };
+  LinkConfig nrz = LinkConfig::paper_default();
+  nrz.rx_ctle_boost = util::decibels(3.0);
+  LinkConfig pam4 = LinkConfig::paper_default();
+  pam4.modulation = LinkConfig::Modulation::kPam4;
+  pam4.rx_ctle_boost = util::decibels(3.0);
+  LinkConfig pam4_bare = pam4;
+  pam4_bare.rx_ctle_boost = util::decibels(0.0);
+  for (Case c : {Case{"nrz", nrz}, Case{"pam4", pam4},
+                 Case{"pam4 without ctle", pam4_bare}}) {
+    SCOPED_TRACE(c.name);
+    c.cfg.capture_max_samples = 3001;
+    c.cfg.capture_waveforms = true;
+    SerDesLink full(c.cfg, flat(10.0));
+    c.cfg.capture_waveforms = false;
+    c.cfg.capture_slicer_input = true;
+    SerDesLink slicer(c.cfg, flat(10.0));
+    const LinkResult want = full.run_prbs(1024);
+    const LinkResult got = slicer.run_prbs(1024);
+    ASSERT_FALSE(want.rx.restored.empty());
+    expect_same_samples(got.rx.restored, want.rx.restored, "restored");
+    EXPECT_TRUE(got.tx_out.empty());
+    EXPECT_TRUE(got.channel_out.empty());
+    EXPECT_TRUE(got.rx.rfi_out.empty());
+    EXPECT_EQ(got.rx.recovered_bits, want.rx.recovered_bits);
+
+    // Turning capture off turns the slicer input off too.
+    slicer.set_capture_waveforms(false);
+    EXPECT_TRUE(slicer.run_prbs(1024).rx.restored.empty());
+  }
 }
 
 }  // namespace

@@ -8,15 +8,19 @@
 // waveform samples) participates in the contract.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/channel_factory.h"
 #include "api/link_builder.h"
 #include "api/link_spec.h"
 #include "api/simulator.h"
 #include "api/spec_json.h"
+#include "core/lane_link.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 #include "util/json.h"
@@ -231,6 +235,54 @@ TEST(LaneBatch, TileKeyNeutralizesNameAndSeedOnly) {
   EXPECT_EQ(Simulator::tile_key(a), Simulator::tile_key(b));
   b.noise_rms_v *= 2.0;
   EXPECT_NE(Simulator::tile_key(a), Simulator::tile_key(b));
+}
+
+/// A tile of `lanes` lanes over `channel` with the given capture settings.
+core::LaneLink capture_tile(const ChannelSpec& channel, std::size_t lanes,
+                            bool waveforms, bool slicer_input) {
+  core::LinkConfig cfg = tile_spec(channel).to_link_config();
+  cfg.capture_waveforms = waveforms;
+  cfg.capture_slicer_input = slicer_input;
+  cfg.capture_max_samples = 3001;
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t l = 0; l < lanes; ++l) seeds.push_back(40 + 3 * l);
+  return core::LaneLink(cfg, ChannelFactory::instance().create(channel, cfg),
+                        std::move(seeds));
+}
+
+TEST(LaneBatch, SlicerOnlyCaptureMatchesFullCapture) {
+  // Each lane's slicer input, bit-identical to a full capture's, and no
+  // TX or receiver-input waveform (nor their per-lane copies).
+  const ChannelSpec channel = ChannelSpec::lossy_line(6.0, 18.0, 14.0);
+  core::LaneLink full = capture_tile(channel, 5, true, false);
+  core::LaneLink slicer = capture_tile(channel, 5, false, true);
+  const auto want = full.measure(512, 256, 0.95, util::PrbsOrder::kPrbs31);
+  const auto got = slicer.measure(512, 256, 0.95, util::PrbsOrder::kPrbs31);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t l = 0; l < want.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    const std::vector<double>& w = want[l].restored.samples();
+    const std::vector<double>& g = got[l].restored.samples();
+    ASSERT_FALSE(w.empty());
+    ASSERT_EQ(g.size(), w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g[i]),
+                std::bit_cast<std::uint64_t>(w[i]))
+          << "sample " << i;
+    }
+    EXPECT_TRUE(got[l].tx_out.empty());
+    EXPECT_TRUE(got[l].channel_out.empty());
+    EXPECT_EQ(got[l].measurement.bits, want[l].measurement.bits);
+    EXPECT_EQ(got[l].measurement.errors, want[l].measurement.errors);
+  }
+}
+
+TEST(LaneBatch, ZeroChunkBitsIsRejected) {
+  // A zero-bit chunk never advances the footage, so the run could never
+  // end.
+  core::LaneLink tile = capture_tile(ChannelSpec::flat(34.0), 2, false, false);
+  EXPECT_THROW((void)tile.measure(4096, 0, 0.95, util::PrbsOrder::kPrbs31),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -367,7 +366,8 @@ TEST(ChainPlanProbes, ScalarProbesObserveWithoutChangingTheStream) {
     bare.awgn_seed = 77;
     bare.mean = 0.012;
     core::ChainPlan::PassOptions probed = bare;
-    probed.probes = kCapture;
+    probed.probes = core::ChainPlan::Probes::kAll;
+    probed.capture = kCapture;
     probed.statistics = true;
 
     core::ChainPlan::Pass plain = plan.pass(line, tx, bare);
@@ -424,13 +424,13 @@ TEST(ChainPlanProbes, LaneTileProbesObserveWithoutChangingTheStream) {
     const core::Launch tx = plan.launch(probe_bits());
     core::ChainPlan::TilePass plain =
         plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kSlicer, means,
-                       std::nullopt, false);
+                       core::ChainPlan::Probes::kNone, 0, false);
     core::ChainPlan::TilePass with =
         plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kSlicer, means,
-                       kCapture, true);
+                       core::ChainPlan::Probes::kAll, kCapture, true);
     core::ChainPlan::TilePass noisy_pass =
         plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kNoisy, means,
-                       std::nullopt, false);
+                       core::ChainPlan::Probes::kNone, 0, false);
     const std::vector<double> out = run_tile(plan, plain, tx);
     EXPECT_TRUE(same_bits(run_tile(plan, with, tx), out)) << "block " << block;
     const std::vector<double> noisy = run_tile(plan, noisy_pass, tx);

@@ -3,10 +3,10 @@
 // engine ships — the SweepRunner work-stealing pool, offline shard
 // merging fed by concurrently-running shards, the run_batch lane
 // fan-out, the pool's inline nesting rule, the stat engine's phase
-// fan-out and training's concurrent candidate replays, and the
-// process-wide memos (receiver characterization, FFT plan tables) —
-// exercised at several thread counts with byte-identical report
-// assertions.  Without TSan this is an ordinary (fast) tier1
+// fan-out, training's concurrent candidate replays, measure_ber's chunk
+// fan-out, and the process-wide memos (receiver characterization, FFT
+// plan tables) — exercised at several thread counts with byte-identical
+// report assertions.  Without TSan this is an ordinary (fast) tier1
 // determinism test; under TSan any data race in the pool, the row
 // buffers or the aggregation step is a hard failure with a stack pair.
 //
@@ -288,6 +288,61 @@ TEST(RaceHammer, ConcurrentFannedOutAnalysesAndTrainings) {
                            .analysis("stat")
                            .build_spec();
   const std::vector<api::LinkSpec> specs = {grid, trained, pam4};
+
+  const api::Simulator simulator;
+  std::vector<std::string> reference(specs.size());
+  util::parallel_for(1, 1, [&](std::size_t) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      reference[i] = api::to_json(simulator.run(specs[i])).dump();
+    }
+  });
+
+  constexpr int kHosts = 2;
+  std::vector<std::vector<std::string>> fanned(kHosts);
+  std::vector<std::thread> hosts;
+  hosts.reserve(kHosts);
+  for (int h = 0; h < kHosts; ++h) {
+    hosts.emplace_back([&, h] {
+      for (std::size_t k = 0; k < specs.size(); ++k) {
+        const api::LinkSpec& spec = specs[(k + h) % specs.size()];
+        fanned[h].push_back(api::to_json(simulator.run(spec)).dump());
+      }
+    });
+  }
+  for (auto& host : hosts) host.join();
+  for (int h = 0; h < kHosts; ++h) {
+    ASSERT_EQ(fanned[h].size(), specs.size());
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      EXPECT_EQ(fanned[h][k], reference[(k + h) % specs.size()])
+          << "host " << h << " spec " << (k + h) % specs.size();
+    }
+  }
+}
+
+TEST(RaceHammer, ConcurrentChunkedRunsMatchSerial) {
+  // Plain host threads are each top level, so every Monte Carlo run fans
+  // its chunks out (measure_ber) while the other host does the same, each
+  // chunk's task sharing its link, receiver and channel with the others.
+  // Each report must be byte-identical to the serial reference, which
+  // runs inside a one-worker parallel_for (every chunk inline, in order).
+  const api::LinkSpec nrz = api::LinkBuilder()
+                                .channel(api::ChannelSpec::lossy_line(
+                                    8.0, 12.0, 4.0))
+                                .noise_rms(0.002)
+                                .rx_ctle(util::decibels(4.0))
+                                .dfe({0.04, 0.015, 0.005})
+                                .payload_bits(6 * 1024 + 300)
+                                .chunk_bits(1024)
+                                .build_spec();
+  api::LinkSpec pam4 = api::LinkBuilder()
+                           .flat_channel(util::decibels(4.0))
+                           .modulation("pam4")
+                           .noise_rms(0.005)
+                           .payload_bits(6 * 1024)
+                           .chunk_bits(1024)
+                           .capture_waveforms()
+                           .build_spec();
+  const std::vector<api::LinkSpec> specs = {nrz, pam4};
 
   const api::Simulator simulator;
   std::vector<std::string> reference(specs.size());
