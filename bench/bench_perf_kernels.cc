@@ -625,6 +625,38 @@ int main(int argc, char** argv) {
     });
   }
 
+  // The noise-path power gain every stat analysis sums once, on the paper
+  // default's RFI and restoring poles (no CTLE).  Items = calls.  The sum
+  // stops once the filter states prove that the rest cannot change it;
+  // walking on through the subnormal tail the poles decay into gives the
+  // same bits about 300x slower, so only this floor notices.
+  {
+    const core::LinkConfig cfg =
+        api::LinkSpec::paper_default().to_link_config();
+    const core::Receiver rx(cfg);
+    run_bench(results, "stat_noise_gain_paper_default", 1, [&] {
+      volatile double gain = stat::noise_power_gain(
+          cfg, rx.rfi_stage().bandwidth(), rx.restoring().bandwidth(), true);
+      (void)gain;
+    });
+  }
+
+  // One grid build of a 40-cursor mixture on the default 4097 bins (0.02 V
+  // x 0.85^k, every third cursor negative).  Items = builds.  Each
+  // cursor's pass visits only the bins that can hold mass and reads the
+  // interior without bounds checks: about 2.6x a full bounds-checked pass
+  // on the -O2 build, with the same bits.
+  {
+    std::vector<double> cursors;
+    for (int k = 0; k < 40; ++k) {
+      cursors.push_back(0.02 * std::pow(0.85, k) * (k % 3 == 0 ? -1.0 : 1.0));
+    }
+    run_bench(results, "stat_mixture_grid_build", 1, [&] {
+      volatile std::size_t n = stat::IsiMixture::build(cursors).size();
+      (void)n;
+    });
+  }
+
   // Same engine with a 3-tap DFE on an ISI channel: the residual
   // post-cursor cancellation and the error-propagation burst factor run
   // per phase bin on top of the plain bathtub.  Items = scenarios.

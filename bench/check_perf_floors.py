@@ -49,11 +49,17 @@ EXCLUDE = ("deep_ber_streaming_bit",)
 # slower, below its floor, and the quantiles are bit-identical either way);
 # stat_engine_margins_paper_default is the stat engine as sweep rows and
 # optimizer scores run it, bisecting the best phase's contour alone;
-# eye_fold_ui is the eye fold every MC report and sweep cell runs.
+# eye_fold_ui is the eye fold every MC report and sweep cell runs;
+# stat_noise_gain_paper_default pins the noise-gain sum's early stop (the
+# subnormal tail it skips made it ~300x slower, with the same bits) and
+# stat_mixture_grid_build the grid mixture's unchecked interior over the
+# bins that hold mass (about 2.6x on the -O2 build, the same bits).
 REQUIRED = (
     "eye_fold_ui",
     "receiver_build",
     "stat_contour_grid",
+    "stat_noise_gain_paper_default",
+    "stat_mixture_grid_build",
     "stat_engine_paper_default",
     "stat_engine_margins_paper_default",
     "stat_engine_bus4_pam4",

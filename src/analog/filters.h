@@ -11,6 +11,9 @@
 // baseline x86-64 target; an FMA-enabled build already moves goldens).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "analog/waveform.h"
@@ -57,6 +60,26 @@ class OnePoleLowPass : public Filter {
 
   void reset() override { x1_ = y1_ = 0.0; }
   [[nodiscard]] util::Hertz cutoff() const { return cutoff_; }
+
+  /// A bound on |y| for every later `step` output, from the state alone,
+  /// given |x| <= `input_bound` for every later input.  By induction on
+  /// y = b (x + x1) + a y1 with |a| < 1, every later |y| is at most
+  /// max(|y1|, 2 |b| max(U, |x1|) / (1 - |a|)).  The result is twice that
+  /// plus 2^-1000, so it also bounds the rounded recurrence: the doubling
+  /// covers relative rounding while 1 - |a| >= 2^-40, and the 2^-1000
+  /// covers the absolute rounding of operands that underflow.  Closer to
+  /// |a| = 1 it is +infinity.  A sum that stops on this bound is therefore
+  /// the same double as one that runs the filter on.
+  [[nodiscard]] double output_bound(double input_bound) const {
+    const double abs_a = std::fabs(a_);
+    if (!(abs_a <= 1.0 - 0x1p-40)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    const double m = std::max(input_bound, std::fabs(x1_));
+    return 2.0 * std::max(std::fabs(y1_),
+                          2.0 * std::fabs(b_) * m / (1.0 - abs_a)) +
+           0x1p-1000;
+  }
 
  private:
   util::Hertz cutoff_;

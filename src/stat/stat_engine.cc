@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -35,19 +35,36 @@ IsiMixture IsiMixture::build(const std::vector<double>& cursors,
   IsiMixture mix;
   const int n = static_cast<int>(half.size());
   if (n <= options.max_exact_bits) {
-    // Exact enumeration: 2^n equiprobable sums.
+    // Exact enumeration: 2^n equiprobable sums.  v - c and v + c are both
+    // sorted when v is, so merging them keeps the list sorted.
     mix.exact_ = true;
+    const std::size_t count = std::size_t{1} << n;
+    mix.value_.reserve(count);
     mix.value_.assign(1, 0.0);
+    std::vector<double> next;
+    next.reserve(count);
     for (const double c : half) {
-      std::vector<double> next;
-      next.reserve(mix.value_.size() * 2);
-      for (const double v : mix.value_) {
-        next.push_back(v - c);
-        next.push_back(v + c);
+      const std::vector<double>& v = mix.value_;
+      const std::size_t m = v.size();
+      next.resize(2 * m);
+      // v[j] + c >= v[j] - c, so j never passes i: the minus run ends first.
+      std::size_t i = 0;
+      std::size_t j = 0;
+      std::size_t o = 0;
+      while (i < m) {
+        const double minus = v[i] - c;
+        const double plus = v[j] + c;
+        if (plus < minus) {
+          next[o++] = plus;
+          ++j;
+        } else {
+          next[o++] = minus;
+          ++i;
+        }
       }
-      mix.value_ = std::move(next);
+      while (j < m) next[o++] = v[j++] + c;
+      mix.value_.swap(next);
     }
-    std::sort(mix.value_.begin(), mix.value_.end());
     const double p = 1.0 / static_cast<double>(mix.value_.size());
     mix.prob_.assign(mix.value_.size(), p);
   } else {
@@ -57,33 +74,52 @@ IsiMixture IsiMixture::build(const std::vector<double>& cursors,
     mix.exact_ = false;
     double reach = 0.0;
     for (const double c : half) reach += c;
-    int bins = std::max(options.grid_bins, 2 * n + 41) | 1;
+    const int bins = std::max(options.grid_bins, 2 * n + 41) | 1;
     const double step =
         2.0 * reach / static_cast<double>(bins - 1 - 2 * (n + 2));
     const int center = bins / 2;
+    const auto size = static_cast<std::ptrdiff_t>(bins);
     std::vector<double> pdf(static_cast<std::size_t>(bins), 0.0);
     std::vector<double> scratch(pdf.size(), 0.0);
     pdf[static_cast<std::size_t>(center)] = 1.0;
-    const auto at = [&](std::ptrdiff_t i) -> double {
-      return (i >= 0 && i < static_cast<std::ptrdiff_t>(pdf.size()))
-                 ? pdf[static_cast<std::size_t>(i)]
-                 : 0.0;
-    };
+    // Every bin outside [first, last] holds +0.0, in both buffers.
+    std::ptrdiff_t first = center;
+    std::ptrdiff_t last = center;
     for (const double c : half) {
       const double s = c / step;
       const auto lo = static_cast<std::ptrdiff_t>(std::floor(s));
       const double frac = s - static_cast<double>(lo);
-      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(pdf.size());
-           ++i) {
-        const double plus = (1.0 - frac) * at(i - lo) + frac * at(i - lo - 1);
-        const double minus = (1.0 - frac) * at(i + lo) + frac * at(i + lo + 1);
-        scratch[static_cast<std::size_t>(i)] = 0.5 * (plus + minus);
+      const double keep = 1.0 - frac;
+      const double* in = pdf.data();
+      double* out = scratch.data();
+      const auto at = [&](std::ptrdiff_t i) -> double {
+        return i >= 0 && i < size ? in[i] : 0.0;
+      };
+      const auto edge = [&](std::ptrdiff_t i) {
+        const double plus = keep * at(i - lo) + frac * at(i - lo - 1);
+        const double minus = keep * at(i + lo) + frac * at(i + lo + 1);
+        out[i] = 0.5 * (plus + minus);
+      };
+      // Bin i reads bins i - lo - 1 .. i + lo + 1, so the mass spreads by
+      // lo + 1 each way; the bins beyond stay +0.0.  The interior, bins
+      // lo + 1 .. size - 2 - lo, reads in bounds; it may be empty.
+      first = std::max<std::ptrdiff_t>(0, first - lo - 1);
+      last = std::min(size - 1, last + lo + 1);
+      const std::ptrdiff_t inner_first = std::clamp(lo + 1, first, last + 1);
+      const std::ptrdiff_t inner_last =
+          std::clamp(size - 2 - lo, inner_first - 1, last);
+      for (std::ptrdiff_t i = first; i < inner_first; ++i) edge(i);
+      for (std::ptrdiff_t i = inner_first; i <= inner_last; ++i) {
+        const double plus = keep * in[i - lo] + frac * in[i - lo - 1];
+        const double minus = keep * in[i + lo] + frac * in[i + lo + 1];
+        out[i] = 0.5 * (plus + minus);
       }
+      for (std::ptrdiff_t i = inner_last + 1; i <= last; ++i) edge(i);
       pdf.swap(scratch);
     }
-    mix.value_.reserve(pdf.size());
-    mix.prob_.reserve(pdf.size());
-    for (int i = 0; i < bins; ++i) {
+    mix.value_.reserve(static_cast<std::size_t>(last - first + 1));
+    mix.prob_.reserve(static_cast<std::size_t>(last - first + 1));
+    for (std::ptrdiff_t i = first; i <= last; ++i) {
       const double p = pdf[static_cast<std::size_t>(i)];
       if (p <= 0.0) continue;
       mix.value_.push_back(static_cast<double>(i - center) * step);
@@ -355,45 +391,62 @@ std::vector<double> run_linear_chain(const core::ChainPlan& plan,
   return out;
 }
 
-/// Power gain of the noise path (CTLE + RFI pole + linearized restoring
-/// pole): sum of squared discrete impulse-response samples, accumulated
-/// until the tail is negligible.
+}  // namespace
+
 double noise_power_gain(const core::LinkConfig& cfg, util::Hertz rfi_bandwidth,
                         util::Hertz restore_bandwidth, bool rx_poles) {
-  const bool use_ctle = cfg.rx_ctle_boost.value() > 0.0;
-  std::unique_ptr<pipe::CtleStage> ctle;
-  if (use_ctle) {
-    ctle = std::make_unique<pipe::CtleStage>(
-        cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period());
+  const util::Second dt = cfg.sample_period();
+  // pipe::CtleStage's arithmetic, stepped here one sample at a time.
+  std::optional<analog::OnePoleLowPass> ctle_pole;
+  double ctle_k = 0.0;
+  if (cfg.rx_ctle_boost.value() > 0.0) {
+    ctle_pole.emplace(cfg.rx_ctle_pole, dt);
+    ctle_k = util::db_to_amplitude(cfg.rx_ctle_boost) - 1.0;
   }
-  analog::OnePoleLowPass pole(rfi_bandwidth, cfg.sample_period());
-  analog::OnePoleLowPass restore_pole(restore_bandwidth, cfg.sample_period());
+  analog::OnePoleLowPass rfi_pole(rfi_bandwidth, dt);
+  analog::OnePoleLowPass restore_pole(restore_bandwidth, dt);
+
+  // A bound on every later |g|, the input being 0 from here on: the CTLE
+  // output is -k times its pole's output, and the RX poles follow.
+  const auto later_bound = [&] {
+    const double c =
+        ctle_pole ? std::fabs(ctle_k) * ctle_pole->output_bound(0.0) : 0.0;
+    return rx_poles ? restore_pole.output_bound(rfi_pole.output_bound(c)) : c;
+  };
 
   constexpr std::size_t kBlock = 4096;
-  std::vector<double> buf(kBlock, 0.0);
-  pipe::Block out;
+  constexpr std::size_t kStopCheck = 32;  // samples between stop tests
   double total = 0.0;
-  buf[0] = 1.0;  // unit impulse in the first block
+  double x = 1.0;  // the unit impulse, then zeros
   for (std::size_t fed = 0; fed < (1u << 22); fed += kBlock) {
-    pipe::BlockView view{buf.data(), kBlock, fed, util::seconds(0.0),
-                         cfg.sample_period(), false};
-    const double* data = view.data;
-    if (ctle) {
-      ctle->process(view, out);
-      data = out.view().data;
-    }
     double block_sum = 0.0;
     for (std::size_t i = 0; i < kBlock; ++i) {
-      const double g = rx_poles ? restore_pole.step(pole.step(data[i]))
-                                : data[i];
+      const double c = ctle_pole ? x + ctle_k * (x - ctle_pole->step(x)) : x;
+      const double g = rx_poles ? restore_pole.step(rfi_pole.step(c)) : c;
       block_sum += g * g;
+      x = 0.0;
+      if ((i + 1) % kStopCheck != 0) continue;
+      // Every later g * g is at most g2_max.  If adding g2_max leaves
+      // block_sum as it is, the rest of this block does too, and the total
+      // becomes `settled`.  If adding a whole block of them (2 * kBlock *
+      // g2_max covers the rounding) leaves `settled` as it is, so does
+      // every later block, and the loop returns `settled` wherever it
+      // stops.
+      const double g_max = later_bound();
+      const double g2_max = g_max * g_max;
+      const double settled = total + block_sum;
+      if (block_sum + g2_max == block_sum &&
+          settled + 2.0 * static_cast<double>(kBlock) * g2_max == settled) {
+        return settled;
+      }
     }
     total += block_sum;
-    buf[0] = 0.0;  // only the first block carries the impulse
     if (block_sum < total * 1e-18) break;
   }
   return total;
 }
+
+namespace {
 
 /// Linear interpolation into the pulse response at fractional sample
 /// index `idx` (0 outside the captured support).

@@ -38,6 +38,7 @@
 #include "channel/channel.h"
 #include "core/config.h"
 #include "stat/stat_report.h"
+#include "util/units.h"
 
 namespace serdes::stat {
 
@@ -57,6 +58,18 @@ class IsiMixture {
 
   /// `cursors` are the full cursor amplitudes (the +/- c/2 halving happens
   /// here); zero-amplitude cursors are skipped.
+  ///
+  /// Both paths cost only their arithmetic and keep the bits of the plain
+  /// forms.  The exact path merges the two shifted copies v - c and v + c
+  /// of the sorted sums at each cursor instead of sorting the 2^n sums at
+  /// the end: each sum is the same left-to-right fold either way, and with
+  /// finite cursors the sums hold no NaN and no -0.0, so equal values have
+  /// equal bits and any sorted order of them is the one std::sort gives.
+  /// The grid path tracks the bins that can hold mass (each cursor widens
+  /// them by its whole-bin shift plus one); every bin outside holds +0.0,
+  /// the value the full pass computes there, and the bins whose reads all
+  /// fall inside the grid skip the bounds checks with the same products
+  /// and sums.
   static IsiMixture build(const std::vector<double>& cursors,
                           const Options& options);
   static IsiMixture build(const std::vector<double>& cursors) {
@@ -76,6 +89,13 @@ class IsiMixture {
 
   [[nodiscard]] bool exact() const { return exact_; }
   [[nodiscard]] std::size_t size() const { return value_.size(); }
+  /// The sorted support points, their probabilities and the inclusive
+  /// prefix sums of those, read-only.
+  [[nodiscard]] const std::vector<double>& values() const { return value_; }
+  [[nodiscard]] const std::vector<double>& probabilities() const {
+    return prob_;
+  }
+  [[nodiscard]] const std::vector<double>& cumulative() const { return cum_; }
 
  private:
   /// Index range [first, second) of the support points inside the
@@ -107,6 +127,22 @@ class IsiMixture {
 [[nodiscard]] double slicer_error_probability(double main_cursor,
                                               const IsiMixture& isi,
                                               double offset, double sigma);
+
+/// Power gain of the noise path: the sum of the squared impulse-response
+/// samples g of the CTLE (when `cfg` enables it) and, with `rx_poles`, the
+/// RFI and restoring output poles, summed in blocks of 4096 samples until
+/// a block adds less than 1e-18 of the total.  The sum stops early, with
+/// the same double, once the filter states prove that nothing later can
+/// change it.  From a bound on every later |g| (the input is 0 from there
+/// on; analog::OnePoleLowPass::output_bound, cascaded through the chain)
+/// it checks two things: every later g * g leaves the running block sum
+/// unchanged, and every later block, a sum of 4096 of them, leaves the
+/// total unchanged.  So the subnormal tail the poles decay into, where
+/// each step costs about 100 ns, is never visited.
+[[nodiscard]] double noise_power_gain(const core::LinkConfig& cfg,
+                                      util::Hertz rfi_bandwidth,
+                                      util::Hertz restore_bandwidth,
+                                      bool rx_poles);
 
 /// Two-sided Poisson acceptance band around mean `lambda`: the smallest
 /// and largest observation counts consistent with the mean at ~3.5 sigma

@@ -141,8 +141,13 @@ TEST(Cdr, HysteresisDelaysPhaseUpdates) {
   OversamplingCdr cdr_eager(eager);
   OversamplingCdr cdr_stubborn(stubborn);
   const auto samples = oversample(bits, 5, 2);
-  cdr_eager.recover(samples);
-  cdr_stubborn.recover(samples);
+  const auto eager_bits = cdr_eager.recover(samples);
+  const auto stubborn_bits = cdr_stubborn.recover(samples);
+  // Either way the CDR makes one decision per UI.
+  EXPECT_NEAR(static_cast<double>(eager_bits.size()),
+              static_cast<double>(bits.size()), 5.0);
+  EXPECT_NEAR(static_cast<double>(stubborn_bits.size()),
+              static_cast<double>(bits.size()), 5.0);
   EXPECT_GE(cdr_eager.phase_updates(), cdr_stubborn.phase_updates());
 }
 

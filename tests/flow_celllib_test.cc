@@ -11,7 +11,7 @@ TEST(CellLibrary, LookupByName) {
   EXPECT_EQ(inv.function, CellFunction::kInv);
   EXPECT_EQ(inv.drive, 1);
   EXPECT_GT(inv.area.value(), 0.0);
-  EXPECT_THROW(lib.get("nonexistent_x9"), std::out_of_range);
+  EXPECT_THROW((void)lib.get("nonexistent_x9"), std::out_of_range);
 }
 
 TEST(CellLibrary, DriveStrengthsScaleResistanceDown) {

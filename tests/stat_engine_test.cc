@@ -1,7 +1,8 @@
 // Statistical-engine suite: closed-form regression pins for the mixture
 // primitives (pure AWGN and two-tap ISI at <= 1e-12), grid-vs-exact
 // consistency, the contour quantiles pinned bit for bit to a full-sum
-// bisection, engine-level sanity at the paper operating point, the
+// bisection, the mixture build and the noise gain pinned bit for bit to
+// plain loops, engine-level sanity at the paper operating point, the
 // analysis-mode plumbing through api::Simulator, margins-only analyses
 // pinned byte for byte to the full one, and — the core of the
 // golden-report tier — MC-vs-stat cross-validation: for every built-in
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,9 @@
 #include "api/bus_spec.h"
 #include "api/channel_factory.h"
 #include "api/spec_json.h"
+#include "analog/filters.h"
+#include "core/receiver.h"
+#include "pipe/stages.h"
 #include "stat/stat_engine.h"
 #include "util/math.h"
 #include "util/parallel.h"
@@ -216,6 +221,257 @@ TEST(IsiMixtureTest, QuantilesMatchFullSumBisectionBitForBit) {
   EXPECT_EQ(mismatched, 0) << "of " << checked;
   EXPECT_GT(grid_floor_positive, 0);
   EXPECT_GT(grid_floor_negative, 0);
+}
+
+// The mixture build and the noise gain skip work the plain loops below
+// do: bounds checks, a final sort, empty grid bins and a subnormal tail.
+// Both must land on exactly the plain loops' bits.
+
+/// A splitmix64 stream: the corpora below do not move with util::Rng.
+struct SplitMix64 {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  double uniform(double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1p-53;
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+  bool chance(double p) { return uniform(0.0, 1.0) < p; }
+};
+
+struct PlainMixture {
+  std::vector<double> value, prob, cum;
+  bool exact = true;
+};
+
+/// IsiMixture::build as a plain loop: every 2^n sum pushed back and then
+/// sorted, or every grid bin read through a bounds check.
+PlainMixture plain_mixture(const std::vector<double>& cursors,
+                           const IsiMixture::Options& options) {
+  std::vector<double> half;
+  for (const double c : cursors) {
+    if (c != 0.0) half.push_back(0.5 * std::fabs(c));
+  }
+  PlainMixture mix;
+  const int n = static_cast<int>(half.size());
+  if (n <= options.max_exact_bits) {
+    mix.value.assign(1, 0.0);
+    for (const double c : half) {
+      std::vector<double> next;
+      for (const double v : mix.value) {
+        next.push_back(v - c);
+        next.push_back(v + c);
+      }
+      mix.value = std::move(next);
+    }
+    std::sort(mix.value.begin(), mix.value.end());
+    mix.prob.assign(mix.value.size(),
+                    1.0 / static_cast<double>(mix.value.size()));
+  } else {
+    mix.exact = false;
+    double reach = 0.0;
+    for (const double c : half) reach += c;
+    const int bins = std::max(options.grid_bins, 2 * n + 41) | 1;
+    const double step =
+        2.0 * reach / static_cast<double>(bins - 1 - 2 * (n + 2));
+    const int center = bins / 2;
+    std::vector<double> pdf(static_cast<std::size_t>(bins), 0.0);
+    std::vector<double> scratch(pdf.size(), 0.0);
+    pdf[static_cast<std::size_t>(center)] = 1.0;
+    const auto at = [&](std::ptrdiff_t i) -> double {
+      return (i >= 0 && i < static_cast<std::ptrdiff_t>(pdf.size()))
+                 ? pdf.at(static_cast<std::size_t>(i))
+                 : 0.0;
+    };
+    for (const double c : half) {
+      const double s = c / step;
+      const auto lo = static_cast<std::ptrdiff_t>(std::floor(s));
+      const double frac = s - static_cast<double>(lo);
+      for (std::ptrdiff_t i = 0; i < bins; ++i) {
+        const double plus = (1.0 - frac) * at(i - lo) + frac * at(i - lo - 1);
+        const double minus = (1.0 - frac) * at(i + lo) + frac * at(i + lo + 1);
+        scratch.at(static_cast<std::size_t>(i)) = 0.5 * (plus + minus);
+      }
+      pdf.swap(scratch);
+    }
+    for (int i = 0; i < bins; ++i) {
+      const double p = pdf[static_cast<std::size_t>(i)];
+      if (p <= 0.0) continue;
+      mix.value.push_back(static_cast<double>(i - center) * step);
+      mix.prob.push_back(p);
+    }
+    if (mix.value.empty()) {
+      mix.value.assign(1, 0.0);
+      mix.prob.assign(1, 1.0);
+    }
+  }
+  double total = 0.0;
+  for (const double p : mix.prob) total += p;
+  double run = 0.0;
+  for (double& p : mix.prob) {
+    p /= total;
+    run += p;
+    mix.cum.push_back(run);
+  }
+  return mix;
+}
+
+/// The index of the first entry whose bits differ (0 when the sizes
+/// differ), or -1.
+long first_bit_mismatch(const std::vector<double>& got,
+                        const std::vector<double>& want) {
+  if (got.size() != want.size()) return 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (bits_of(got[i]) != bits_of(want[i])) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+TEST(IsiMixtureTest, BuildMatchesPlainLoopsBitForBit) {
+  SplitMix64 rng{0x15a3c0de};
+  int exact = 0;
+  int grid = 0;
+  int grid_at_floor = 0;
+  for (int m = 0; m < 240; ++m) {
+    // Cursor count: 1-79, with n = 12 and 13 (either side of the default
+    // exact budget) every fourth mixture.
+    const int n = m % 4 == 0 ? 12 + (m / 4) % 2
+                             : 1 + static_cast<int>(rng.below(79));
+    std::vector<double> cursors;
+    for (int k = 0; k < n; ++k) {
+      double c = std::exp(rng.uniform(std::log(1e-5), std::log(0.05)));
+      if (rng.chance(0.15)) c *= 1e-4;
+      if (k > 0 && rng.chance(0.15)) c = cursors.back() * (1.0 - 1e-12);
+      if (k > 0 && rng.chance(0.1)) c = cursors.back();  // tied sums
+      if (rng.chance(0.4)) c = -c;
+      cursors.push_back(c);
+    }
+    if (m % 5 == 1) {
+      // One dominant cursor among tiny ones.
+      for (double& c : cursors) c *= 1e-3;
+      cursors[rng.below(cursors.size())] = 0.3;
+    }
+    if (m % 7 == 2) cursors.push_back(0.0);  // skipped
+    IsiMixture::Options options;
+    // grid_bins at its 2n + 41 floor, at the default or in between.
+    const std::uint64_t bins = rng.below(3);
+    options.grid_bins = bins == 0   ? 1
+                        : bins == 1 ? 4097
+                                    : 64 + static_cast<int>(rng.below(2000));
+    if (m % 3 == 0 && n < 12) options.max_exact_bits = 0;  // grid at any size
+    const IsiMixture mix = IsiMixture::build(cursors, options);
+    const PlainMixture want = plain_mixture(cursors, options);
+    ASSERT_EQ(mix.exact(), want.exact) << "mixture " << m;
+    (mix.exact() ? exact : grid) += 1;
+    grid_at_floor += !mix.exact() && options.grid_bins == 1 ? 1 : 0;
+    EXPECT_EQ(first_bit_mismatch(mix.values(), want.value), -1)
+        << "values of mixture " << m << " (" << n << " cursors)";
+    EXPECT_EQ(first_bit_mismatch(mix.probabilities(), want.prob), -1)
+        << "probabilities of mixture " << m << " (" << n << " cursors)";
+    EXPECT_EQ(first_bit_mismatch(mix.cumulative(), want.cum), -1)
+        << "prefix sums of mixture " << m << " (" << n << " cursors)";
+  }
+  EXPECT_GT(exact, 30);
+  EXPECT_GT(grid, 100);
+  EXPECT_GT(grid_at_floor, 20);
+}
+
+/// The noise gain as a plain loop: pipe::CtleStage over whole 4096-sample
+/// blocks, then the RFI and restoring poles, until a block adds less than
+/// 1e-18 of the total.
+double plain_noise_power_gain(const core::LinkConfig& cfg,
+                              util::Hertz rfi_bandwidth,
+                              util::Hertz restore_bandwidth, bool rx_poles) {
+  std::optional<pipe::CtleStage> ctle;
+  if (cfg.rx_ctle_boost.value() > 0.0) {
+    ctle.emplace(cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period());
+  }
+  analog::OnePoleLowPass pole(rfi_bandwidth, cfg.sample_period());
+  analog::OnePoleLowPass restore_pole(restore_bandwidth, cfg.sample_period());
+  constexpr std::size_t kBlock = 4096;
+  std::vector<double> buf(kBlock, 0.0);
+  pipe::Block out;
+  double total = 0.0;
+  buf[0] = 1.0;
+  for (std::size_t fed = 0; fed < (1u << 22); fed += kBlock) {
+    const pipe::BlockView view{buf.data(),          kBlock, fed,
+                               util::seconds(0.0),  cfg.sample_period(),
+                               false};
+    const double* data = view.data;
+    if (ctle) {
+      ctle->process(view, out);
+      data = out.view().data;
+    }
+    double block_sum = 0.0;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const double g =
+          rx_poles ? restore_pole.step(pole.step(data[i])) : data[i];
+      block_sum += g * g;
+    }
+    total += block_sum;
+    buf[0] = 0.0;
+    if (block_sum < total * 1e-18) break;
+  }
+  return total;
+}
+
+TEST(NoisePowerGainTest, MatchesPlainLoopBitForBit) {
+  // The receiver bandwidths of three front ends: the paper default, a
+  // slow one and a fast one whose RFI pole sits at the 0.98-Nyquist clamp
+  // at the lowest sample rates (the restoring pole sits there in all
+  // three at 16 samples per UI and 2 Gb/s).
+  std::vector<analog::RfiDesign> designs(3);
+  designs[1].wn_um = 1.0;
+  designs[1].wp_um = 1.5;
+  designs[1].load_cap = util::femtofarads(80.0);
+  designs[2].wn_um = 16.0;
+  designs[2].wp_um = 24.0;
+  designs[2].load_cap = util::femtofarads(2.0);
+  SplitMix64 rng{0x7e57a11};
+  int checked = 0;
+  int mismatched = 0;
+  for (const analog::RfiDesign& design : designs) {
+    for (const double rate_gbps : {1.0, 2.0, 10.0, 32.0}) {
+      for (const int spu : {2, 16, 256}) {
+        core::LinkConfig cfg = api::LinkSpec::paper_default().to_link_config();
+        cfg.rfi = design;
+        cfg.bit_rate = util::gigahertz(rate_gbps);
+        cfg.samples_per_ui = spu;
+        const core::Receiver rx(cfg);
+        const util::Hertz rfi_bw = rx.rfi_stage().bandwidth();
+        const util::Hertz restore_bw = rx.restoring().bandwidth();
+        for (const double boost : {0.0, 0.5, 4.0, 12.0, 40.0}) {
+          for (int pole = 0; pole < (boost > 0.0 ? 4 : 1); ++pole) {
+            cfg.rx_ctle_boost = util::decibels(boost);
+            cfg.rx_ctle_pole = util::hertz(
+                std::exp(rng.uniform(std::log(1e8), std::log(2e10))));
+            for (const bool rx_poles : {true, false}) {
+              const double want =
+                  plain_noise_power_gain(cfg, rfi_bw, restore_bw, rx_poles);
+              const double got =
+                  stat::noise_power_gain(cfg, rfi_bw, restore_bw, rx_poles);
+              ++checked;
+              if (bits_of(got) != bits_of(want)) {
+                ++mismatched;
+                ADD_FAILURE() << "noise gain " << got << " != " << want
+                              << " at " << rate_gbps << " Gb/s, " << spu
+                              << " samples/UI, CTLE " << boost << " dB at "
+                              << cfg.rx_ctle_pole.value() << " Hz, RFI "
+                              << rfi_bw.value() << " Hz, restoring "
+                              << restore_bw.value() << " Hz, rx_poles "
+                              << rx_poles;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatched, 0) << "of " << checked;
 }
 
 TEST(PoissonBandTest, CoversTheMeanAndRejectsOutliers) {
