@@ -49,6 +49,8 @@
 #include "util/prbs.h"
 #include "util/random.h"
 
+#include "../tests/mixture_reference.h"
+
 namespace {
 
 using namespace serdes;
@@ -644,8 +646,10 @@ int main(int argc, char** argv) {
   // One grid build of a 40-cursor mixture on the default 4097 bins (0.02 V
   // x 0.85^k, every third cursor negative).  Items = builds.  Each
   // cursor's pass visits only the bins that can hold mass and reads the
-  // interior without bounds checks: about 2.6x a full bounds-checked pass
-  // on the -O2 build, with the same bits.
+  // interior without bounds checks.  stat_mixture_grid_plain builds the
+  // same mixture, with the same bits, through the tests' plain loop
+  // (tests/mixture_reference.h): every bin of every pass, bounds-checked.
+  // A ratio gate in check_perf_floors.py keeps the two apart.
   {
     std::vector<double> cursors;
     for (int k = 0; k < 40; ++k) {
@@ -653,6 +657,11 @@ int main(int argc, char** argv) {
     }
     run_bench(results, "stat_mixture_grid_build", 1, [&] {
       volatile std::size_t n = stat::IsiMixture::build(cursors).size();
+      (void)n;
+    });
+    run_bench(results, "stat_mixture_grid_plain", 1, [&] {
+      volatile std::size_t n =
+          mixture_reference::plain_mixture(cursors, {}).value.size();
       (void)n;
     });
   }

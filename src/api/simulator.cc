@@ -12,7 +12,6 @@
 #include "core/link.h"
 #include "stat/stat_engine.h"
 #include "util/parallel.h"
-#include "util/prbs.h"
 
 namespace serdes::api {
 
@@ -44,6 +43,99 @@ std::uint64_t Simulator::derive_lane_seed(std::uint64_t base_seed,
   return z ^ (z >> 31);
 }
 
+namespace {
+
+/// Sets the capture of `spec`'s Monte Carlo run.  The first chunk carries
+/// the lock diagnostics and the eye, so it always captures the slicer
+/// input the eye folds; it captures all four waveforms only when the spec
+/// keeps them in the report.  Capture is bounded to the diagnostic window
+/// so a deep first chunk does not cost O(chunk) memory.
+void capture_diagnostics(const LinkSpec& spec, core::LinkConfig& cfg) {
+  cfg.capture_waveforms = spec.capture_waveforms;
+  cfg.capture_slicer_input = true;
+  cfg.capture_max_samples = static_cast<std::size_t>(
+      Simulator::Options::diagnostic_window_uis *
+      static_cast<std::uint64_t>(cfg.samples_per_ui));
+}
+
+/// The first chunk's part of a report's Monte Carlo section, from its
+/// lane's outcome: the lock diagnostics and decision threshold, the eye
+/// folded per line UI (the symbol period under PAM4) and, when the spec
+/// keeps them, the waveforms.
+void set_first_chunk(RunReport& report, const core::LinkConfig& cfg,
+                     core::LaneOutcome& o) {
+  report.cdr_decision_phase = o.cdr_decision_phase;
+  report.cdr_phase_updates = o.cdr_phase_updates;
+  report.rx_swing_pp = o.rx_swing_pp;
+  report.decision_threshold = o.decision_threshold;
+  const core::EyeAnalyzer eye(
+      util::hertz(cfg.bit_rate.value() /
+                  static_cast<double>(cfg.bits_per_ui())),
+      Simulator::Options::eye_bins_per_ui);
+  report.eye = eye.analyze(o.restored, o.decision_threshold);
+  if (report.spec.capture_waveforms) {
+    report.tx_out = std::move(o.tx_out);
+    report.channel_out = std::move(o.channel_out);
+    report.restored = std::move(o.restored);
+  }
+}
+
+/// The rest of the Monte Carlo section: the whole run's BER.
+void set_ber(RunReport& report, const core::BerMeasurement& m) {
+  report.aligned = m.aligned;
+  report.bits = m.bits;
+  report.errors = m.errors;
+  report.ber = m.ber;
+  report.ber_upper_bound = m.ber_upper_bound;
+  report.confidence_level = m.confidence_level;
+}
+
+/// One unit of batched work: the indices of the specs it runs, as one
+/// lane tile or (a single index) one scalar run.
+struct WorkItem {
+  bool tile = false;
+  std::vector<std::size_t> specs;
+};
+
+/// Splits specs 0..count-1 into work items: a scalar run per spec, except
+/// tile-eligible specs, grouped by tile_key in first-seen order and cut
+/// into tiles of at most lane_batch lanes.
+std::vector<WorkItem> plan_work(
+    std::size_t count, const std::function<LinkSpec(std::size_t)>& spec_at) {
+  std::vector<WorkItem> items;
+  std::vector<std::string> keys;  // insertion-ordered: deterministic
+  std::vector<WorkItem> groups;   // one per key, every eligible spec
+  std::vector<std::size_t> widths;
+  for (std::size_t i = 0; i < count; ++i) {
+    const LinkSpec spec = spec_at(i);
+    if (!Simulator::tile_eligible(spec)) {
+      items.push_back(WorkItem{false, {i}});
+      continue;
+    }
+    const std::string key = Simulator::tile_key(spec);
+    const auto found = std::find(keys.begin(), keys.end(), key);
+    const auto g = static_cast<std::size_t>(found - keys.begin());
+    if (found == keys.end()) {
+      keys.push_back(key);
+      groups.push_back(WorkItem{true, {}});
+      widths.push_back(static_cast<std::size_t>(spec.lane_batch));
+    }
+    groups[g].specs.push_back(i);
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<std::size_t>& group = groups[g].specs;
+    for (std::size_t at = 0; at < group.size(); at += widths[g]) {
+      const std::size_t end = std::min(group.size(), at + widths[g]);
+      items.push_back(WorkItem{
+          true, {group.begin() + static_cast<std::ptrdiff_t>(at),
+                 group.begin() + static_cast<std::ptrdiff_t>(end)}});
+    }
+  }
+  return items;
+}
+
+}  // namespace
+
 RunReport Simulator::run(const LinkSpec& spec) const {
   return run_impl(spec, {});
 }
@@ -52,7 +144,6 @@ RunReport Simulator::run_impl(
     const LinkSpec& spec, const std::vector<core::XtalkPath>& xtalk) const {
   RunReport report;
   report.spec = spec;
-  report.confidence_level = options_.confidence_level;
 
   core::LinkConfig cfg = spec.to_link_config();
   cfg.xtalk = xtalk;
@@ -82,7 +173,7 @@ RunReport Simulator::run_impl(
   const bool want_stat = spec.analysis == "stat" || spec.analysis == "both";
   if (want_stat) {
     stat::StatAnalyzer::Options stat_options;
-    stat_options.phase_bins_per_ui = options_.stat_phase_bins_per_ui;
+    stat_options.phase_bins_per_ui = Options::stat_phase_bins_per_ui;
     stat_options.target_ber = spec.stat_target_ber;
     stat_options.contours = options_.stat_contours;
     const stat::StatAnalyzer analyzer(stat_options);
@@ -90,48 +181,25 @@ RunReport Simulator::run_impl(
     report.stat = analyzer.analyze(cfg, *channel);
     if (spec.analysis == "stat") return report;
   }
-  // The first chunk carries the lock diagnostics and the eye, so it
-  // always captures the slicer input the eye folds; it captures all four
-  // waveforms only when the spec keeps them in the report.  Capture is
-  // bounded to the diagnostic window so a deep first chunk does not cost
-  // O(chunk) memory.
-  cfg.capture_waveforms = spec.capture_waveforms;
-  cfg.capture_slicer_input = true;
-  cfg.capture_max_samples = static_cast<std::size_t>(
-      options_.diagnostic_window_uis *
-      static_cast<std::uint64_t>(cfg.samples_per_ui));
+  capture_diagnostics(spec, cfg);
   core::SerDesLink link(cfg,
                         ChannelFactory::instance().create(spec.channel, cfg));
 
-  // The chunked-BER accounting lives in core::measure_ber; the observer
-  // sees the first chunk alone, before any other starts, lifts the
-  // diagnostics off it and turns capture off for the bulk chunks.
+  // The observer sees the first chunk alone, before any other starts,
+  // takes what the report keeps of it and turns capture off for the bulk
+  // chunks.  It drops the chunk's waveforms before the bulk starts:
+  // holding the slicer capture (512 KiB at the defaults) through the
+  // fan-out made a cold 300000-bit run about 8% slower, since glibc raises
+  // its mmap threshold only when such a block is freed.
   const core::BerMeasurement m = core::measure_ber(
-      link, spec.payload_bits, spec.chunk_bits, options_.confidence_level,
-      spec.prbs_order, [&](const core::LinkResult& r) {
-        report.cdr_decision_phase = r.rx.cdr_decision_phase;
-        report.cdr_phase_updates = r.rx.cdr_phase_updates;
-        report.rx_swing_pp = r.rx_swing_pp;
-        report.decision_threshold = r.decision_threshold;
-        // The eye is folded per line UI: the symbol period under PAM4.
-        const core::EyeAnalyzer eye(
-            util::hertz(cfg.bit_rate.value() /
-                        static_cast<double>(cfg.bits_per_ui())),
-            options_.eye_bins_per_ui);
-        report.eye = eye.analyze(r.rx.restored, report.decision_threshold);
-        if (spec.capture_waveforms) {
-          report.tx_out = r.tx_out;
-          report.channel_out = r.channel_out;
-          report.restored = r.rx.restored;
-        }
+      link, spec.payload_bits, spec.chunk_bits, Options::confidence_level,
+      spec.prbs_order, [&](core::LinkResult& first) {
+        core::LaneOutcome outcome;
+        outcome.take_first_chunk(first);
+        set_first_chunk(report, cfg, outcome);
         link.set_capture_waveforms(false);
       });
-
-  report.aligned = m.aligned;
-  report.bits = m.bits;
-  report.errors = m.errors;
-  report.ber = m.ber;
-  report.ber_upper_bound = m.ber_upper_bound;
+  set_ber(report, m);
 
   if (want_stat) {
     // "both": the MC measurement must land inside the stat engine's
@@ -139,7 +207,7 @@ RunReport Simulator::run_impl(
     stat::StatAnalyzer::cross_check(*report.stat, report.bits, report.errors,
                                     spec.cdr_oversampling,
                                     spec.cdr_glitch_filter_radius,
-                                    options_.stat_cross_check_slack);
+                                    Options::stat_cross_check_slack);
   }
   return report;
 }
@@ -149,29 +217,27 @@ std::vector<RunReport> Simulator::run_lane_tile(
   std::vector<RunReport> reports(lane_specs.size());
   if (lane_specs.empty()) return reports;
   const LinkSpec& base = lane_specs[0];
-  for (const LinkSpec& spec : lane_specs) spec.validate_or_throw();
-  if (base.analysis != "mc") {
-    throw std::invalid_argument(
-        "run_lane_tile: lane tiling requires 'mc' scenarios");
-  }
   const std::string key = tile_key(base);
-  for (std::size_t i = 1; i < lane_specs.size(); ++i) {
-    if (tile_key(lane_specs[i]) != key) {
+  for (std::size_t i = 0; i < lane_specs.size(); ++i) {
+    const LinkSpec& spec = lane_specs[i];
+    const std::string lane =
+        "run_lane_tile lane " + std::to_string(i) + " ('" + spec.name + "'): ";
+    if (auto err = spec.validate(); !err.empty()) {
+      throw std::invalid_argument(lane + err);
+    }
+    if (!tile_eligible(spec)) {
       throw std::invalid_argument(
-          "run_lane_tile: lane specs must be identical up to name and seed");
+          lane + "lane tiles run NRZ \"mc\" scenarios with fixed EQ and "
+                 "lane_batch > 1");
+    }
+    if (tile_key(spec) != key) {
+      throw std::invalid_argument(
+          lane + "lane specs must be identical up to name and seed");
     }
   }
 
   core::LinkConfig cfg = base.to_link_config();
-  // Same capture policy as run(): diagnostics come from each lane's first
-  // chunk, bounded to the diagnostic window, and only the waveforms the
-  // reports read are captured (tile lanes share capture_waveforms, which
-  // tile_key keeps).
-  cfg.capture_waveforms = base.capture_waveforms;
-  cfg.capture_slicer_input = true;
-  cfg.capture_max_samples = static_cast<std::size_t>(
-      options_.diagnostic_window_uis *
-      static_cast<std::uint64_t>(cfg.samples_per_ui));
+  capture_diagnostics(base, cfg);  // tile_key keeps capture_waveforms
   std::vector<std::uint64_t> seeds(lane_specs.size());
   for (std::size_t i = 0; i < lane_specs.size(); ++i) {
     seeds[i] = lane_specs[i].seed;
@@ -181,67 +247,32 @@ std::vector<RunReport> Simulator::run_lane_tile(
                       std::move(seeds));
   std::vector<core::LaneOutcome> outcomes =
       link.measure(base.payload_bits, base.chunk_bits,
-                   options_.confidence_level, base.prbs_order);
-
-  const double threshold = link.receiver().decision_threshold();
-  const core::EyeAnalyzer eye(cfg.bit_rate, options_.eye_bins_per_ui);
+                   Options::confidence_level, base.prbs_order);
   for (std::size_t i = 0; i < lane_specs.size(); ++i) {
-    core::LaneOutcome& o = outcomes[i];
-    RunReport& report = reports[i];
-    report.spec = lane_specs[i];
-    report.confidence_level = options_.confidence_level;
-    report.cdr_decision_phase = o.cdr_decision_phase;
-    report.cdr_phase_updates = o.cdr_phase_updates;
-    report.rx_swing_pp = o.rx_swing_pp;
-    report.decision_threshold = threshold;
-    report.eye = eye.analyze(o.restored, threshold);
-    if (lane_specs[i].capture_waveforms) {
-      report.tx_out = std::move(o.tx_out);
-      report.channel_out = std::move(o.channel_out);
-      report.restored = std::move(o.restored);
-    }
-    report.aligned = o.measurement.aligned;
-    report.bits = o.measurement.bits;
-    report.errors = o.measurement.errors;
-    report.ber = o.measurement.ber;
-    report.ber_upper_bound = o.measurement.ber_upper_bound;
+    reports[i].spec = lane_specs[i];
+    set_first_chunk(reports[i], cfg, outcomes[i]);
+    set_ber(reports[i], outcomes[i].measurement);
   }
   return reports;
 }
 
-std::vector<Simulator::WorkItem> Simulator::plan_work(
+void Simulator::run_each(
     std::size_t count, const std::function<LinkSpec(std::size_t)>& spec_at,
-    bool lane_tiling) {
-  std::vector<WorkItem> items;
-  std::vector<std::string> keys;  // insertion-ordered: deterministic
-  std::vector<WorkItem> groups;   // one per key, every eligible spec
-  std::vector<std::size_t> widths;
-  for (std::size_t i = 0; i < count; ++i) {
-    const LinkSpec spec = spec_at(i);
-    if (!lane_tiling || !tile_eligible(spec)) {
-      items.push_back(WorkItem{false, {i}});
-      continue;
+    int n_threads,
+    const std::function<void(std::size_t, RunReport&)>& done) const {
+  const std::vector<WorkItem> items = plan_work(count, spec_at);
+  util::parallel_for(items.size(), n_threads, [&](std::size_t idx) {
+    const WorkItem& item = items[idx];
+    std::vector<LinkSpec> lane_specs;
+    lane_specs.reserve(item.specs.size());
+    for (const std::size_t i : item.specs) lane_specs.push_back(spec_at(i));
+    std::vector<RunReport> out =
+        item.tile ? run_lane_tile(lane_specs)
+                  : std::vector<RunReport>{run(lane_specs[0])};
+    for (std::size_t j = 0; j < item.specs.size(); ++j) {
+      done(item.specs[j], out[j]);
     }
-    const std::string key = tile_key(spec);
-    const auto found = std::find(keys.begin(), keys.end(), key);
-    const auto g = static_cast<std::size_t>(found - keys.begin());
-    if (found == keys.end()) {
-      keys.push_back(key);
-      groups.push_back(WorkItem{true, {}});
-      widths.push_back(static_cast<std::size_t>(spec.lane_batch));
-    }
-    groups[g].specs.push_back(i);
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const std::vector<std::size_t>& group = groups[g].specs;
-    for (std::size_t at = 0; at < group.size(); at += widths[g]) {
-      const std::size_t end = std::min(group.size(), at + widths[g]);
-      items.push_back(WorkItem{
-          true, {group.begin() + static_cast<std::ptrdiff_t>(at),
-                 group.begin() + static_cast<std::ptrdiff_t>(end)}});
-    }
-  }
-  return items;
+  });
 }
 
 std::vector<RunReport> Simulator::run_batch(const std::vector<LinkSpec>& specs,
@@ -263,33 +294,23 @@ std::vector<RunReport> Simulator::run_batch(const std::vector<LinkSpec>& specs,
     }
   }
 
-  std::vector<RunReport> reports(specs.size());
-  if (specs.empty()) return reports;
-
   // Every lane's seed derivation and report index use its original batch
-  // position, so the output is bit-identical with tiling on or off, at
-  // any thread count.
-  const std::vector<WorkItem> items = plan_work(
-      specs.size(), [&](std::size_t i) { return specs[i]; },
-      options_.lane_tiling);
-  util::parallel_for(items.size(), n_threads, [&](std::size_t idx) {
-    const WorkItem& item = items[idx];
-    std::vector<LinkSpec> lane_specs;
-    lane_specs.reserve(item.specs.size());
-    for (const std::size_t lane : item.specs) {
-      LinkSpec lane_spec = specs[lane];
-      if (options_.derive_lane_seeds) {
-        lane_spec.seed = derive_lane_seed(lane_spec.seed, lane);
-      }
-      lane_specs.push_back(std::move(lane_spec));
-    }
-    std::vector<RunReport> out =
-        item.tile ? run_lane_tile(lane_specs)
-                  : std::vector<RunReport>{run(lane_specs[0])};
-    for (std::size_t j = 0; j < item.specs.size(); ++j) {
-      reports[item.specs[j]] = std::move(out[j]);
-    }
-  });
+  // position, so the output is bit-identical whatever the tiling and the
+  // thread count.
+  std::vector<RunReport> reports(specs.size());
+  run_each(
+      specs.size(),
+      [&](std::size_t i) {
+        LinkSpec lane_spec = specs[i];
+        if (options_.derive_lane_seeds) {
+          lane_spec.seed = derive_lane_seed(lane_spec.seed, i);
+        }
+        return lane_spec;
+      },
+      n_threads,
+      [&](std::size_t i, RunReport& report) {
+        reports[i] = std::move(report);
+      });
   return reports;
 }
 

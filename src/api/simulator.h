@@ -10,13 +10,13 @@
 //
 // Threads: a top-level `run` fans out inside the engines — the stat
 // engine's 64 sampling phases, each training step's two candidate replays
-// and the Monte Carlo chunks after the first (core::measure_ber, in
-// windows of at most 2^18 payload bits) go over util::parallel_for at the
-// hardware concurrency.  Under `run_batch`, `run_bus` and
-// sweep::SweepRunner every lane or scenario is a parallel_for task, so
-// those inner fan-outs run inline on its thread: a batch asked for N
-// threads uses N, and a 1-thread sweep stays serial.  Reports are
-// byte-identical either way.
+// and the Monte Carlo chunks after the first (core::measure_chunks, in
+// windows of at most 2^18 lane-bits, for a scalar run and a lane tile
+// alike) go over util::parallel_for at the hardware concurrency.  Under
+// `run_batch`, `run_bus` and sweep::SweepRunner every lane, tile or
+// scenario is a parallel_for task, so those inner fan-outs run inline on
+// its thread: a batch asked for N threads uses N, and a 1-thread sweep
+// stays serial.  Reports are byte-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -94,37 +94,31 @@ class Simulator {
  public:
   struct Options {
     /// Confidence level for the BER upper bound.
-    double confidence_level = 0.95;
+    static constexpr double confidence_level = 0.95;
     /// Eye-folding resolution (bins per unit interval).
-    int eye_bins_per_ui = 64;
+    static constexpr int eye_bins_per_ui = 64;
     /// Diagnostics (lock, eye metrics, report waveforms) come from the
     /// first `diagnostic_window_uis` unit intervals of the first chunk, so
     /// per-lane capture memory stays bounded however deep the chunk is.
-    /// 0 retains the whole first chunk.
-    std::uint64_t diagnostic_window_uis = 4096;
+    static constexpr std::uint64_t diagnostic_window_uis = 4096;
+    /// Sampling-phase resolution of the stat engine's bathtub/contours.
+    static constexpr int stat_phase_bins_per_ui = 64;
+    /// `"both"`-mode model slack: the MC BER must fall within
+    /// [band_low / slack, band_high * slack], Poisson-widened (see
+    /// stat::StatAnalyzer::cross_check).
+    static constexpr double stat_cross_check_slack = 4.0;
+
     /// When true (default), run_batch gives lane i the seed
     /// derive_lane_seed(spec.seed, i) so lanes with the same base seed see
     /// uncorrelated noise.  Turn off for paired comparisons (ablations)
     /// where every lane must face the identical noise realization.
     bool derive_lane_seeds = true;
-    /// When true (default), run_batch groups lanes whose specs request
-    /// lane_batch > 1 (and differ only in name/seed) into SoA lane tiles
-    /// executed by core::LaneLink — one instruction stream, N lanes.
-    /// Reports are bit-identical either way; turn off to force the scalar
-    /// per-lane path (the bit-identity reference).
-    bool lane_tiling = true;
-    /// Sampling-phase resolution of the stat engine's bathtub/contours.
-    int stat_phase_bins_per_ui = 64;
     /// When false, the stat engine bisects only the best phase's eye
     /// contour (stat::StatAnalyzer::Options::contours): every margin is
     /// bit-identical, but `contour_high_v` / `contour_low_v` come back
     /// empty, so such reports are not for serialization.  For callers that
     /// read only the margins (sweep rows, optimizer scores).
     bool stat_contours = true;
-    /// `"both"`-mode model slack: the MC BER must fall within
-    /// [band_low / slack, band_high * slack], Poisson-widened (see
-    /// stat::StatAnalyzer::cross_check).
-    double stat_cross_check_slack = 4.0;
   };
 
   Simulator() = default;
@@ -143,13 +137,26 @@ class Simulator {
   [[nodiscard]] std::vector<RunReport> run_batch(
       const std::vector<LinkSpec>& specs, int n_threads = 0) const;
 
-  /// Runs one lane tile: every spec must describe the same physics
-  /// (identical up to name and seed) and be an "mc" scenario with
-  /// lane_batch >= the implied width.  Seeds are used exactly as
-  /// given (no per-lane derivation — run_batch derives before grouping).
-  /// Lane i's report is bit-identical to run(lane_specs[i]).
+  /// Runs one lane tile: every spec must be tile_eligible and describe the
+  /// same physics (identical up to name and seed); any other spec is
+  /// rejected with std::invalid_argument naming its lane before any lane
+  /// runs.  Seeds are used exactly as given (no per-lane derivation —
+  /// run_batch derives before grouping).  Lane i's report is bit-identical
+  /// to run(lane_specs[i]).
   [[nodiscard]] std::vector<RunReport> run_lane_tile(
       const std::vector<LinkSpec>& lane_specs) const;
+
+  /// The dispatch behind run_batch and sweep::SweepRunner: runs specs
+  /// 0..count-1 (`spec_at(i)` builds spec i, so callers need not hold them
+  /// all), `n_threads` work items at a time.  Tile-eligible specs are
+  /// grouped by tile_key in first-seen order and cut into lane tiles of at
+  /// most lane_batch lanes; every other spec is one scalar run.  Spec i's
+  /// report goes to `done(i, report)` on the worker that ran it.  The
+  /// plan is deterministic, so reports never depend on the scheduling.
+  void run_each(std::size_t count,
+                const std::function<LinkSpec(std::size_t)>& spec_at,
+                int n_threads,
+                const std::function<void(std::size_t, RunReport&)>& done) const;
 
   /// Runs an N-lane bus (see api/bus_spec.h).  A zero-coupling bus routes
   /// through run_batch — per-lane reports byte-identical to standalone
@@ -174,21 +181,6 @@ class Simulator {
   /// freedom (name, seed) neutralized.  Equal keys mean identical
   /// physics, so one lane tile serves every such spec.
   [[nodiscard]] static std::string tile_key(const LinkSpec& spec);
-
-  /// One unit of batched work: the indices of the specs it runs, as one
-  /// lane tile or (a single index) one scalar run.
-  struct WorkItem {
-    bool tile = false;
-    std::vector<std::size_t> specs;
-  };
-  /// Splits specs 0..count-1 (`spec_at(i)` builds spec i, so callers need
-  /// not hold them all) into work items: a scalar run per spec, except —
-  /// when `lane_tiling` — tile-eligible specs, grouped by tile_key in
-  /// first-seen order and cut into tiles of at most lane_batch lanes.
-  /// Deterministic, so results never depend on the scheduling.
-  [[nodiscard]] static std::vector<WorkItem> plan_work(
-      std::size_t count, const std::function<LinkSpec(std::size_t)>& spec_at,
-      bool lane_tiling);
 
   [[nodiscard]] const Options& options() const { return options_; }
 

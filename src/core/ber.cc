@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/parallel.h"
@@ -43,14 +44,24 @@ double ber_upper_bound(std::uint64_t bits, std::uint64_t errors,
   return std::min(1.0, mu_up / static_cast<double>(bits));
 }
 
+void LaneOutcome::take_first_chunk(LinkResult& first) {
+  cdr_decision_phase = first.rx.cdr_decision_phase;
+  cdr_phase_updates = first.rx.cdr_phase_updates;
+  rx_swing_pp = first.rx_swing_pp;
+  decision_threshold = first.decision_threshold;
+  tx_out = std::move(first.tx_out);
+  channel_out = std::move(first.channel_out);
+  restored = std::move(first.rx.restored);
+}
+
 namespace {
 
-/// Payload bits one window of fanned-out chunks may hold: no more than
-/// this is in flight at once, so a run's memory stays bounded however deep
-/// it is, and chunks of more than half of it run one at a time.
+/// Lane-bits one window of fanned-out chunks may hold: no more than this
+/// is in flight at once, so a run's memory stays bounded however deep it
+/// is, and chunks of more than half of it run one at a time.
 constexpr std::uint64_t kWindowBits = std::uint64_t{1} << 18;
 
-/// What the accounting keeps of a chunk's LinkResult.
+/// What the tally keeps of one lane's chunk.
 struct ChunkCount {
   bool aligned = false;
   std::uint64_t compared = 0;
@@ -61,46 +72,58 @@ ChunkCount count_of(const LinkResult& r) {
   return {r.aligned, r.payload_bits_compared, r.bit_errors};
 }
 
+/// Adds a chunk of `sent` payload bits to `m`.  Footage is tracked by bits
+/// *sent*, not bits compared: an aligned chunk may compare slightly fewer
+/// bits than it carried (the CDR pipeline's tail allowance), and a
+/// residual micro-chunk re-run for that deficit could never align — it
+/// would poison the whole measurement.
+void tally(BerMeasurement& m, std::uint64_t sent, const ChunkCount& c) {
+  if (!c.aligned) {
+    // Alignment failure: every payload bit in the chunk is lost.
+    m.aligned = false;
+    m.errors += sent;
+    m.bits += sent;
+    return;
+  }
+  // Bits the receiver truncated (pipeline tail) beyond the CDR allowance
+  // are already charged as errors inside LinkResult
+  // (SerDesLink::finalize_result); only the small allowance itself is
+  // excluded from both counts.
+  m.bits += c.compared;
+  m.errors += c.errors;
+}
+
+/// The chunks a run of `total_bits` takes.
+std::uint64_t chunk_count(std::uint64_t total_bits,
+                          std::uint64_t chunk_bits) {
+  if (chunk_bits == 0) {
+    throw std::invalid_argument("chunked run: chunk_bits must be > 0");
+  }
+  return total_bits / chunk_bits + (total_bits % chunk_bits != 0 ? 1 : 0);
+}
+
 }  // namespace
 
-BerMeasurement measure_ber(
-    SerDesLink& link, std::uint64_t total_bits, std::uint64_t chunk_bits,
-    double confidence_level, util::PrbsOrder order,
-    const std::function<void(const LinkResult&)>& on_chunk) {
-  if (chunk_bits == 0) {
-    throw std::invalid_argument("measure_ber: chunk_bits must be > 0");
-  }
-  BerMeasurement m;
-  m.confidence_level = confidence_level;
-  // Footage is tracked by bits *sent*, not bits compared: an aligned chunk
-  // may compare slightly fewer bits than it carried (the CDR pipeline's
-  // tail allowance), and a residual micro-chunk re-run for that deficit
-  // could never align — it would poison the whole measurement.
-  const auto tally = [&m](std::uint64_t sent, const ChunkCount& c) {
-    if (!c.aligned) {
-      // Alignment failure: every payload bit in the chunk is lost.
-      m.aligned = false;
-      m.errors += sent;
-      m.bits += sent;
-      return;
-    }
-    // Bits the receiver truncated (pipeline tail) beyond the CDR allowance
-    // are already charged as errors inside LinkResult
-    // (SerDesLink::finalize_result); only the small allowance itself is
-    // excluded from both counts.
-    m.bits += c.compared;
-    m.errors += c.errors;
-  };
+std::vector<BerMeasurement> measure_chunks(
+    std::size_t lanes, std::uint64_t total_bits, std::uint64_t chunk_bits,
+    double confidence_level, util::PrbsOrder order, std::uint64_t first_run,
+    const ChunkRun& run,
+    const std::function<void(std::vector<LinkResult>&)>& on_first) {
+  (void)chunk_count(total_bits, chunk_bits);  // rejects chunk_bits == 0
+  std::vector<BerMeasurement> m(lanes);
+  for (BerMeasurement& lane : m) lane.confidence_level = confidence_level;
 
   util::PrbsGenerator prbs(order);
   std::uint64_t sent = 0;
+  std::uint64_t next_run = first_run;
   if (total_bits > 0) {
     // Chunk 0 runs alone on this thread, and its observer may reconfigure
     // the link before any other chunk starts.
     const std::uint64_t n = std::min(chunk_bits, total_bits);
-    const LinkResult r = link.run(prbs.next_bits(static_cast<std::size_t>(n)));
-    if (on_chunk) on_chunk(r);
-    tally(n, count_of(r));
+    std::vector<LinkResult> r =
+        run(prbs.next_bits(static_cast<std::size_t>(n)), next_run++);
+    if (on_first) on_first(r);
+    for (std::size_t l = 0; l < lanes; ++l) tally(m[l], n, count_of(r[l]));
     sent = n;
   }
 
@@ -109,11 +132,10 @@ BerMeasurement measure_ber(
   // task regenerates its payload from that copy and runs with its own run
   // index, so every chunk sees the payload and noise of the serial loop.
   const std::uint64_t window =
-      std::max<std::uint64_t>(1, kWindowBits / chunk_bits);
+      std::max<std::uint64_t>(1, kWindowBits / chunk_bits / lanes);
   std::vector<util::PrbsGenerator> starts;
   std::vector<std::uint64_t> sizes;
   std::vector<ChunkCount> counts;
-  const SerDesLink& shared = link;
   while (sent < total_bits) {
     starts.clear();
     sizes.clear();
@@ -124,21 +146,52 @@ BerMeasurement measure_ber(
       sizes.push_back(n);
       sent += n;
     }
-    const std::uint64_t base = link.reserve_runs(sizes.size());
-    counts.assign(sizes.size(), ChunkCount{});
+    counts.assign(sizes.size() * lanes, ChunkCount{});
     util::parallel_for(sizes.size(), 0, [&](std::size_t i) {
       util::PrbsGenerator gen = starts[i];
-      counts[i] = count_of(shared.run(
-          gen.next_bits(static_cast<std::size_t>(sizes[i])), base + i));
+      const std::vector<LinkResult> r = run(
+          gen.next_bits(static_cast<std::size_t>(sizes[i])), next_run + i);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        counts[i * lanes + l] = count_of(r[l]);
+      }
     });
-    for (std::size_t i = 0; i < sizes.size(); ++i) tally(sizes[i], counts[i]);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        tally(m[l], sizes[i], counts[i * lanes + l]);
+      }
+    }
+    next_run += sizes.size();
   }
 
-  if (m.bits > 0) {
-    m.ber = static_cast<double>(m.errors) / static_cast<double>(m.bits);
+  for (BerMeasurement& lane : m) {
+    if (lane.bits > 0) {
+      lane.ber = static_cast<double>(lane.errors) /
+                 static_cast<double>(lane.bits);
+    }
+    lane.ber_upper_bound =
+        ber_upper_bound(lane.bits, lane.errors, confidence_level);
   }
-  m.ber_upper_bound = ber_upper_bound(m.bits, m.errors, confidence_level);
   return m;
+}
+
+BerMeasurement measure_ber(SerDesLink& link, std::uint64_t total_bits,
+                           std::uint64_t chunk_bits, double confidence_level,
+                           util::PrbsOrder order,
+                           const std::function<void(LinkResult&)>& on_chunk) {
+  const std::uint64_t first =
+      link.reserve_runs(chunk_count(total_bits, chunk_bits));
+  const SerDesLink& shared = link;
+  return measure_chunks(
+      1, total_bits, chunk_bits, confidence_level, order, first,
+      [&shared](const std::vector<std::uint8_t>& payload,
+                std::uint64_t run_index) {
+        std::vector<LinkResult> r;
+        r.push_back(shared.run(payload, run_index));
+        return r;
+      },
+      [&on_chunk](std::vector<LinkResult>& r) {
+        if (on_chunk) on_chunk(r[0]);
+      })[0];
 }
 
 }  // namespace serdes::core

@@ -236,6 +236,32 @@ std::size_t ChainPlan::capture_limit() const {
                                          : static_cast<std::size_t>(-1);
 }
 
+// ---- Streaming --------------------------------------------------------------
+
+analog::Waveform ChainPlan::stream(
+    pipe::LevelPulseSource& source,
+    const std::function<pipe::LaneView(const pipe::BlockView&)>& process,
+    pipe::SamplerCdrSink& sink, bool capture_tx) const {
+  const std::size_t cap = capture_limit();
+  std::vector<double> tx;
+  if (capture_tx) {
+    tx.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(cap, source.total_samples())));
+  }
+  pipe::Block blk;
+  while (source.produce(blk, block_) > 0) {
+    const pipe::BlockView view = blk.view();
+    if (capture_tx && tx.size() < cap) {
+      const std::size_t take = std::min(cap - tx.size(), view.size);
+      tx.insert(tx.end(), view.data, view.data + take);
+    }
+    sink.consume(process(view));
+  }
+  sink.finish();
+  if (!capture_tx) return {};
+  return analog::Waveform{source.stream_t0(), source.dt(), std::move(tx)};
+}
+
 // ---- First pass -------------------------------------------------------------
 
 FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,

@@ -29,9 +29,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
+#include "analog/waveform.h"
 #include "channel/channel.h"
 #include "core/config.h"
 #include "core/receiver.h"
@@ -183,6 +185,16 @@ class ChainPlan {
   /// Samples each capture probe keeps: LinkConfig::capture_max_samples,
   /// where 0 keeps the whole stream.
   [[nodiscard]] std::size_t capture_limit() const;
+
+  // ---- Streaming ------------------------------------------------------------
+  /// Streams `source` block by block through `process` (an instantiated
+  /// pass) into `sink`, then finishes the sink.  With `capture_tx`, returns
+  /// the stream's first capture_limit() samples as launched (the TX
+  /// output); an empty waveform otherwise.
+  [[nodiscard]] analog::Waveform stream(
+      pipe::LevelPulseSource& source,
+      const std::function<pipe::LaneView(const pipe::BlockView&)>& process,
+      pipe::SamplerCdrSink& sink, bool capture_tx) const;
 
   // ---- First pass -----------------------------------------------------------
   /// Streams `tx` once through the front of the chain and measures what

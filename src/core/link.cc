@@ -42,41 +42,26 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload,
   // the slicer input, or at the slicer input alone.
   const ChainPlan::Probes probes = plan.capture_probes();
   const bool capture = probes == ChainPlan::Probes::kAll;
-  const std::size_t capture_cap = plan.capture_limit();
   ChainPlan::PassOptions options;
   options.awgn_seed = noise_run_seed;
   options.mean = first.mean;
   options.probes = probes;
-  options.capture = capture_cap;
+  options.capture = plan.capture_limit();
   ChainPlan::Pass chain = plan.pass(*channel_, tx, options);
   pipe::LevelPulseSource source = plan.source(tx);
   pipe::SamplerCdrSink sink(
       plan.sink_config(first, source, {config_.noise_seed}));
 
-  std::vector<double> tx_capture;
-  if (capture) {
-    tx_capture.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(capture_cap, source.total_samples())));
-  }
-  pipe::Block blk;
-  while (source.produce(blk, plan.block()) > 0) {
-    const pipe::BlockView tx_view = blk.view();
-    if (capture && tx_capture.size() < capture_cap) {
-      const std::size_t take =
-          std::min(capture_cap - tx_capture.size(), tx_view.size);
-      tx_capture.insert(tx_capture.end(), tx_view.data, tx_view.data + take);
-    }
-    sink.consume(chain.pipeline.process(tx_view));
-  }
-  sink.finish();
-
   LinkResult result;
-  result.payload_bits_sent = payload.size();
+  result.tx_out = plan.stream(
+      source,
+      [&](const pipe::BlockView& in) {
+        return pipe::as_tile(chain.pipeline.process(in));
+      },
+      sink, capture);
   result.rx_swing_pp = first.swing_pp;
   result.rx = plan.recovered(sink, 0);
   if (capture) {
-    result.tx_out = analog::Waveform{source.stream_t0(), source.dt(),
-                                     std::move(tx_capture)};
     result.channel_out = chain.noisy->take();
     if (chain.rfi != nullptr) result.rx.rfi_out = chain.rfi->take();
   }
@@ -87,9 +72,7 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload,
     result.rx.restored =
         chain.out == chain.noisy ? result.channel_out : chain.out->take();
   }
-  result.aligned = result.rx.aligned;
   result.decision_threshold = plan.decision_threshold(first);
-
   finalize_result(config_, payload, result);
   return result;
 }
@@ -97,6 +80,8 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload,
 void SerDesLink::finalize_result(const LinkConfig& config,
                                  const std::vector<std::uint8_t>& payload,
                                  LinkResult& result) {
+  result.payload_bits_sent = payload.size();
+  result.aligned = result.rx.aligned;
   const auto& got = result.rx.payload;
   const std::size_t n = std::min(payload.size(), got.size());
   for (std::size_t i = 0; i < n; ++i) {

@@ -90,8 +90,9 @@ class SerDesLink {
   }
 
   /// Shared tail of every run path (including the lane-batched LaneLink):
-  /// payload comparison, truncated-tail error accounting, BER, and
-  /// dropping the waveforms `config` does not capture.
+  /// the sent count and alignment, payload comparison, truncated-tail
+  /// error accounting, BER, and dropping the waveforms `config` does not
+  /// capture.
   static void finalize_result(const LinkConfig& config,
                               const std::vector<std::uint8_t>& payload,
                               LinkResult& result);

@@ -424,7 +424,6 @@ void Worker::execute(const TaskFile& task) {
 
   SweepRunner::Options runner_options;
   runner_options.n_threads = 1;
-  runner_options.simulator = options_.simulator;
   const SweepRunner runner(runner_options);
 
   for (const std::uint64_t index : task.indices) {

@@ -159,7 +159,6 @@ struct WorkerOptions {
   std::uint64_t heartbeat_ms = 1'000;
   /// Idle poll period while the queue is empty.
   std::uint64_t idle_poll_ms = 200;
-  api::Simulator::Options simulator{};
   /// Per-completed-row callback (progress reporting).
   std::function<void(const ScenarioResult&)> on_scenario;
 };

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "util/json_fields.h"
-#include "util/parallel.h"
 
 namespace serdes::sweep {
 
@@ -244,41 +243,24 @@ std::vector<ScenarioResult> SweepRunner::run_indices(
   if (indices.empty()) return rows;
 
   // A row reads only the stat margins, so the engine bisects the best
-  // phase's contour alone.
-  api::Simulator::Options simulator_options = options_.simulator;
+  // phase's contour alone.  Scenario specs are rebuilt from their grid
+  // index inside the worker, so the grouping pass only holds keys; each
+  // row's result is bit-identical whatever the tiling and thread count.
+  api::Simulator::Options simulator_options;
   simulator_options.stat_contours = false;
-  const api::Simulator simulator(simulator_options);
-
-  // Scenario specs are rebuilt from their grid index inside the worker, so
-  // the grouping pass only holds keys; each row's result is bit-identical
-  // with tiling on or off, at any thread count.
-  const std::vector<api::Simulator::WorkItem> items =
-      api::Simulator::plan_work(
+  std::mutex progress_mutex;
+  api::Simulator(simulator_options)
+      .run_each(
           indices.size(),
           [&](std::size_t slot) { return spec.scenario(indices[slot]); },
-          options_.simulator.lane_tiling);
-  std::mutex progress_mutex;
-  util::parallel_for(items.size(), options_.n_threads, [&](std::size_t idx) {
-    const api::Simulator::WorkItem& item = items[idx];
-    std::vector<api::LinkSpec> lane_specs;
-    lane_specs.reserve(item.specs.size());
-    for (const std::size_t slot : item.specs) {
-      lane_specs.push_back(spec.scenario(indices[slot]));
-    }
-    const std::vector<api::RunReport> out =
-        item.tile ? simulator.run_lane_tile(lane_specs)
-                  : std::vector<api::RunReport>{simulator.run(lane_specs[0])};
-    for (std::size_t j = 0; j < item.specs.size(); ++j) {
-      const std::size_t slot = item.specs[j];
-      rows[slot] = to_scenario_result(indices[slot], out[j]);
-    }
-    if (options_.on_scenario) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      for (const std::size_t slot : item.specs) {
-        options_.on_scenario(rows[slot]);
-      }
-    }
-  });
+          options_.n_threads,
+          [&](std::size_t slot, api::RunReport& report) {
+            rows[slot] = to_scenario_result(indices[slot], report);
+            if (options_.on_scenario) {
+              const std::lock_guard<std::mutex> lock(progress_mutex);
+              options_.on_scenario(rows[slot]);
+            }
+          });
   return rows;
 }
 

@@ -128,10 +128,6 @@ class SweepRunner {
     /// Worker threads; <= 0 picks the hardware concurrency.
     int n_threads = 0;
     Shard shard{};
-    /// Simulator settings for every scenario, except `stat_contours`:
-    /// the runner overrides it to false, because a row keeps only the
-    /// stat margins, never the per-phase contours.
-    api::Simulator::Options simulator{};
     /// Optional completion callback (progress reporting).  Called from
     /// worker threads under a mutex, in completion (not index) order.
     std::function<void(const ScenarioResult&)> on_scenario;

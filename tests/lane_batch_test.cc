@@ -1,7 +1,7 @@
 // Lane-tiling bit-identity contract (tier1): the SoA batched path —
 // shared TX/channel instruction stream, per-lane AWGN/CTLE/RFI/restore
 // state vectors, lane-batched sampler/CDR sink — must produce RunReports
-// that are BYTE-identical to the scalar per-lane path, for every
+// that are BYTE-identical to Simulator::run of each lane's spec, for every
 // built-in channel kind, at any lane count (including ragged tails) and
 // any thread count.  Identity is compared on to_json(report).dump(), so
 // every field (BER statistics, lock diagnostics, eye metrics, captured
@@ -82,17 +82,24 @@ std::vector<std::string> render_batch(const Simulator& sim,
   return rendered;
 }
 
-TEST(LaneBatch, BitIdenticalToScalarForEveryChannelKind) {
-  Simulator::Options scalar_options;
-  scalar_options.lane_tiling = false;
-  const Simulator scalar(scalar_options);
-  const Simulator tiled;  // lane_tiling on by default
+/// run_batch's scalar reference: run() of each lane's derived spec.
+std::vector<std::string> render_scalar(const std::vector<LinkSpec>& specs) {
+  const Simulator sim;
+  std::vector<std::string> rendered;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    LinkSpec spec = specs[i];
+    spec.seed = Simulator::derive_lane_seed(spec.seed, i);
+    rendered.push_back(to_json(sim.run(spec)).dump());
+  }
+  return rendered;
+}
 
+TEST(LaneBatch, BitIdenticalToScalarForEveryChannelKind) {
+  const Simulator tiled;
   for (const ChannelSpec& channel : builtin_channels()) {
     for (const int lanes : {1, 3, 8, 17}) {
       const std::vector<LinkSpec> specs = lane_specs(channel, lanes);
-      const std::vector<std::string> reference =
-          render_batch(scalar, specs, 1);
+      const std::vector<std::string> reference = render_scalar(specs);
       for (const int threads : {1, 8}) {
         const std::vector<std::string> batched =
             render_batch(tiled, specs, threads);
@@ -108,12 +115,9 @@ TEST(LaneBatch, BitIdenticalToScalarForEveryChannelKind) {
 }
 
 TEST(LaneBatch, CapturedWaveformsMatchScalarByteForByte) {
-  Simulator::Options scalar_options;
-  scalar_options.lane_tiling = false;
   const std::vector<LinkSpec> specs =
       lane_specs(ChannelSpec::rc(2.5e9, 6.0), 5, /*capture=*/true);
-  const std::vector<std::string> reference =
-      render_batch(Simulator(scalar_options), specs, 1);
+  const std::vector<std::string> reference = render_scalar(specs);
   const std::vector<std::string> batched =
       render_batch(Simulator(), specs, 2);
   ASSERT_EQ(batched.size(), reference.size());
@@ -137,10 +141,7 @@ TEST(LaneBatch, MixedEligibilityBatchStaysBitIdentical) {
   pam4.tx_ffe_deemphasis = 0.0;
   specs.push_back(pam4);
 
-  Simulator::Options scalar_options;
-  scalar_options.lane_tiling = false;
-  const std::vector<std::string> reference =
-      render_batch(Simulator(scalar_options), specs, 1);
+  const std::vector<std::string> reference = render_scalar(specs);
   const std::vector<std::string> batched = render_batch(Simulator(), specs, 8);
   ASSERT_EQ(batched.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -164,12 +165,79 @@ TEST(LaneBatch, RunLaneTileMatchesRunPerLane) {
   }
 }
 
+TEST(LaneBatch, UnalignedLanesMatchRunPerLane) {
+  // Footage counts bits sent, so a lane whose chunk fails to align moves
+  // on with its aligned neighbours, and one payload sequence serves the
+  // whole tile.  At 12 mV rms behind a flat 34 dB channel some lanes lose
+  // alignment on some chunks and others on none; each must still match
+  // its own scalar run.
+  std::vector<LinkSpec> specs;
+  for (std::size_t i = 0; i < 16; ++i) {
+    LinkSpec spec = LinkBuilder()
+                        .name("lane" + std::to_string(i))
+                        .channel(ChannelSpec::flat(34.0))
+                        .noise_rms(0.012)
+                        .payload_bits(1024)
+                        .chunk_bits(256)
+                        .preamble_bits(128)
+                        .cdr_window(16)
+                        .lane_batch(16)
+                        .seed(7 + 13 * i)
+                        .build_spec();
+    specs.push_back(std::move(spec));
+  }
+  const Simulator sim;
+  const std::vector<RunReport> tiled = sim.run_lane_tile(specs);
+  ASSERT_EQ(tiled.size(), specs.size());
+  int aligned = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(to_json(tiled[i]).dump(), to_json(sim.run(specs[i])).dump())
+        << "lane " << i;
+    aligned += tiled[i].aligned ? 1 : 0;
+  }
+  EXPECT_GT(aligned, 0);
+  EXPECT_LT(aligned, 16);
+}
+
+TEST(LaneBatch, RunLaneTileRejectsLanesItCannotTile) {
+  // Trained lanes would run untrained and PAM4 lanes would fail deep in
+  // the chain, so both are rejected before any lane runs, by lane.
+  const auto rejects = [](const std::vector<LinkSpec>& specs,
+                          const std::string& lane) {
+    try {
+      (void)Simulator().run_lane_tile(specs);
+      ADD_FAILURE() << "accepted a tile with " << lane;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(lane), std::string::npos) << what;
+      EXPECT_NE(what.find("lane tiles run"), std::string::npos) << what;
+    }
+  };
+  std::vector<LinkSpec> trained =
+      lane_specs(ChannelSpec::lossy_line(6.0, 18.0, 14.0), 3);
+  for (LinkSpec& spec : trained) spec.eq = "trained";
+  rejects(trained, "lane 0 ('lane0')");
+
+  std::vector<LinkSpec> pam4 = lane_specs(ChannelSpec::flat(34.0), 3);
+  for (LinkSpec& spec : pam4) {
+    spec.modulation = "pam4";
+    spec.tx_ffe_deemphasis = 0.0;
+  }
+  rejects(pam4, "lane 0 ('lane0')");
+
+  std::vector<LinkSpec> mixed = lane_specs(ChannelSpec::flat(34.0), 3);
+  mixed[2].modulation = "pam4";
+  mixed[2].tx_ffe_deemphasis = 0.0;
+  rejects(mixed, "lane 2 ('lane2')");
+}
+
 TEST(LaneBatch, SweepWithLaneBatchStaysByteIdentical) {
   // A sweep whose base opts into lane_batch: scenarios that share physics
   // (here the seed axis varies only the per-lane degree of freedom) tile
   // together, scenarios on different noise axes land in separate tiles,
-  // and the serialized report must stay byte-identical to the untiled
-  // runner at any thread count.
+  // and the serialized report must stay byte-identical to the same sweep
+  // run untiled (lane_batch 1, which a sweep report does not echo) at any
+  // thread count.
   sweep::SweepSpec sweep;
   sweep.name = "lane_grid";
   sweep.base = tile_spec(ChannelSpec::flat(34.0));
@@ -178,11 +246,12 @@ TEST(LaneBatch, SweepWithLaneBatchStaysByteIdentical) {
   sweep.axes.push_back({"seed",
                         {util::Json(1.0), util::Json(2.0), util::Json(3.0)}});
 
+  sweep::SweepSpec untiled = sweep;
+  untiled.base.lane_batch = 1;
   sweep::SweepRunner::Options scalar_options;
   scalar_options.n_threads = 1;
-  scalar_options.simulator.lane_tiling = false;
   const std::string reference =
-      sweep::to_json(sweep::SweepRunner(scalar_options).run(sweep)).dump(2);
+      sweep::to_json(sweep::SweepRunner(scalar_options).run(untiled)).dump(2);
   for (const int threads : {1, 4}) {
     sweep::SweepRunner::Options options;
     options.n_threads = threads;

@@ -3,12 +3,13 @@
 // engine ships — the SweepRunner work-stealing pool, offline shard
 // merging fed by concurrently-running shards, the run_batch lane
 // fan-out, the pool's inline nesting rule, the stat engine's phase
-// fan-out, training's concurrent candidate replays, measure_ber's chunk
-// fan-out, and the process-wide memos (receiver characterization, FFT
-// plan tables) — exercised at several thread counts with byte-identical
-// report assertions.  Without TSan this is an ordinary (fast) tier1
-// determinism test; under TSan any data race in the pool, the row
-// buffers or the aggregation step is a hard failure with a stack pair.
+// fan-out, training's concurrent candidate replays, the Monte Carlo chunk
+// fan-out of scalar runs and lane tiles, and the process-wide memos
+// (receiver characterization, FFT plan tables) — exercised at several
+// thread counts with byte-identical report assertions.  Without TSan
+// this is an ordinary (fast) tier1 determinism test; under TSan any data
+// race in the pool, the row buffers or the aggregation step is a hard
+// failure with a stack pair.
 //
 // Repro: cmake -B build-tsan -S . -DSERDES_SANITIZE=thread
 //        cmake --build build-tsan --target race_test && ./build-tsan/race_test
@@ -136,7 +137,7 @@ TEST(RaceHammer, LaneTileFanOutIsThreadCountInvariant) {
   // ragged tiles (8 + 8 + 4) that race against interleaved scalar lanes
   // across the pool.  Under TSan this hammers the tile grouping, the
   // shared-TX fan-out and the per-lane report scatter; everywhere it
-  // must stay byte-identical to the untiled single-thread reference.
+  // must stay byte-identical to run() of each lane's derived spec.
   std::vector<api::LinkSpec> lanes;
   for (int i = 0; i < 20; ++i) {
     api::LinkSpec spec = tiny_spec();
@@ -145,11 +146,13 @@ TEST(RaceHammer, LaneTileFanOutIsThreadCountInvariant) {
     spec.noise_rms_v = 0.001 * (1 + i % 3);  // three tile groups
     lanes.push_back(spec);
   }
-  api::Simulator::Options scalar_options;
-  scalar_options.lane_tiling = false;
-  const std::vector<api::RunReport> reference =
-      api::Simulator(scalar_options).run_batch(lanes, 1);
   const api::Simulator tiled;
+  std::vector<api::RunReport> reference;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    api::LinkSpec spec = lanes[i];
+    spec.seed = api::Simulator::derive_lane_seed(spec.seed, i);
+    reference.push_back(tiled.run(spec));
+  }
   for (const int threads : {1, 2, 8}) {
     const std::vector<api::RunReport> fanned = tiled.run_batch(lanes, threads);
     ASSERT_EQ(fanned.size(), reference.size());
@@ -158,6 +161,42 @@ TEST(RaceHammer, LaneTileFanOutIsThreadCountInvariant) {
                 api::to_json(reference[i]).dump())
           << "lane " << i << " at " << threads << " threads";
     }
+  }
+}
+
+TEST(RaceHammer, TopLevelLaneTileFansItsChunksOut) {
+  // A lane tile run at top level fans its chunks out like a scalar run,
+  // each task sharing the tile's receiver and channel, in windows of
+  // 2^18 lane-bits: 16 chunks of 2^12 bits over 4 lanes.  One run stays
+  // inside one window after chunk 0, the other spans three; both must
+  // equal run() of every lane.  Four samples per UI keep it cheap, and
+  // the noise makes every chunk's error count depend on its seed.
+  constexpr std::uint64_t kChunk = 1u << 12;
+  for (const std::uint64_t total : {9 * kChunk + 100, 33 * kChunk + 500}) {
+    std::vector<api::LinkSpec> lanes;
+    for (std::size_t i = 0; i < 4; ++i) {
+      lanes.push_back(api::LinkBuilder()
+                          .name("lane" + std::to_string(i))
+                          .flat_channel(util::decibels(40.0))
+                          .noise_rms(0.004)
+                          .samples_per_ui(4)
+                          .payload_bits(total)
+                          .chunk_bits(kChunk)
+                          .lane_batch(4)
+                          .seed(15 + 7 * i)
+                          .build_spec());
+    }
+    const api::Simulator simulator;
+    const std::vector<api::RunReport> tiled = simulator.run_lane_tile(lanes);
+    ASSERT_EQ(tiled.size(), lanes.size());
+    std::uint64_t errors = 0;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      EXPECT_EQ(api::to_json(tiled[i]).dump(),
+                api::to_json(simulator.run(lanes[i])).dump())
+          << total << " bits, lane " << i;
+      errors += tiled[i].errors;
+    }
+    EXPECT_GT(errors, 0u) << total << " bits";
   }
 }
 
