@@ -49,6 +49,7 @@
 #include "util/prbs.h"
 #include "util/random.h"
 
+#include "../tests/level_pulse_reference.h"
 #include "../tests/mixture_reference.h"
 
 namespace {
@@ -190,6 +191,35 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
     run_bench(results, "stage_source_sample", nsamp, [&] {
       src.reset();
       while (src.produce(blk, block) > 0) {
+      }
+    });
+    // The same launch through the quotient loop the source replaced
+    // (tests/level_pulse_reference.h): a division per sample to find its
+    // bit.  The baseline of stage_source_sample's ratio gate.
+    level_pulse_reference::QuotientSource quotient(
+        levels, cfg.unit_interval(), spu, util::picoseconds(100.0),
+        util::seconds(0.0));
+    run_bench(results, "stage_source_quotient_sample", nsamp, [&] {
+      quotient.reset();
+      while (quotient.produce(blk, block) > 0) {
+      }
+    });
+    // A bus victim's crosstalk: four paths at one delay (two FEXT through
+    // a flat channel, two NEXT) share one launch and one channel stream.
+    // The stage holds no reset, so each pass builds a fresh one.
+    const channel::FlatChannel flat(util::decibels(34.0));
+    const std::vector<pipe::XtalkInjectStage::Path> paths = {
+        {1, 0.02, true}, {1, 0.01, false}, {1, 0.02, true}, {1, 0.01, false}};
+    pipe::Block victim;
+    victim.samples().assign(block, 0.5);
+    pipe::Block out;
+    run_bench(results, "stage_xtalk4_sample", nsamp, [&] {
+      pipe::XtalkInjectStage xtalk(levels, paths, flat, cfg.unit_interval(),
+                                   spu, util::picoseconds(100.0),
+                                   util::seconds(0.0));
+      for (std::size_t i = 0; i < nsamp; i += block) {
+        victim.set_start_index(i);
+        xtalk.process(victim.view(), out);
       }
     });
   }

@@ -53,7 +53,9 @@ EXCLUDE = ("deep_ber_streaming_bit",)
 # stat_noise_gain_paper_default pins the noise-gain sum's early stop (the
 # subnormal tail it skips made it ~300x slower, with the same bits) and
 # stat_mixture_grid_build the grid mixture's unchecked interior over the
-# bins that hold mass (about 2.6x on the -O2 build, the same bits).
+# bins that hold mass (about 2.6x on the -O2 build, the same bits);
+# stage_source_quotient_sample and stage_xtalk4_sample are the two
+# kernels the TX source's ratio gates below read.
 REQUIRED = (
     "eye_fold_ui",
     "receiver_build",
@@ -66,6 +68,8 @@ REQUIRED = (
     "stat_engine_dfe_sample",
     "optimize_paper_default",
     "stage_pam4_slicer_sample",
+    "stage_source_quotient_sample",
+    "stage_xtalk4_sample",
     "full_link_run_bit",
     "simulator_run_batch8_lanes_bit",
     "stage_awgn_lanes8_sample",
@@ -105,6 +109,18 @@ REQUIRED = (
 #     The plain loop is the build as it was before those two changes, with
 #     the same bits; timed in the library's place it read 1.20x, and at
 #     1272-1533/s it clears the derated floor, so only this gate notices.
+#   stage_source_sample / stage_source_quotient_sample: the TX source finds
+#     each sample's bit by integer index, walks the block UI by UI and
+#     blends only the edge samples: 0.21-0.24x the quotient loop it
+#     replaced (tests/level_pulse_reference.h, a division per sample) on
+#     the same box (-O2 build, 7 runs).  The replaced source read 0.91-1.12x
+#     (3 runs), with the same bits.
+#   stage_xtalk4_sample / stage_source_sample: four crosstalk paths at one
+#     delay (2 FEXT through a flat channel, 2 NEXT) share one launch and one
+#     channel stream and add two paths per sweep: 3.1-3.4x one source on
+#     the same box (-O2 build, 7 runs).  The replaced stage synthesized a
+#     launch and opened a stream per path: 4.5-5.2x its own source (3
+#     runs), with the same bits.
 RATIOS = (
     ("rng_gaussian", "rng_u64", 4.0),
     ("stage_channel_lossy_sample", "stage_ctle_sample", 1.25),
@@ -112,6 +128,8 @@ RATIOS = (
     ("stage_channel_fir513_fft_sample", "stage_channel_fir513_direct_sample",
      0.2),
     ("stat_mixture_grid_build", "stat_mixture_grid_plain", 0.6),
+    ("stage_source_sample", "stage_source_quotient_sample", 0.6),
+    ("stage_xtalk4_sample", "stage_source_sample", 4.0),
 )
 
 

@@ -75,7 +75,7 @@ std::vector<double> ChainPlan::rail_levels(
 }
 
 pipe::LevelPulseSource ChainPlan::source(const Launch& tx) const {
-  return pipe::LevelPulseSource(tx.levels, ui_, spu_, rise_, tx.t0, 0.0);
+  return pipe::LevelPulseSource(tx.levels, ui_, spu_, rise_, tx.t0);
 }
 
 // ---- Chain instantiation ----------------------------------------------------
@@ -100,19 +100,14 @@ std::vector<ChainPlan::Step> ChainPlan::steps(Stop stop, bool noise,
   return s;
 }
 
-std::vector<pipe::XtalkInjectStage::Path> ChainPlan::xtalk_paths(
-    const channel::Channel& ch, const std::vector<double>& levels) const {
+std::unique_ptr<pipe::XtalkInjectStage> ChainPlan::xtalk_stage(
+    const channel::Channel& ch, const Launch& tx) const {
   std::vector<pipe::XtalkInjectStage::Path> paths;
   for (const XtalkPath& x : config_.xtalk) {
-    if (x.gain == 0.0) continue;
-    pipe::XtalkInjectStage::Path p;
-    p.levels.assign(static_cast<std::size_t>(std::max(0, x.delay_ui)), 0.0);
-    p.levels.insert(p.levels.end(), levels.begin(), levels.end());
-    p.gain = x.gain;
-    if (x.through_channel) p.channel_stream = ch.open_stream();
-    paths.push_back(std::move(p));
+    if (x.gain != 0.0) paths.push_back({x.delay_ui, x.gain, x.through_channel});
   }
-  return paths;
+  return std::make_unique<pipe::XtalkInjectStage>(tx.levels, paths, ch, ui_,
+                                                  spu_, rise_, tx.t0);
 }
 
 std::size_t ChainPlan::capture_samples(const Launch& tx,
@@ -123,20 +118,24 @@ std::size_t ChainPlan::capture_samples(const Launch& tx,
 
 ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
                                 const PassOptions& options) const {
+  return build(ch, tx, steps(options), options);
+}
+
+ChainPlan::Pass ChainPlan::build(const channel::Channel& ch, const Launch& tx,
+                                 std::span<const Step> run,
+                                 const PassOptions& options) const {
   Pass p;
   const auto probe = [&] {
     return &p.pipeline.add_probe(std::make_unique<pipe::WaveformTap>(
         capture_samples(tx, options.capture), options.statistics));
   };
-  for (const Step step : steps(options.stop, options.awgn_seed.has_value(),
-                               options.probes)) {
+  for (const Step step : run) {
     switch (step) {
       case Step::kChannel:
         p.pipeline.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
         break;
       case Step::kXtalk:
-        p.pipeline.add(std::make_unique<pipe::XtalkInjectStage>(
-            xtalk_paths(ch, tx.levels), ui_, spu_, rise_, tx.t0));
+        p.pipeline.add(xtalk_stage(ch, tx));
         break;
       case Step::kAwgn:
         p.pipeline.add(
@@ -189,8 +188,7 @@ ChainPlan::TilePass ChainPlan::tile_pass(
         p.shared.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
         break;
       case Step::kXtalk:
-        p.shared.add(std::make_unique<pipe::XtalkInjectStage>(
-            xtalk_paths(ch, tx.levels), ui_, spu_, rise_, tx.t0));
+        p.shared.add(xtalk_stage(ch, tx));
         break;
       case Step::kAwgn:
         p.lanes.add(std::make_unique<pipe::LaneAwgnStage>(sigma_, awgn_seeds));
@@ -266,19 +264,36 @@ analog::Waveform ChainPlan::stream(
 
 FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
                                 std::uint64_t awgn_seed) const {
-  Pass noisy = pass(ch, tx, {pam4_ ? Stop::kNoisy : Stop::kEqualized,
-                             awgn_seed, 0.0, Probes::kAll, 0,
-                             /*statistics=*/true});
+  const PassOptions noisy_options{pam4_ ? Stop::kNoisy : Stop::kEqualized,
+                                  awgn_seed, 0.0, Probes::kAll, 0,
+                                  /*statistics=*/true};
+  const std::vector<Step> noisy_steps = steps(noisy_options);
+  // PAM4 also measures a noise-free replay of the equalized stream.  The
+  // two branches start with the same steps (the channel and the
+  // crosstalk), whose output depends only on the launch, so that front
+  // runs once per block and feeds both.
+  std::optional<Pass> front;
   std::optional<Pass> clean;
+  auto noisy_run = std::span<const Step>(noisy_steps);
   if (pam4_) {
-    clean = pass(ch, tx, {Stop::kEqualized, std::nullopt, 0.0, Probes::kAll,
-                          0, /*statistics=*/true});
+    const PassOptions clean_options{Stop::kEqualized, std::nullopt, 0.0,
+                                    Probes::kAll, 0, /*statistics=*/true};
+    const std::vector<Step> clean_steps = steps(clean_options);
+    const auto [noisy_tail, clean_tail] =
+        std::mismatch(noisy_steps.begin(), noisy_steps.end(),
+                      clean_steps.begin(), clean_steps.end());
+    front = build(ch, tx, {noisy_steps.begin(), noisy_tail}, noisy_options);
+    noisy_run = {noisy_tail, noisy_steps.end()};
+    clean = build(ch, tx, {clean_tail, clean_steps.end()}, clean_options);
   }
+  Pass noisy = build(ch, tx, noisy_run, noisy_options);
   pipe::LevelPulseSource src = source(tx);
   pipe::Block blk;
   while (src.produce(blk, block_) > 0) {
-    (void)noisy.pipeline.process(blk.view());
-    if (clean) (void)clean->pipeline.process(blk.view());
+    const pipe::BlockView in =
+        front ? front->pipeline.process(blk.view()) : blk.view();
+    (void)noisy.pipeline.process(in);
+    if (clean) (void)clean->pipeline.process(in);
   }
   FirstPass first;
   const std::uint64_t total = src.total_samples();

@@ -30,7 +30,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analog/waveform.h"
@@ -205,7 +207,8 @@ class ChainPlan {
   /// a noise-free replay of the equalized stream — its midpoint,
   /// unlike the mean, is immune to the duty skew of the leading and
   /// trailing zero-level regions, and leaving the noise out keeps its
-  /// tails from pushing the outer slicers off the sub-eye boundaries.
+  /// tails from pushing the outer slicers off the sub-eye boundaries.  The
+  /// two PAM4 branches share one run of the channel and crosstalk.
   [[nodiscard]] FirstPass first_pass(const channel::Channel& ch,
                                      const Launch& tx,
                                      std::uint64_t awgn_seed) const;
@@ -245,13 +248,22 @@ class ChainPlan {
   /// NRZ — with the positions of `probes`.
   [[nodiscard]] std::vector<Step> steps(Stop stop, bool noise,
                                         Probes probes) const;
-  /// Crosstalk injection paths for one pass: every lane of a bus carries
-  /// the same framed stream, so an aggressor launches the victim's levels
-  /// shifted by its UI delay (idle zeros prepended).  FEXT paths get a
-  /// private stream of the victim's channel; zero-gain paths are dropped
-  /// so a zero-coupling bus lane stays byte-identical to a standalone link.
-  [[nodiscard]] std::vector<pipe::XtalkInjectStage::Path> xtalk_paths(
-      const channel::Channel& ch, const std::vector<double>& levels) const;
+  /// The steps of a scalar pass with `options`.
+  [[nodiscard]] std::vector<Step> steps(const PassOptions& options) const {
+    return steps(options.stop, options.awgn_seed.has_value(),
+                 options.probes);
+  }
+  /// Instantiates `run`, a run of steps(options), as a scalar pass.
+  [[nodiscard]] Pass build(const channel::Channel& ch, const Launch& tx,
+                           std::span<const Step> run,
+                           const PassOptions& options) const;
+  /// The crosstalk stage for one pass over `ch`: every lane of a bus
+  /// carries the same framed stream, so an aggressor launches the
+  /// victim's levels `tx` shifted by its UI delay, and paths at one delay
+  /// share that launch.  Zero-gain paths are dropped so a zero-coupling
+  /// bus lane stays byte-identical to a standalone link.
+  [[nodiscard]] std::unique_ptr<pipe::XtalkInjectStage> xtalk_stage(
+      const channel::Channel& ch, const Launch& tx) const;
   /// Samples a probe captures for a `capture` cap: no more than the
   /// stream of `tx` holds.
   [[nodiscard]] std::size_t capture_samples(const Launch& tx,

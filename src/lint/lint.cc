@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "api/bus_spec.h"
+#include "api/simulator.h"
 #include "api/spec_json.h"
 #include "util/json_fields.h"
 #include "util/math.h"
@@ -259,13 +260,14 @@ void check_ineffective_field(const api::LinkSpec& spec,
          "never runs and the target is never read",
          "use analysis \"stat\" or \"both\", or drop stat_target_ber");
   }
-  if (spec.lane_batch > 1 &&
-      (spec.analysis != "mc" || spec.modulation == "pam4")) {
+  if (spec.lane_batch > 1 && !api::Simulator::tile_eligible(spec)) {
     emit(out, info, prefix + ".lane_batch",
-         "lane_batch is set but lane tiling needs NRZ Monte Carlo "
-         "(analysis \"mc\", modulation \"nrz\"), so every lane runs the "
-         "scalar path anyway",
-         "use NRZ with analysis \"mc\", or drop lane_batch");
+         "lane_batch is set but lane tiling needs NRZ Monte Carlo with fixed "
+         "EQ (analysis \"mc\", modulation \"nrz\", eq \"fixed\"; trained "
+         "lanes each train their own EQ), so every lane runs the scalar path "
+         "anyway",
+         "use NRZ with analysis \"mc\" and eq \"fixed\", or drop "
+         "lane_batch");
   }
 }
 

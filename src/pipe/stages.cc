@@ -14,17 +14,22 @@ namespace serdes::pipe {
 LevelPulseSource::LevelPulseSource(std::vector<double> levels,
                                    util::Second unit_interval,
                                    int samples_per_ui, util::Second rise_time,
-                                   util::Second stream_t0, double fill_level)
+                                   util::Second stream_t0)
     : levels_(std::move(levels)),
       ui_(unit_interval),
       dt_(unit_interval / static_cast<double>(samples_per_ui)),
       t0_(stream_t0),
       tr_(rise_time.value()),
-      fill_(fill_level),
-      total_(levels_.size() * static_cast<std::uint64_t>(samples_per_ui)) {
+      spu_(static_cast<std::uint64_t>(std::max(samples_per_ui, 0))),
+      total_(0) {
   if (samples_per_ui < 2) {
     throw std::invalid_argument("LevelPulseSource: need >= 2 samples per UI");
   }
+  if (levels_.size() > (kMaxSamples - 1) / spu_) {
+    throw std::invalid_argument(
+        "LevelPulseSource: stream of 2^50 samples or more");
+  }
+  total_ = levels_.size() * spu_;
 }
 
 std::size_t LevelPulseSource::produce(Block& out, std::size_t max_samples) {
@@ -37,56 +42,64 @@ std::size_t LevelPulseSource::produce(Block& out, std::size_t max_samples) {
   out.set_start_index(pos_);
   out.set_stream_t0(t0_);
   out.set_dt(dt_);
-  double* samples = out.data();
 
   // Identical per-sample arithmetic to Waveform::nrz / TxFfe::shape, indexed
   // by the absolute stream position so block boundaries are invisible.  The
-  // instants and their bit quotients are precomputed in two flat passes so
-  // the multiply and the divide vectorize; IEEE division is correctly
-  // rounded in vector form too, so the quotients (and thus every decision
-  // below) are bit-identical to the scalar loop.
+  // reference finds sample p's bit as trunc(t / ui) with t = (p + 0.5) dt;
+  // that quotient lies within about 3.3e-16 relative of (p + 0.5) / spu,
+  // which is never closer than 0.5 / spu to an integer, so it truncates to
+  // p / spu for every p below about 1.5e15 (the constructor caps streams
+  // at 2^50 samples).  So the block is walked UI by UI with the bit known
+  // and the per-UI parts hoisted.  Within a UI the offset t - bit * ui
+  // never decreases (both roundings are monotone), so the samples on the
+  // edge from the previous level are a prefix of the UI's run and those on
+  // the edge to the next level a suffix of the rest: only those are
+  // blended, one by one, and the samples between them are the level.
   const double ui = ui_.value();
   const double dt = dt_.value();
   const double tr = tr_;
   const double half_tr = tr / 2.0;
-  scratch_t_.resize(n);
-  scratch_q_.resize(n);
-  double* ts = scratch_t_.data();
-  double* qs = scratch_q_.data();
-  const std::uint64_t pos = pos_;
-  for (std::size_t j = 0; j < n; ++j) {
-    ts[j] = (static_cast<double>(pos + j) + 0.5) * dt;
-  }
-  for (std::size_t j = 0; j < n; ++j) qs[j] = ts[j] / ui;
-
+  const double late_edge = ui - half_tr;
   const double* levels = levels_.data();
-  const std::size_t nbits = levels_.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    const double t = ts[j];
-    const auto bit = static_cast<std::size_t>(qs[j]);
-    if (bit >= nbits) {
-      samples[j] = fill_;
-      continue;
-    }
+  const std::uint64_t nbits = levels_.size();
+  const std::uint64_t spu = spu_;
+  // No edges unless tr > 0, as in the reference (a NaN rise time included).
+  const bool edges = tr > 0.0;
+  double* dst = out.data();
+  std::uint64_t p = pos_;
+  const std::uint64_t end = pos_ + n;
+  for (std::uint64_t bit = p / spu; p < end; ++bit) {
+    const std::uint64_t stop = std::min(end, (bit + 1) * spu);
     const double lvl = levels[bit];
-    double v = lvl;
-    if (tr > 0.0) {
-      // Blend across the transition centred at the bit boundary.
-      const double t_in_bit = t - static_cast<double>(bit) * ui;
-      if (bit > 0 && t_in_bit < half_tr) {
-        const double prev = levels[bit - 1];
-        const double x = (t_in_bit + half_tr) / tr;  // 0..1 across the edge
-        v = prev + (lvl - prev) * x;
-      } else if (bit + 1 < nbits && t_in_bit > ui - half_tr) {
-        const double next = levels[bit + 1];
-        const double x = (t_in_bit - (ui - half_tr)) / tr;
-        v = lvl + (next - lvl) * x;
+    const double bit_start = static_cast<double>(bit) * ui;
+    const auto t_in_bit = [&](std::uint64_t q) {
+      return (static_cast<double>(q) + 0.5) * dt - bit_start;
+    };
+    if (edges && bit > 0) {
+      const double prev = levels[bit - 1];
+      for (; p < stop; ++p) {
+        const double t = t_in_bit(p);
+        if (!(t < half_tr)) break;
+        const double x = (t + half_tr) / tr;  // 0..1 across the edge
+        *dst++ = prev + (lvl - prev) * x;
       }
     }
-    samples[j] = v;
+    std::uint64_t fall = stop;
+    if (edges && bit + 1 < nbits) {
+      while (fall > p && t_in_bit(fall - 1) > late_edge) --fall;
+    }
+    dst = std::fill_n(dst, fall - p, lvl);
+    if (fall < stop) {
+      const double next = levels[bit + 1];
+      for (p = fall; p < stop; ++p) {
+        const double x = (t_in_bit(p) - late_edge) / tr;
+        *dst++ = lvl + (next - lvl) * x;
+      }
+    }
+    p = stop;
   }
 
-  pos_ += n;
+  pos_ = end;
   out.set_last(pos_ == total_);
   return n;
 }

@@ -50,9 +50,14 @@ namespace serdes::pipe {
 /// `rise_time` centred on bit boundaries).
 class LevelPulseSource {
  public:
+  /// Streams of this many samples or more are rejected: below it the
+  /// reference's bit quotient trunc(t / ui) equals the sample's integer
+  /// index p / samples_per_ui, which produce() uses (see stages.cc).
+  static constexpr std::uint64_t kMaxSamples = std::uint64_t{1} << 50;
+
   LevelPulseSource(std::vector<double> levels, util::Second unit_interval,
                    int samples_per_ui, util::Second rise_time,
-                   util::Second stream_t0, double fill_level = 0.0);
+                   util::Second stream_t0);
 
   /// Fills `out` with the next up-to-`max_samples` samples; returns the
   /// count produced (0 once the stream is exhausted).  Marks the block
@@ -71,13 +76,9 @@ class LevelPulseSource {
   util::Second dt_;
   util::Second t0_;
   double tr_;
-  double fill_;
+  std::uint64_t spu_;
   std::uint64_t total_;
   std::uint64_t pos_ = 0;
-  // Per-block instant / bit-quotient scratch (flat passes vectorize the
-  // multiply and divide; see produce()).
-  std::vector<double> scratch_t_;
-  std::vector<double> scratch_q_;
 };
 
 /// Streams blocks through a channel model (carrying its filter state).

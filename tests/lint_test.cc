@@ -229,6 +229,11 @@ TEST(LintRules, IneffectiveField) {
   expect_finding(Linter().lint(spec), "ineffective-field", "$.lane_batch",
                  Severity::kInfo);
   spec = api::LinkSpec{};
+  spec.lane_batch = 8;
+  spec.eq = "trained";  // trained lanes never share a tile
+  expect_finding(Linter().lint(spec), "ineffective-field", "$.lane_batch",
+                 Severity::kInfo);
+  spec = api::LinkSpec{};
   spec.lane_batch = 8;  // NRZ "mc": tiling live, no finding
   expect_no_finding(Linter().lint(spec), "ineffective-field");
 }

@@ -16,13 +16,16 @@
 #include "api/api.h"
 #include "api/spec_json.h"
 #include "channel/channel.h"
+#include "channel/equalizer.h"
 #include "core/chain_plan.h"
 #include "core/eye.h"
 #include "core/link.h"
 #include "core/receiver.h"
+#include "pipe/pam_stages.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
 #include "util/prbs.h"
+#include "level_pulse_reference.h"
 #include "whole_waveform_reference.h"
 
 namespace serdes {
@@ -240,6 +243,131 @@ TEST(FusedStageLoops, RfiAndRestoringMatchSeparatePasses) {
   expect_same_bits(run_fused(restore, rails), want, "restore");
 }
 
+// ---- TX source: the bit by integer index vs the quotient loop --------------
+// LevelPulseSource finds sample p's bit as p / samples_per_ui; the quotient
+// loop it replaced (level_pulse_reference.h) took trunc(t / ui).  The two
+// agree for every stream the constructor accepts, so the waveforms agree
+// bit for bit.
+
+/// Streams all of `src` (`total` samples) in `block`-sample calls and
+/// returns the samples; counts blocks whose metadata is off in `bad_meta`.
+template <class Source>
+std::vector<double> produce_all(Source& src, std::size_t block,
+                                std::size_t total, double stream_t0,
+                                double dt, std::size_t& bad_meta) {
+  std::vector<double> out;
+  pipe::Block blk;
+  while (src.produce(blk, block) > 0) {
+    const pipe::BlockView v = blk.view();
+    if (v.start_index != out.size() || v.stream_t0.value() != stream_t0 ||
+        v.dt.value() != dt || v.last != (out.size() + v.size == total)) {
+      ++bad_meta;
+    }
+    out.insert(out.end(), v.data, v.data + v.size);
+  }
+  return out;
+}
+
+TEST(LevelPulseSource, MatchesTheQuotientLoopBitForBit) {
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs7);
+  const std::vector<std::uint8_t> bits = prbs.next_bits(96);
+  const double vdd = 1.8;
+  std::vector<double> rails(bits.size());
+  std::vector<double> pam4(bits.size() / 2);
+  for (std::size_t i = 0; i < bits.size(); ++i) rails[i] = bits[i] ? vdd : 0.0;
+  for (std::size_t s = 0; s < pam4.size(); ++s) {
+    const int sym = core::ChainPlan::gray_symbol(bits[2 * s] != 0,
+                                                 bits[2 * s + 1] != 0);
+    pam4[s] = static_cast<double>(sym) * (vdd / 3.0);
+  }
+  // Taps summing past 1 overshoot the rails, so some levels are negative.
+  const std::vector<double> ffe =
+      channel::TxFfe({1.2, -0.4}, util::volts(vdd)).levels(bits);
+  ASSERT_LT(*std::min_element(ffe.begin(), ffe.end()), 0.0);
+  const std::vector<double> zeros = {0.0,  -0.0, -0.0, 0.0, 0.0, -0.0,
+                                     1.0,  -0.0, 0.0,  -1.0, -0.0, -0.0};
+  const std::pair<const char*, const std::vector<double>*> launches[] = {
+      {"rails", &rails}, {"ffe", &ffe}, {"pam4", &pam4}, {"signed zeros", &zeros}};
+
+  for (const double rate : {2e9, 2.7e9}) {
+    const util::Second ui = util::period(util::hertz(rate));
+    for (const int spu : {2, 16, 256}) {
+      const double dt = ui.value() / spu;
+      const double rises[] = {0.0, 0.3 * dt, 100e-12, 1.5 * ui.value()};
+      for (const double rise : rises) {
+        for (const auto& [what, levels] : launches) {
+          const std::size_t total = levels->size() * spu;
+          std::size_t bad_meta = 0;
+          level_pulse_reference::QuotientSource ref(
+              *levels, ui, spu, util::seconds(rise), util::seconds(1e-9));
+          const std::vector<double> want =
+              produce_all(ref, 16384, total, 1e-9, dt, bad_meta);
+          ASSERT_EQ(want.size(), total);
+          for (const std::size_t block : {1u, 7u, 16384u}) {
+            pipe::LevelPulseSource src(*levels, ui, spu, util::seconds(rise),
+                                       util::seconds(1e-9));
+            const std::string where =
+                std::string(what) + " rate " + std::to_string(rate) +
+                " spu " + std::to_string(spu) + " rise " +
+                std::to_string(rise) + " block " + std::to_string(block);
+            expect_same_bits(
+                produce_all(src, block, total, 1e-9, dt, bad_meta), want,
+                where.c_str());
+            EXPECT_EQ(bad_meta, 0u) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LevelPulseSource, IntegerBitIndexIsTheQuotientFarIntoTheStream) {
+  // Streaming out to p ~ 2^40 is too slow for this tier, so this checks
+  // the identity itself: trunc(fl(fl(fl(p + 0.5) dt) / ui)) == p / spu,
+  // around 2^32, 2^40 and just below the 2^50-sample cap, at the UI
+  // boundaries nearest each (where the quotient comes closest to an
+  // integer) and across a run of samples.
+  std::size_t mismatches = 0;
+  std::size_t checked = 0;
+  for (const double rate : {1e9, 2e9, 2.5e9, 2.7e9, 3.125e9, 5e9, 10e9,
+                            16e9, 28e9}) {
+    const double ui = util::period(util::hertz(rate)).value();
+    for (const std::uint64_t spu : {2u, 5u, 16u, 64u, 256u}) {
+      const double dt = (util::seconds(ui) / static_cast<double>(spu)).value();
+      for (const std::uint64_t around :
+           {std::uint64_t{1} << 32, std::uint64_t{1} << 40,
+            pipe::LevelPulseSource::kMaxSamples - 4096}) {
+        const std::uint64_t first = (around / spu) * spu - 2048;
+        for (std::uint64_t p = first; p < first + 4096; ++p) {
+          const double t = (static_cast<double>(p) + 0.5) * dt;
+          const auto bit = static_cast<std::uint64_t>(t / ui);
+          if (bit != p / spu) ++mismatches;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
+}
+
+TEST(LevelPulseSource, RejectsStreamsOfTwoToTheFiftySamples) {
+  // 2^20 levels at 2^30 samples per UI is exactly 2^50 samples.
+  const util::Second ui = util::nanoseconds(0.5);
+  const int spu = 1 << 30;
+  std::vector<double> levels((std::size_t{1} << 20) - 1, 1.0);
+  const pipe::LevelPulseSource below(levels, ui, spu, util::seconds(0.0),
+                                     util::seconds(0.0));
+  EXPECT_EQ(below.total_samples(),
+            pipe::LevelPulseSource::kMaxSamples - (std::uint64_t{1} << 30));
+  levels.push_back(1.0);
+  EXPECT_THROW(pipe::LevelPulseSource(levels, ui, spu, util::seconds(0.0),
+                                      util::seconds(0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(pipe::LevelPulseSource({1.0}, ui, 1, util::seconds(0.0),
+                                      util::seconds(0.0)),
+               std::invalid_argument);
+}
+
 TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   // A block far larger than Config::block_samples must not wrap the rolling
   // window over itself — the sink grows it and stays bit-identical to the
@@ -449,6 +577,117 @@ TEST(ChainPlanProbes, LaneTileProbesObserveWithoutChangingTheStream) {
         EXPECT_TRUE(same_bits(tap->take(l).samples(), head(stream, kCapture)))
             << where;
       }
+    }
+  }
+}
+
+// ---- Crosstalk and the PAM4 first pass: shared work, same bits -----------
+
+TEST(XtalkInjectStage, SharedLaunchesMatchOneSourceAndStreamPerPath) {
+  const channel::LossyLineChannel line(
+      channel::LossyLineChannel::Params{2.0, 10.0, 8.0}, kDt);
+  const util::Second ui = util::nanoseconds(0.5);
+  const int spu = 16;
+  const util::Second rise = util::picoseconds(100.0);
+  const util::Second t0 = util::picoseconds(40.0);
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs7);
+  std::vector<double> levels;
+  for (const std::uint8_t b : prbs.next_bits(200)) {
+    levels.push_back(b ? 1.8 : 0.0);
+  }
+  // Three paths share the launch at delay 1 (two of them its FEXT stream),
+  // and the path at delay 2 sits between them in the order.
+  const std::vector<pipe::XtalkInjectStage::Path> paths = {
+      {1, 0.03, true}, {1, 0.01, false}, {2, -0.02, true}, {1, 0.015, true}};
+
+  // The victim's post-channel stream.
+  pipe::LevelPulseSource victim(levels, ui, spu, rise, t0);
+  pipe::Block in;
+  victim.produce(in, victim.total_samples());
+  line.open_stream()->transmit_block(in.data(), in.data(), in.size());
+
+  // Reference: one source and, for FEXT, one channel stream per path, each
+  // added in path order.
+  std::vector<double> want = in.samples();
+  for (const pipe::XtalkInjectStage::Path& path : paths) {
+    std::vector<double> delayed(static_cast<std::size_t>(path.delay_ui), 0.0);
+    delayed.insert(delayed.end(), levels.begin(), levels.end());
+    pipe::LevelPulseSource src(delayed, ui, spu, rise, t0);
+    pipe::Block contrib;
+    ASSERT_EQ(src.produce(contrib, want.size()), want.size());
+    if (path.through_channel) {
+      line.open_stream()->transmit_block(contrib.data(), contrib.data(),
+                                         contrib.size());
+    }
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] += path.gain * contrib.samples()[i];
+    }
+  }
+
+  for (const std::size_t block : {1u, 7u, 4096u}) {
+    pipe::XtalkInjectStage stage(levels, paths, line, ui, spu, rise, t0);
+    std::vector<double> got;
+    pipe::Block out;
+    for (std::size_t pos = 0; pos < in.size(); pos += block) {
+      const std::size_t n = std::min(block, in.size() - pos);
+      stage.process(pipe::BlockView{in.data() + pos, n, pos, t0, kDt,
+                                    pos + n == in.size()},
+                    out);
+      got.insert(got.end(), out.samples().begin(), out.samples().end());
+    }
+    expect_same_bits(got, want, ("block " + std::to_string(block)).c_str());
+  }
+}
+
+TEST(ChainPlanFirstPass, Pam4SharedFrontMatchesTwoSeparatePipelines) {
+  util::PrbsGenerator prbs(util::PrbsOrder::kPrbs7);
+  const std::vector<std::uint8_t> bits = prbs.next_bits(600);
+  const auto bits_of = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  for (const bool ctle : {false, true}) {
+    for (const bool xtalk : {false, true}) {
+      core::LinkConfig cfg = core::LinkConfig::paper_default();
+      cfg.modulation = core::LinkConfig::Modulation::kPam4;
+      cfg.channel_noise_rms = 0.004;
+      cfg.rx_ctle_boost = util::decibels(ctle ? 4.0 : 0.0);
+      if (xtalk) {
+        cfg.xtalk = {{0.05, true, 1}, {0.02, false, 1}, {0.03, true, 2}};
+      }
+      cfg.stream_block_samples = 1000;
+      const channel::LossyLineChannel line(
+          channel::LossyLineChannel::Params{2.0, 10.0, 8.0},
+          cfg.sample_period());
+      const core::Receiver rx(cfg);
+      const core::ChainPlan plan(cfg, rx);
+      const core::Launch tx = plan.launch(bits);
+      const core::FirstPass got = plan.first_pass(line, tx, 77);
+
+      // The noisy receiver input and the noise-free equalized stream, each
+      // through its own channel and crosstalk.
+      core::ChainPlan::PassOptions noisy_options;
+      noisy_options.stop = core::ChainPlan::Stop::kNoisy;
+      noisy_options.awgn_seed = 77;
+      noisy_options.probes = core::ChainPlan::Probes::kAll;
+      noisy_options.statistics = true;
+      core::ChainPlan::PassOptions clean_options = noisy_options;
+      clean_options.stop = core::ChainPlan::Stop::kEqualized;
+      clean_options.awgn_seed.reset();
+      core::ChainPlan::Pass noisy = plan.pass(line, tx, noisy_options);
+      core::ChainPlan::Pass clean = plan.pass(line, tx, clean_options);
+      (void)run_pass(plan, noisy, tx);
+      (void)run_pass(plan, clean, tx);
+
+      const std::string where = std::string(ctle ? "ctle" : "no ctle") +
+                                (xtalk ? ", xtalk" : ", no xtalk");
+      EXPECT_EQ(bits_of(got.swing_pp),
+                bits_of(noisy.noisy->max() - noisy.noisy->min()))
+          << where;
+      EXPECT_EQ(bits_of(got.clean_min), bits_of(clean.out->min())) << where;
+      EXPECT_EQ(bits_of(got.clean_max), bits_of(clean.out->max())) << where;
+      EXPECT_LT(got.clean_min, got.clean_max) << where;
     }
   }
 }
