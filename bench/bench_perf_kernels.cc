@@ -521,6 +521,17 @@ int main(int argc, char** argv) {
       volatile std::uint64_t e = link.run_prbs(1024).bit_errors;
       (void)e;
     });
+    // The same run at 4096-sample blocks: its 20992-sample stream is more
+    // than two blocks, so pass 2 re-runs the front where the default block
+    // resumes from pass 1's output.  The baseline of full_link_run_bit's
+    // ratio gate.
+    api::LinkBuilder blocked;
+    blocked.stream_block_samples(4096);
+    run_bench(results, "full_link_run_block4096_bit", 1024, [&] {
+      core::SerDesLink link = blocked.build_link();
+      volatile std::uint64_t e = link.run_prbs(1024).bit_errors;
+      (void)e;
+    });
   }
 
   // The eye fold every sweep cell and MC report runs: EyeAnalyzer::analyze

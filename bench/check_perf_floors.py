@@ -55,7 +55,10 @@ EXCLUDE = ("deep_ber_streaming_bit",)
 # stat_mixture_grid_build the grid mixture's unchecked interior over the
 # bins that hold mass (about 2.6x on the -O2 build, the same bits);
 # stage_source_quotient_sample and stage_xtalk4_sample are the two
-# kernels the TX source's ratio gates below read.
+# kernels the TX source's ratio gates below read;
+# full_link_run_block4096_bit is full_link_run_bit at 4096-sample blocks,
+# where its 20992-sample stream re-runs the front in pass 2 instead of
+# resuming from pass 1's output.
 REQUIRED = (
     "eye_fold_ui",
     "receiver_build",
@@ -71,6 +74,7 @@ REQUIRED = (
     "stage_source_quotient_sample",
     "stage_xtalk4_sample",
     "full_link_run_bit",
+    "full_link_run_block4096_bit",
     "simulator_run_batch8_lanes_bit",
     "stage_awgn_lanes8_sample",
     "stage_channel_fir64_lanes8_sample",

@@ -131,7 +131,10 @@ struct LinkSpec {
   // ---- Execution ----
   /// Samples per streaming block: every stage holds one block, so per-lane
   /// waveform memory is O(block) instead of O(chunk_bits *
-  /// samples_per_ui).  Results are invariant to this value.
+  /// samples_per_ui).  A chunk whose stream is at most two blocks keeps
+  /// its first pass's output and resumes the second pass from it
+  /// (core::ChainPlan::resumes); longer ones re-run the front.  Results
+  /// are invariant to this value.
   std::uint64_t stream_block_samples = 16384;
   /// Lane-tile width for batched multi-lane execution: run_batch (and the
   /// sweep runner) group lanes whose specs differ only in name/seed into

@@ -12,6 +12,16 @@
 
 namespace serdes::core {
 
+namespace {
+
+/// What the end probe of a pass stopping at `stop` captures: the slicer
+/// input, so nothing unless the pass reaches the slicers.
+std::size_t end_capture(ChainPlan::Stop stop, std::size_t capture) {
+  return stop == ChainPlan::Stop::kSlicer ? capture : 0;
+}
+
+}  // namespace
+
 ChainPlan::ChainPlan(const LinkConfig& config, const Receiver& rx)
     : config_(config),
       rx_(&rx),
@@ -100,6 +110,21 @@ std::vector<ChainPlan::Step> ChainPlan::steps(Stop stop, bool noise,
   return s;
 }
 
+std::vector<ChainPlan::Step> ChainPlan::resumed(std::vector<Step> s,
+                                                bool noise) const {
+  const Step last = steps(first_stop(), noise, Probes::kNone).back();
+  s.erase(s.begin(), std::find(s.begin(), s.end(), last) + 1);
+  std::erase(s, Step::kNoisyProbe);
+  return s;
+}
+
+bool ChainPlan::resumes(const Launch& tx) const {
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(tx.levels.size()) *
+      static_cast<std::uint64_t>(spu_);
+  return (total + 1) / 2 <= block_;  // total <= 2 * block_, without overflow
+}
+
 std::unique_ptr<pipe::XtalkInjectStage> ChainPlan::xtalk_stage(
     const channel::Channel& ch, const Launch& tx) const {
   std::vector<pipe::XtalkInjectStage::Path> paths;
@@ -117,17 +142,26 @@ std::size_t ChainPlan::capture_samples(const Launch& tx,
 }
 
 ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
-                                const PassOptions& options) const {
-  return build(ch, tx, steps(options), options);
+                                const PassOptions& options,
+                                ScalarKept kept) const {
+  if (!kept.resumes()) return build(ch, tx, steps(options), options);
+  Pass p = build(ch, tx, resumed(steps(options), options.awgn_seed.has_value()),
+                 options);
+  if (kept.noisy) {
+    p.noisy = kept.noisy.get();
+    if (p.out == nullptr) p.out = p.noisy;
+  }
+  p.kept = std::move(kept);
+  return p;
 }
 
 ChainPlan::Pass ChainPlan::build(const channel::Channel& ch, const Launch& tx,
                                  std::span<const Step> run,
                                  const PassOptions& options) const {
   Pass p;
-  const auto probe = [&] {
+  const auto probe = [&](std::size_t capture) {
     return &p.pipeline.add_probe(std::make_unique<pipe::WaveformTap>(
-        capture_samples(tx, options.capture), options.statistics));
+        capture_samples(tx, capture), options.statistics));
   };
   for (const Step step : run) {
     switch (step) {
@@ -157,13 +191,13 @@ ChainPlan::Pass ChainPlan::build(const channel::Channel& ch, const Launch& tx,
             std::make_unique<pipe::RestoringStage>(rx_->restoring(), dt_));
         break;
       case Step::kNoisyProbe:
-        p.noisy = probe();
+        p.noisy = probe(options.capture);
         break;
       case Step::kRfiProbe:
-        p.rfi = probe();
+        p.rfi = probe(options.capture);
         break;
       case Step::kOutProbe:
-        p.out = probe();
+        p.out = probe(end_capture(options.stop, options.capture));
         break;
     }
   }
@@ -175,14 +209,20 @@ ChainPlan::TilePass ChainPlan::tile_pass(
     const channel::Channel& ch, const Launch& tx,
     const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
     const std::vector<double>& means, Probes probes, std::size_t capture,
-    bool statistics) const {
+    bool statistics, TileKept kept) const {
   TilePass p;
   const std::size_t n = awgn_seeds.size();
-  const auto probe = [&] {
+  const auto probe = [&](std::size_t keep) {
     return &p.lanes.add_probe(std::make_unique<pipe::LaneWaveformTap>(
-        n, capture_samples(tx, capture), statistics));
+        n, capture_samples(tx, keep), statistics));
   };
-  for (const Step step : steps(stop, /*noise=*/true, probes)) {
+  std::vector<Step> run = steps(stop, /*noise=*/true, probes);
+  if (kept.resumes()) {
+    run = resumed(std::move(run), /*noise=*/true);
+    p.noisy = kept.noisy.get();
+    p.kept = std::move(kept);
+  }
+  for (const Step step : run) {
     switch (step) {
       case Step::kChannel:
         p.shared.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
@@ -209,12 +249,12 @@ ChainPlan::TilePass ChainPlan::tile_pass(
             std::make_unique<pipe::LaneRestoreStage>(rx_->restoring(), dt_, n));
         break;
       case Step::kNoisyProbe:
-        p.noisy = probe();
+        p.noisy = probe(capture);
         break;
       case Step::kRfiProbe:
         break;
       case Step::kOutProbe:
-        p.out = probe();
+        p.out = probe(end_capture(stop, capture));
         break;
     }
   }
@@ -236,36 +276,78 @@ std::size_t ChainPlan::capture_limit() const {
 
 // ---- Streaming --------------------------------------------------------------
 
-analog::Waveform ChainPlan::stream(
-    pipe::LevelPulseSource& source,
-    const std::function<pipe::LaneView(const pipe::BlockView&)>& process,
-    pipe::SamplerCdrSink& sink, bool capture_tx) const {
-  const std::size_t cap = capture_limit();
+namespace {
+
+/// Streams `source` block by block into `each`, capturing the first `cap`
+/// samples as launched when `capture_tx` (the TX output).
+analog::Waveform launch_blocks(
+    pipe::LevelPulseSource& source, std::size_t block, bool capture_tx,
+    std::size_t cap, const std::function<void(const pipe::BlockView&)>& each) {
   std::vector<double> tx;
   if (capture_tx) {
     tx.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(cap, source.total_samples())));
   }
   pipe::Block blk;
-  while (source.produce(blk, block_) > 0) {
+  while (source.produce(blk, block) > 0) {
     const pipe::BlockView view = blk.view();
     if (capture_tx && tx.size() < cap) {
       const std::size_t take = std::min(cap - tx.size(), view.size);
       tx.insert(tx.end(), view.data, view.data + take);
     }
-    sink.consume(process(view));
+    each(view);
   }
-  sink.finish();
   if (!capture_tx) return {};
   return analog::Waveform{source.stream_t0(), source.dt(), std::move(tx)};
+}
+
+}  // namespace
+
+analog::Waveform ChainPlan::stream(
+    pipe::LevelPulseSource& source, Pass& pass,
+    const std::function<void(const pipe::BlockView&)>& each,
+    bool capture_tx) const {
+  if (pass.kept.resumes()) {
+    for (pipe::Block& blk : pass.kept.blocks) {
+      pass.pipeline.process_in_place(blk);
+      each(blk.view());
+    }
+    return std::move(pass.kept.tx);
+  }
+  return launch_blocks(source, block_, capture_tx, capture_limit(),
+                       [&](const pipe::BlockView& in) {
+                         each(pass.pipeline.process(in));
+                       });
+}
+
+analog::Waveform ChainPlan::stream(
+    pipe::LevelPulseSource& source, TilePass& pass,
+    const std::function<void(const pipe::LaneView&)>& each,
+    bool capture_tx) const {
+  if (pass.kept.resumes()) {
+    for (pipe::LaneBlock& tile : pass.kept.blocks) {
+      pass.lanes.process_in_place(tile);
+      each(tile.view());
+    }
+    return std::move(pass.kept.tx);
+  }
+  return launch_blocks(
+      source, block_, capture_tx, capture_limit(),
+      [&](const pipe::BlockView& in) { each(pass.process(in)); });
 }
 
 // ---- First pass -------------------------------------------------------------
 
 FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
-                                std::uint64_t awgn_seed) const {
-  const PassOptions noisy_options{pam4_ ? Stop::kNoisy : Stop::kEqualized,
-                                  awgn_seed, 0.0, Probes::kAll, 0,
+                                std::uint64_t awgn_seed, Probes probes,
+                                std::size_t capture,
+                                ScalarKept* kept) const {
+  const bool keep = kept != nullptr && resumes(tx);
+  // A resumed pass 2 streams neither the launch nor the receiver input, so
+  // their probes run here.
+  const bool front_probes = keep && probes == Probes::kAll;
+  const PassOptions noisy_options{first_stop(), awgn_seed, 0.0, Probes::kAll,
+                                  front_probes ? capture : 0,
                                   /*statistics=*/true};
   const std::vector<Step> noisy_steps = steps(noisy_options);
   // PAM4 also measures a noise-free replay of the equalized stream.  The
@@ -288,13 +370,18 @@ FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
   }
   Pass noisy = build(ch, tx, noisy_run, noisy_options);
   pipe::LevelPulseSource src = source(tx);
-  pipe::Block blk;
-  while (src.produce(blk, block_) > 0) {
-    const pipe::BlockView in =
-        front ? front->pipeline.process(blk.view()) : blk.view();
-    (void)noisy.pipeline.process(in);
-    if (clean) (void)clean->pipeline.process(in);
-  }
+  std::vector<pipe::Block> blocks;
+  analog::Waveform tx_out = launch_blocks(
+      src, block_, front_probes, capture,
+      [&](const pipe::BlockView& blk) {
+        const pipe::BlockView in =
+            front ? front->pipeline.process(blk) : blk;
+        (void)noisy.pipeline.process(in);
+        // The noisy branch always runs the AWGN, so its output is a block
+        // of its own.
+        if (keep) blocks.push_back(noisy.pipeline.release_output());
+        if (clean) (void)clean->pipeline.process(in);
+      });
   FirstPass first;
   const std::uint64_t total = src.total_samples();
   if (total == 0) return first;
@@ -305,26 +392,52 @@ FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
   } else {
     first.mean = noisy.out->sum() / static_cast<double>(total);
   }
+  if (keep) {
+    kept->blocks = std::move(blocks);
+    kept->tx = std::move(tx_out);
+    if (front_probes) {
+      kept->noisy =
+          std::make_unique<pipe::WaveformTap>(std::move(*noisy.noisy));
+    }
+  }
   return first;
 }
 
 std::vector<FirstPass> ChainPlan::first_pass(
     const channel::Channel& ch, const Launch& tx,
-    const std::vector<std::uint64_t>& awgn_seeds) const {
+    const std::vector<std::uint64_t>& awgn_seeds, Probes probes,
+    std::size_t capture, TileKept* kept) const {
   if (pam4_) {
     throw std::invalid_argument("ChainPlan: lane tiles run NRZ only");
   }
-  TilePass p = tile_pass(ch, tx, awgn_seeds, Stop::kEqualized, {},
-                         Probes::kAll, 0, /*statistics=*/true);
+  const bool keep = kept != nullptr && resumes(tx);
+  const bool front_probes = keep && probes == Probes::kAll;
+  TilePass p = tile_pass(ch, tx, awgn_seeds, first_stop(), {}, Probes::kAll,
+                         front_probes ? capture : 0, /*statistics=*/true);
   pipe::LevelPulseSource src = source(tx);
-  pipe::Block blk;
-  while (src.produce(blk, block_) > 0) (void)p.process(blk.view());
+  std::vector<pipe::LaneBlock> blocks;
+  analog::Waveform tx_out = launch_blocks(
+      src, block_, front_probes, capture,
+      [&](const pipe::BlockView& blk) {
+        (void)p.process(blk);
+        // The AWGN fans the shared stream out, so the output is a tile of
+        // the lane pipeline's own.
+        if (keep) blocks.push_back(p.lanes.release_output());
+      });
   std::vector<FirstPass> first(awgn_seeds.size());
   const std::uint64_t total = src.total_samples();
   if (total == 0) return first;
   for (std::size_t l = 0; l < first.size(); ++l) {
     first[l].swing_pp = p.noisy->max(l) - p.noisy->min(l);
     first[l].mean = p.out->sum(l) / static_cast<double>(total);
+  }
+  if (keep) {
+    kept->blocks = std::move(blocks);
+    kept->tx = std::move(tx_out);
+    if (front_probes) {
+      kept->noisy =
+          std::make_unique<pipe::LaneWaveformTap>(std::move(*p.noisy));
+    }
   }
   return first;
 }

@@ -17,6 +17,8 @@
 //   * the first-pass statistic — NRZ: the equalized stream's DC mean,
 //     which the RFI subtracts, and the receiver-input swing; PAM4: the
 //     swing and the noise-free range that places the three slicers;
+//   * whether pass 2 re-runs the front or resumes where pass 1 stopped
+//     (resumes(): when a lane's stream fits in two blocks);
 //   * the seed offsets from a lane's noise seed — +1 jitter, +2 sampler,
 //     +100+n the AWGN of run n, +500 training;
 //   * the pipe::SamplerCdrSink settings.
@@ -88,9 +90,10 @@ class ChainPlan {
     /// NRZ: the stream mean the RFI subtracts (FirstPass::mean).
     double mean = 0.0;
     /// The probes, each capturing up to `capture` samples (its storage
-    /// reserved once for at most the stream's length).  One tap serves as
-    /// both the first and the last when the pass ends at the receiver
-    /// input.
+    /// reserved once for at most the stream's length), except the end
+    /// probe of a pass that stops before the slicers, which reads no
+    /// slicer input and keeps only statistics.  One tap serves as both the
+    /// first and the last when the pass ends at the receiver input.
     Probes probes = Probes::kNone;
     std::size_t capture = 0;
     /// The probes also keep the stream statistics (min, max, sample-order
@@ -98,23 +101,47 @@ class ChainPlan {
     bool statistics = false;
   };
 
+  /// What pass 1 keeps for a pass 2 that resumes from it (see resumes()):
+  /// the stream where pass 1 stopped, and the receiver-input probe, which
+  /// ran in pass 1 because the resumed pass never streams that position.
+  /// Empty when pass 2 re-runs the front.
+  template <class BlockT, class Tap>
+  struct Kept {
+    /// Pass 1's output blocks, taken from its pipeline without a copy, at
+    /// the source's block boundaries and with its stream metadata.  NRZ:
+    /// the equalized stream, which the RFI reads; PAM4: the noisy receiver
+    /// input, which the CTLE reads.
+    std::vector<BlockT> blocks;
+    /// Pass 1's TX capture and receiver-input probe, under Probes::kAll.
+    analog::Waveform tx;
+    std::unique_ptr<Tap> noisy;
+
+    [[nodiscard]] bool resumes() const { return !blocks.empty(); }
+  };
+  using ScalarKept = Kept<pipe::Block, pipe::WaveformTap>;
+  using TileKept = Kept<pipe::LaneBlock, pipe::LaneWaveformTap>;
+
   /// An instantiated scalar pass and its probes (null when absent).
   struct Pass {
     pipe::Pipeline pipeline;
     pipe::WaveformTap* noisy = nullptr;
     pipe::WaveformTap* rfi = nullptr;
     pipe::WaveformTap* out = nullptr;
+    /// A resumed pass 2's input, and the probe pass 1 ran for it.
+    ScalarKept kept;
   };
 
   /// An instantiated N-lane pass: the lane-invariant prefix (channel,
   /// crosstalk) runs once on the shared stream, the AWGN fans it out into
   /// a tile, and the rest runs per lane.  Nothing reads a tile's RFI
-  /// output, so it has no RFI probe.
+  /// output, so it has no RFI probe.  A resumed tile pass starts from the
+  /// kept per-lane tile and has no shared prefix.
   struct TilePass {
     pipe::Pipeline shared;
     pipe::LanePipeline lanes;
     pipe::LaneWaveformTap* noisy = nullptr;
     pipe::LaneWaveformTap* out = nullptr;
+    TileKept kept;
 
     [[nodiscard]] pipe::LaneView process(const pipe::BlockView& in) {
       return lanes.process(pipe::as_tile(shared.process(in)));
@@ -165,19 +192,30 @@ class ChainPlan {
   /// Samples per streaming block.
   [[nodiscard]] std::size_t block() const { return block_; }
 
+  /// Whether pass 2 of `tx` resumes from pass 1's output instead of
+  /// re-running the front: when a lane's stream is at most two blocks.
+  /// Pass 1 then keeps its own output blocks, no more than the two
+  /// ping-pong blocks its pipeline already owns, and a resumed pass 2
+  /// draws no source block, so a chunk's peak memory stays within one
+  /// block of a re-run's.  Longer streams re-run the front, so memory
+  /// stays O(block).
+  [[nodiscard]] bool resumes(const Launch& tx) const;
+
   // ---- Chain instantiation --------------------------------------------------
-  /// The chain for `tx` over `ch` (which must outlive the pass).
+  /// The chain for `tx` over `ch` (which must outlive the pass).  With a
+  /// `kept` stream, only the steps after the point where pass 1 stopped:
+  /// NRZ from the RFI, PAM4 from the CTLE.
   [[nodiscard]] Pass pass(const channel::Channel& ch, const Launch& tx,
-                          const PassOptions& options) const;
+                          const PassOptions& options,
+                          ScalarKept kept = {}) const;
   /// The chain as an N-lane tile, one lane per AWGN seed; `means` holds
   /// the lanes' RFI means when the pass reaches the RFI.  `probes`,
-  /// `capture` and `statistics` as in PassOptions.
-  [[nodiscard]] TilePass tile_pass(const channel::Channel& ch,
-                                   const Launch& tx,
-                                   const std::vector<std::uint64_t>& awgn_seeds,
-                                   Stop stop, const std::vector<double>& means,
-                                   Probes probes, std::size_t capture,
-                                   bool statistics) const;
+  /// `capture` and `statistics` as in PassOptions, `kept` as in pass().
+  [[nodiscard]] TilePass tile_pass(
+      const channel::Channel& ch, const Launch& tx,
+      const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
+      const std::vector<double>& means, Probes probes, std::size_t capture,
+      bool statistics, TileKept kept = {}) const;
 
   // ---- Waveform capture -----------------------------------------------------
   /// The probes a run of this config captures into: every position under
@@ -189,14 +227,21 @@ class ChainPlan {
   [[nodiscard]] std::size_t capture_limit() const;
 
   // ---- Streaming ------------------------------------------------------------
-  /// Streams `source` block by block through `process` (an instantiated
-  /// pass) into `sink`, then finishes the sink.  With `capture_tx`, returns
-  /// the stream's first capture_limit() samples as launched (the TX
-  /// output); an empty waveform otherwise.
+  /// Streams pass 2 of `source`'s launch through `pass` block by block,
+  /// handing each output block to `each`: from the blocks pass 1 kept when
+  /// the pass resumes, and from `source` otherwise.  With `capture_tx`,
+  /// returns the stream's first capture_limit() samples as launched (the
+  /// TX output, captured in pass 1 when the pass resumes); an empty
+  /// waveform otherwise.
   [[nodiscard]] analog::Waveform stream(
-      pipe::LevelPulseSource& source,
-      const std::function<pipe::LaneView(const pipe::BlockView&)>& process,
-      pipe::SamplerCdrSink& sink, bool capture_tx) const;
+      pipe::LevelPulseSource& source, Pass& pass,
+      const std::function<void(const pipe::BlockView&)>& each,
+      bool capture_tx) const;
+  /// The same for a tile pass.
+  [[nodiscard]] analog::Waveform stream(
+      pipe::LevelPulseSource& source, TilePass& pass,
+      const std::function<void(const pipe::LaneView&)>& each,
+      bool capture_tx) const;
 
   // ---- First pass -----------------------------------------------------------
   /// Streams `tx` once through the front of the chain and measures what
@@ -209,13 +254,23 @@ class ChainPlan {
   /// trailing zero-level regions, and leaving the noise out keeps its
   /// tails from pushing the outer slicers off the sub-eye boundaries.  The
   /// two PAM4 branches share one run of the channel and crosstalk.
-  [[nodiscard]] FirstPass first_pass(const channel::Channel& ch,
-                                     const Launch& tx,
-                                     std::uint64_t awgn_seed) const;
-  /// The NRZ first pass of every lane of a tile.
+  ///
+  /// With `kept`, when resumes(tx), also keeps the stream where this pass
+  /// stops (NRZ: after the CTLE; PAM4: after the AWGN) for pass 2 to
+  /// resume from: the same stages with the same seeds over the same block
+  /// boundaries compute exactly the samples pass 2 would re-run.  A pass 2
+  /// with `probes` kAll then streams neither the launch nor the receiver
+  /// input, so this pass captures them, up to `capture` samples each.
+  [[nodiscard]] FirstPass first_pass(
+      const channel::Channel& ch, const Launch& tx, std::uint64_t awgn_seed,
+      Probes probes = Probes::kNone, std::size_t capture = 0,
+      ScalarKept* kept = nullptr) const;
+  /// The NRZ first pass of every lane of a tile; `kept` keeps the tile.
   [[nodiscard]] std::vector<FirstPass> first_pass(
       const channel::Channel& ch, const Launch& tx,
-      const std::vector<std::uint64_t>& awgn_seeds) const;
+      const std::vector<std::uint64_t>& awgn_seeds,
+      Probes probes = Probes::kNone, std::size_t capture = 0,
+      TileKept* kept = nullptr) const;
 
   // ---- Sink -----------------------------------------------------------------
   /// The sampler/CDR sink for `source`'s stream, one lane per noise seed.
@@ -253,6 +308,16 @@ class ChainPlan {
     return steps(options.stop, options.awgn_seed.has_value(),
                  options.probes);
   }
+  /// Where a first pass stops: the receiver input under PAM4, whose
+  /// slicers sit on a separate noise-free replay, the equalized stream
+  /// under NRZ.
+  [[nodiscard]] Stop first_stop() const {
+    return pam4_ ? Stop::kNoisy : Stop::kEqualized;
+  }
+  /// The part of `s` a resumed pass runs: the steps after the first
+  /// pass's last stage, less the receiver-input probe, which ran there.
+  [[nodiscard]] std::vector<Step> resumed(std::vector<Step> s,
+                                          bool noise) const;
   /// Instantiates `run`, a run of steps(options), as a scalar pass.
   [[nodiscard]] Pass build(const channel::Channel& ch, const Launch& tx,
                            std::span<const Step> run,

@@ -123,8 +123,11 @@ struct LinkConfig {
   std::size_t capture_max_samples = 0;
 
   // ---- Execution strategy ----
-  /// Samples per streaming block (the O(block) memory knob).  Results are
-  /// invariant to this value by construction.
+  /// Samples per streaming block (the O(block) memory knob).  It also
+  /// decides whether a run's second pass resumes from the first pass's
+  /// kept output (a stream of at most two blocks) or re-runs the front
+  /// (ChainPlan::resumes).  Results are invariant to this value by
+  /// construction.
   std::size_t stream_block_samples = 16384;
   /// Lane-tile width for batched multi-lane execution (core::LaneLink):
   /// api::Simulator::run_batch groups compatible lanes into SoA tiles of

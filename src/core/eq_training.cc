@@ -30,22 +30,29 @@ constexpr double kMaxFfeAlpha = 0.4;
 /// One training replay: streams `tx` through the crosstalk-free chain to
 /// the slicer input and returns its samples.  The NRZ tail needs the
 /// whole-stream DC mean first, so it takes the same first pass as a link
-/// run; the PAM4 chain ends at the CTLE and needs none.
+/// run, and resumes from it as a link run does; the PAM4 chain ends at the
+/// CTLE and needs none.
 std::vector<double> replay(const ChainPlan& plan, bool nrz,
                            const channel::Channel& channel, const Launch& tx,
                            std::uint64_t awgn_seed) {
   ChainPlan::PassOptions options;
   options.awgn_seed = awgn_seed;
-  if (nrz) options.mean = plan.first_pass(channel, tx, awgn_seed).mean;
-  ChainPlan::Pass chain = plan.pass(channel, tx, options);
+  ChainPlan::ScalarKept kept;
+  if (nrz) {
+    options.mean = plan.first_pass(channel, tx, awgn_seed,
+                                   ChainPlan::Probes::kNone, 0, &kept)
+                       .mean;
+  }
+  ChainPlan::Pass chain = plan.pass(channel, tx, options, std::move(kept));
   pipe::LevelPulseSource source = plan.source(tx);
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(source.total_samples()));
-  pipe::Block blk;
-  while (source.produce(blk, plan.block()) > 0) {
-    const pipe::BlockView v = chain.pipeline.process(blk.view());
-    samples.insert(samples.end(), v.data, v.data + v.size);
-  }
+  (void)plan.stream(
+      source, chain,
+      [&](const pipe::BlockView& v) {
+        samples.insert(samples.end(), v.data, v.data + v.size);
+      },
+      /*capture_tx=*/false);
   return samples;
 }
 

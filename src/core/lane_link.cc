@@ -34,22 +34,24 @@ std::vector<LinkResult> LaneLink::run_chunk(
   // channel (and crosstalk) prefix of every pass runs once on it.
   const ChainPlan plan(config_, rx_);
   const Launch tx = plan.launch(tx_.wire_bits(payload));
-  const std::vector<FirstPass> first =
-      plan.first_pass(*channel_, tx, awgn_seeds);
+  const ChainPlan::Probes probes = plan.capture_probes();
+  const bool capture = probes == ChainPlan::Probes::kAll;
+  ChainPlan::TileKept kept;
+  const std::vector<FirstPass> first = plan.first_pass(
+      *channel_, tx, awgn_seeds, probes, plan.capture_limit(), &kept);
   std::vector<double> means(nl);
   for (std::size_t l = 0; l < nl; ++l) means[l] = first[l].mean;
 
-  const ChainPlan::Probes probes = plan.capture_probes();
-  const bool capture = probes == ChainPlan::Probes::kAll;
-  ChainPlan::TilePass chain =
-      plan.tile_pass(*channel_, tx, awgn_seeds, ChainPlan::Stop::kSlicer,
-                     means, probes, plan.capture_limit(), /*statistics=*/false);
+  ChainPlan::TilePass chain = plan.tile_pass(
+      *channel_, tx, awgn_seeds, ChainPlan::Stop::kSlicer, means, probes,
+      plan.capture_limit(), /*statistics=*/false, std::move(kept));
   pipe::LevelPulseSource source = plan.source(tx);
   // The slicer threshold is lane-invariant (the restoring-stage midpoint).
   pipe::SamplerCdrSink sink(plan.sink_config(first[0], source, lane_seeds_));
   const analog::Waveform tx_out = plan.stream(
-      source, [&](const pipe::BlockView& in) { return chain.process(in); },
-      sink, capture);
+      source, chain, [&](const pipe::LaneView& in) { sink.consume(in); },
+      capture);
+  sink.finish();
 
   std::vector<LinkResult> results(nl);
   for (std::size_t l = 0; l < nl; ++l) {

@@ -28,37 +28,40 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload,
       ChainPlan::awgn_seed(config_.noise_seed, run_index);
   const ChainPlan plan(config_, rx_);
   const Launch tx = plan.launch(tx_.wire_bits(payload));
+  // Capture probes sit at the TX output, the receiver input, the RFI output
+  // and the slicer input, or at the slicer input alone.
+  const ChainPlan::Probes probes = plan.capture_probes();
+  const bool capture = probes == ChainPlan::Probes::kAll;
 
   // ---- Pass 1: what the second pass must know up front ---------------------
   // The RFI front end subtracts the whole-stream mean (the AC coupling in
   // steady state), and the PAM4 slicers sit on the clean stream's range;
   // streaming can only know either after a full pass over the cheap front
-  // half of the datapath.
-  const FirstPass first = plan.first_pass(*channel_, tx, noise_run_seed);
+  // half of the datapath.  A short chunk's pass 1 keeps its output, and the
+  // probes in front of it run there.
+  ChainPlan::ScalarKept kept;
+  const FirstPass first = plan.first_pass(
+      *channel_, tx, noise_run_seed, probes, plan.capture_limit(), &kept);
 
-  // ---- Pass 2: the full chain into the sampler/CDR sink --------------------
-  // It re-runs the same deterministic front half and carries on to the
-  // slicers.  Capture probes sit at the receiver input, the RFI output and
-  // the slicer input, or at the slicer input alone.
-  const ChainPlan::Probes probes = plan.capture_probes();
-  const bool capture = probes == ChainPlan::Probes::kAll;
+  // ---- Pass 2: the chain into the sampler/CDR sink -------------------------
+  // It resumes from pass 1's output when pass 1 kept it, and otherwise
+  // re-runs the same deterministic front half; either way it carries on to
+  // the slicers.
   ChainPlan::PassOptions options;
   options.awgn_seed = noise_run_seed;
   options.mean = first.mean;
   options.probes = probes;
   options.capture = plan.capture_limit();
-  ChainPlan::Pass chain = plan.pass(*channel_, tx, options);
+  ChainPlan::Pass chain = plan.pass(*channel_, tx, options, std::move(kept));
   pipe::LevelPulseSource source = plan.source(tx);
   pipe::SamplerCdrSink sink(
       plan.sink_config(first, source, {config_.noise_seed}));
 
   LinkResult result;
   result.tx_out = plan.stream(
-      source,
-      [&](const pipe::BlockView& in) {
-        return pipe::as_tile(chain.pipeline.process(in));
-      },
-      sink, capture);
+      source, chain, [&](const pipe::BlockView& in) { sink.consume(in); },
+      capture);
+  sink.finish();
   result.rx_swing_pp = first.swing_pp;
   result.rx = plan.recovered(sink, 0);
   if (capture) {

@@ -51,8 +51,12 @@ class SerDesLink {
 
   /// Transmits `payload` through the streaming block pipeline
   /// core::ChainPlan lays out (O(block) waveform memory, NRZ and PAM4) and
-  /// compares what the receiver recovered.  Each call is the link's next
-  /// run: run(payload, i) with i taken from the run counter.
+  /// compares what the receiver recovered.  A first pass learns the RFI
+  /// mean (NRZ) or the slicer range (PAM4); the second pass resumes from
+  /// its kept output when the stream fits in two blocks and re-runs the
+  /// front otherwise (ChainPlan::resumes), with the same bits either way.
+  /// Each call is the link's next run: run(payload, i) with i taken from
+  /// the run counter.
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
 
   /// `payload` as run number `run_index` of this link, whose receiver

@@ -50,7 +50,9 @@ namespace serdes::pipe {
 class LaneStage {
  public:
   virtual ~LaneStage() = default;
-  /// Transforms one tile; `out` is shaped by the stage.
+  /// Transforms one tile; `out` is shaped by the stage.  As with
+  /// Stage::process, the stages a resumed pass runs allow `out` to be the
+  /// tile `in` views.
   virtual void process(const LaneView& in, LaneBlock& out) = 0;
 };
 

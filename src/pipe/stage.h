@@ -28,6 +28,9 @@ class Stage {
 
   /// Transforms one block.  `out` must be sized/stamped via
   /// `out.match(in)`; `in` stays valid only for the duration of the call.
+  /// The stages a resumed pass runs (CTLE, RFI, restore and their lane
+  /// forms) read each sample before writing it, so `out` may also be the
+  /// block `in` views (BasicPipeline::process_in_place).
   virtual void process(const BlockView& in, Block& out) = 0;
 
   /// Diagnostic label.
@@ -77,6 +80,7 @@ class BasicPipeline {
   [[nodiscard]] ViewT process(const ViewT& in) {
     ViewT view = in;
     bool use_ping = true;
+    last_ = Last::kInput;
     for (Step& step : steps_) {
       if (step.probe) {
         step.probe->observe(view);
@@ -85,9 +89,36 @@ class BasicPipeline {
       BlockT& out = use_ping ? ping_ : pong_;
       step.stage->process(view, out);
       view = out.view();
+      last_ = use_ping ? Last::kPing : Last::kPong;
       use_ping = !use_ping;
     }
     return view;
+  }
+
+  /// Pushes `block` through every step in place: each stage writes its
+  /// output over its input, so the pipeline's scratch blocks stay unused.
+  /// Only for chains of stages that allow it (see Stage::process).
+  void process_in_place(BlockT& block) {
+    for (Step& step : steps_) {
+      if (step.probe) {
+        step.probe->observe(block.view());
+      } else {
+        step.stage->process(block.view(), block);
+      }
+    }
+  }
+
+  /// Moves out the scratch block the last process() call's output lives
+  /// in, stream metadata included, so the caller can keep that output
+  /// without a copy; the pipeline allocates a fresh block when it next
+  /// writes that one.  Empty when no stage ran (the output was the input).
+  [[nodiscard]] BlockT release_output() {
+    BlockT out;
+    if (last_ != Last::kInput) {
+      std::swap(out, last_ == Last::kPing ? ping_ : pong_);
+    }
+    last_ = Last::kInput;
+    return out;
   }
 
  private:
@@ -100,6 +131,8 @@ class BasicPipeline {
   std::vector<Step> steps_;
   BlockT ping_;
   BlockT pong_;
+  /// Where the last process() call's output lives.
+  enum class Last { kInput, kPing, kPong } last_ = Last::kInput;
 };
 
 using Pipeline = BasicPipeline<Stage, Block, BlockView>;

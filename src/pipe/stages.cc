@@ -284,26 +284,35 @@ void SamplerCdrSink::consume(const LaneView& in) {
   }
   if (in.size + back_samples_ > mask_ + 1) {
     // A tile larger than the sizing hint arrived: grow the window before
-    // writing, re-placing the live span under the new modulus, so oversized
-    // tiles can never overwrite samples pending instants still need.
+    // writing, re-placing each lane's live span under the new modulus, so
+    // oversized tiles can never overwrite samples pending instants still
+    // need.
     const std::size_t entries = dsp::next_pow2(in.size + back_samples_);
     std::vector<double> bigger(entries * n_lanes, 0.0);
     const std::size_t new_mask = entries - 1;
     const std::uint64_t live = std::min<std::uint64_t>(appended_, mask_ + 1);
-    for (std::uint64_t k = appended_ - live; k < appended_; ++k) {
-      std::copy_n(ring_.data() + (k & mask_) * n_lanes, n_lanes,
-                  bigger.data() + (k & new_mask) * n_lanes);
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+      const double* from = ring_.data() + l * (mask_ + 1);
+      double* to = bigger.data() + l * entries;
+      for (std::uint64_t k = appended_ - live; k < appended_; ++k) {
+        to[k & new_mask] = from[k & mask_];
+      }
     }
     ring_ = std::move(bigger);
     mask_ = new_mask;
   }
-  double* ring = ring_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t start = in.start_index;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    const double* src = in.data + i * n_lanes;
-    double* dst = ring + ((start + i) & mask) * n_lanes;
-    for (std::size_t l = 0; l < n_lanes; ++l) dst[l] = src[l];
+  // Each lane's window is contiguous: the tile is de-interleaved lane by
+  // lane, in at most two runs per lane (the second after the wrap).
+  const std::size_t capacity = mask_ + 1;
+  const std::size_t at = static_cast<std::size_t>(in.start_index & mask_);
+  const std::size_t head = std::min(in.size, capacity - at);
+  for (std::size_t l = 0; l < n_lanes; ++l) {
+    const double* src = in.data + l;
+    double* row = ring_.data() + l * capacity;
+    for (std::size_t i = 0; i < head; ++i) row[at + i] = src[i * n_lanes];
+    for (std::size_t i = head; i < in.size; ++i) {
+      row[i - head] = src[i * n_lanes];
+    }
   }
   if (in.size > 0) {
     appended_ = in.start_index + in.size;
@@ -326,7 +335,7 @@ void SamplerCdrSink::finish() {
   for (std::size_t l = 0; l < n_lanes_; ++l) {
     Lane& lane = lanes_[l];
     if (!lane.has_last && total_ > 0 && appended_ == total_) {
-      lane.last_sample = ring_[((total_ - 1) & mask_) * n_lanes_ + l];
+      lane.last_sample = ring_[l * (mask_ + 1) + ((total_ - 1) & mask_)];
       lane.has_last = true;
     }
     drain(l);
@@ -374,7 +383,7 @@ void SamplerCdrSink::drain(std::size_t index) {
   // value) is identical to the unfused pair.  Writes the value and returns
   // true iff the point's neighbourhood has arrived (or end-of-stream
   // clamping applies).
-  const double* column = ring_.data() + index;
+  const double* row = ring_.data() + index * (mask_ + 1);
   const auto fetch = [&](util::Second t, double* v) {
     const double idx = (t - t0_) / dt_;
     if (idx <= 0.0) {
@@ -388,9 +397,8 @@ void SamplerCdrSink::drain(std::size_t index) {
     }
     if (lo + 1 >= appended_) return false;
     const double frac = idx - static_cast<double>(lo);
-    *v = analog::Waveform::interpolate(column[(lo & mask_) * n_lanes_],
-                                       column[((lo + 1) & mask_) * n_lanes_],
-                                       frac);
+    *v = analog::Waveform::interpolate(row[lo & mask_],
+                                       row[(lo + 1) & mask_], frac);
     return true;
   };
   while (!lane.done) {

@@ -332,9 +332,10 @@ class SamplerCdrSink {
   util::Second end_;
   util::Second ap_half_;
 
-  /// Interleaved rolling window: stream sample i of lane l lives at
-  /// ring_[(i & mask_) * lanes + l]; the capacity is a power of two of
-  /// sample indices, so the absolute index wrap is a mask.
+  /// Rolling window, one contiguous row per lane: stream sample i of lane l
+  /// lives at ring_[l * (mask_ + 1) + (i & mask_)], so a lane's drain reads
+  /// only its own row.  The capacity is a power of two of sample indices,
+  /// so the absolute index wrap is a mask.
   std::vector<double> ring_;
   std::size_t mask_ = 0;  // sample-index capacity - 1
   std::size_t back_samples_ = 0;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "api/bus_spec.h"
 #include "api/spec_json.h"
 #include "channel/channel.h"
 #include "channel/equalizer.h"
@@ -400,6 +401,82 @@ TEST(SamplerCdrSink, GrowsWindowForBlocksBeyondTheSizingHint) {
   EXPECT_EQ(sink.cdr().recovered(), cdr.recover(samples));
 }
 
+TEST(SamplerCdrSink, GrowsAMultiLaneWindowWithLiveSamples) {
+  // A 3-lane tile: the first block fits the sizing hint, the second is far
+  // beyond it, so the sink grows its window while the instant at the end
+  // of the first block still waits on the samples before the split.  Each
+  // lane's live samples must be re-placed in its own row, so every lane
+  // still matches the batch sampling chain over its own stream.  The
+  // later lanes hold a run of ones around every split, where a lost live
+  // sample reads low, and a split at each sample offset puts the waiting
+  // instant on every sampling phase, the CDR's decision phase included.
+  // (Re-placing the rows at the old row length fails 22 of these lane
+  // splits.)
+  constexpr std::size_t kLanes = 3;
+  const util::PrbsOrder orders[kLanes] = {
+      util::PrbsOrder::kPrbs7, util::PrbsOrder::kPrbs9,
+      util::PrbsOrder::kPrbs15};
+  std::vector<analog::Waveform> waves;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    util::PrbsGenerator prbs(orders[l]);
+    std::vector<std::uint8_t> bits = prbs.next_bits(160);
+    if (l > 0) std::fill(bits.begin() + 10, bits.begin() + 26, 1);
+    waves.push_back(analog::Waveform::nrz(bits, util::nanoseconds(0.5), 16,
+                                          0.0, 1.8,
+                                          util::picoseconds(100.0)));
+  }
+  const std::size_t total = waves[0].size();
+  std::vector<double> tile(total * kLanes);
+  for (std::size_t i = 0; i < total; ++i) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      tile[i * kLanes + l] = waves[l].samples()[i];
+    }
+  }
+  pipe::SamplerCdrSink::Config c;
+  c.symbol_rate = util::gigahertz(2.0);
+  c.oversampling = 5;
+  c.jitter.random_rms = util::picoseconds(2.0);
+  c.jitter_seeds = {21, 22, 23};
+  c.sampler_seeds = {31, 32, 33};
+  c.total_samples = total;
+  c.stream_t0 = waves[0].start_time();
+  c.dt = waves[0].sample_period();
+  c.block_samples = 256;  // a 512-sample window: the splits below fit it
+  // No glitch vote, so one wrong sample at the decision phase shows in the
+  // recovered bits.
+  c.cdr.glitch_filter_radius = 0;
+
+  // The batch reference, lane by lane.
+  digital::MultiphaseClockGenerator clocks(c.symbol_rate, c.oversampling,
+                                           c.phase_offset, c.ppm_offset);
+  std::vector<std::vector<std::uint8_t>> want;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    channel::JitterModel::Config jc = c.jitter;
+    jc.seed = c.jitter_seeds[l];
+    channel::JitterModel jitter(jc);
+    analog::DffSampler::Config sc = c.sampler;
+    sc.seed = c.sampler_seeds[l];
+    analog::DffSampler sampler(sc);
+    digital::OversamplingCdr cdr(c.cdr);
+    want.push_back(cdr.recover(
+        digital::sample_waveform(waves[l], clocks, sampler, &jitter)));
+    ASSERT_GT(want.back().size(), 100u) << "lane " << l;
+  }
+
+  for (std::size_t first = 200; first <= 380; ++first) {
+    pipe::SamplerCdrSink sink(c);
+    sink.consume(pipe::LaneView{tile.data(), first, kLanes, 0, c.stream_t0,
+                                c.dt, false});
+    sink.consume(pipe::LaneView{tile.data() + first * kLanes, total - first,
+                                kLanes, first, c.stream_t0, c.dt, true});
+    sink.finish();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      EXPECT_EQ(sink.recovered_bits(l), want[l])
+          << "split " << first << ", lane " << l;
+    }
+  }
+}
+
 // ---- Probes: observers that leave the stream untouched ---------------------
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -767,6 +844,154 @@ TEST(SimulatorStreaming, ReportsInvariantToBlockSize) {
     api::RunReport report = sim.run(blocked);
     report.spec = spec;
     EXPECT_EQ(api::to_json(report).dump(), reference) << block;
+  }
+}
+
+// ---- Resumed pass 2: pass 1's kept output against a re-run front ----------
+
+/// Samples in one lane's stream of a `spec` chunk, and whether its pass 2
+/// resumes from pass 1's output at the spec's block size.
+std::pair<std::uint64_t, bool> chunk_stream(const api::LinkSpec& spec) {
+  const core::LinkConfig cfg = spec.to_link_config();
+  const core::Receiver rx(cfg);
+  const core::ChainPlan plan(cfg, rx);
+  util::PrbsGenerator prbs(spec.prbs_order);
+  const core::Launch tx = plan.launch(core::Transmitter(cfg).wire_bits(
+      prbs.next_bits(static_cast<std::size_t>(spec.chunk_bits))));
+  return {plan.source(tx).total_samples(), plan.resumes(tx)};
+}
+
+/// Serialized reports of `run` over `spec` at the default block size and at
+/// blocks 1024 and 7, with the spec echo reset to `spec`'s.
+template <class Run>
+std::vector<std::string> reports_per_block(const api::LinkSpec& spec,
+                                           const Run& run) {
+  std::vector<std::string> out;
+  for (const std::uint64_t block :
+       {spec.stream_block_samples, std::uint64_t{1024}, std::uint64_t{7}}) {
+    api::LinkSpec blocked = spec;
+    blocked.stream_block_samples = block;
+    out.push_back(run(blocked));
+  }
+  return out;
+}
+
+/// One 1024-bit chunk with a CTLE, so a resumed NRZ pass 2 starts at the
+/// RFI and a resumed PAM4 pass 2 at the CTLE.
+api::LinkSpec short_chunk_spec() {
+  api::LinkSpec spec;
+  spec.payload_bits = 2048;
+  spec.chunk_bits = 1024;
+  spec.channel = api::ChannelSpec::flat(30.0);
+  spec.noise_rms_v = 0.002;
+  spec.rx_ctle_boost_db = 4.0;
+  return spec;
+}
+
+TEST(SimulatorStreaming, ResumedReportsMatchReRunReports) {
+  // The short-chunk twin of ReportsInvariantToBlockSize: a 1024-bit
+  // chunk's stream (1312 wire bits x 16 = 20992 samples) fits in two
+  // default blocks, so pass 2 resumes from pass 1's output there, while
+  // blocks of 1024 and 7 re-run the front.  Whole reports must agree.
+  const api::Simulator sim;
+  const auto scalar = [&](const api::LinkSpec& s) {
+    api::RunReport r = sim.run(s);
+    r.spec.stream_block_samples = 0;
+    return api::to_json(r).dump();
+  };
+  const auto check = [&](const api::LinkSpec& spec, const std::string& what,
+                         const auto& run) {
+    ASSERT_TRUE(chunk_stream(spec).second) << what;
+    api::LinkSpec rerun = spec;
+    rerun.stream_block_samples = 1024;
+    ASSERT_FALSE(chunk_stream(rerun).second) << what;
+    const std::vector<std::string> r = reports_per_block(spec, run);
+    EXPECT_EQ(r[1], r[0]) << what << ", block 1024";
+    EXPECT_EQ(r[2], r[0]) << what << ", block 7";
+  };
+
+  for (const bool capture : {false, true}) {
+    api::LinkSpec spec = short_chunk_spec();
+    spec.capture_waveforms = capture;
+    check(spec, capture ? "NRZ, capture" : "NRZ", scalar);
+    spec.dfe_taps = {0.04, 0.015, 0.005};
+    check(spec, capture ? "DFE, capture" : "DFE", scalar);
+  }
+
+  // PAM4 lanes of a coupled bus (FEXT and NEXT), with and without a CTLE.
+  for (const double boost : {0.0, 4.0}) {
+    for (const bool capture : {false, true}) {
+      api::LinkSpec base = short_chunk_spec();
+      base.modulation = "pam4";
+      base.channel = api::ChannelSpec::flat(4.0);
+      base.noise_rms_v = 0.005;
+      base.preamble_bits = 256;
+      base.rx_ctle_boost_db = boost;
+      base.capture_waveforms = capture;
+      const auto bus = [&](const api::LinkSpec& s) {
+        api::BusSpec b;
+        b.lanes = 3;
+        b.base = s;
+        b.coupling = {{0, 0.03, 0}, {0.03, 0, 0.03}, {0, 0.03, 0}};
+        b.next_coupling = {{0, 0.01, 0}, {0.01, 0, 0.01}, {0, 0.01, 0}};
+        api::BusReport r = sim.run_bus(b, 1);
+        for (api::RunReport& lane : r.lanes) {
+          lane.spec.stream_block_samples = 0;
+        }
+        return api::to_json(r).dump();
+      };
+      check(base,
+            "PAM4 bus, CTLE " + std::to_string(boost) +
+                (capture ? ", capture" : ""),
+            bus);
+    }
+  }
+
+  // A 3-lane tile through run_batch.
+  for (const bool capture : {false, true}) {
+    api::LinkSpec spec = short_chunk_spec();
+    spec.lane_batch = 3;
+    spec.capture_waveforms = capture;
+    ASSERT_TRUE(api::Simulator::tile_eligible(spec));
+    const auto tile = [&](const api::LinkSpec& s) {
+      std::string all;
+      for (api::RunReport& r :
+           sim.run_batch(std::vector<api::LinkSpec>(3, s), 1)) {
+        r.spec.stream_block_samples = 0;
+        all += api::to_json(r).dump();
+      }
+      return all;
+    };
+    check(spec, capture ? "3-lane tile, capture" : "3-lane tile", tile);
+  }
+}
+
+TEST(SimulatorStreaming, ResumesUpToTwoBlocksOfStream) {
+  // The rule's boundary: a stream of exactly two blocks resumes, one of
+  // two blocks and a sample re-runs, and both report as a re-run does.
+  const api::Simulator sim;
+  api::LinkSpec even = short_chunk_spec();  // 20992 samples
+  even.stream_block_samples = 10496;
+  api::LinkSpec odd = short_chunk_spec();   // 1311 wire bits x 15 = 19665
+  odd.payload_bits = 1023;
+  odd.chunk_bits = 1023;
+  odd.samples_per_ui = 15;
+  odd.stream_block_samples = 9832;
+  const std::pair<api::LinkSpec, bool> cases[] = {{even, true},
+                                                  {odd, false}};
+  for (const auto& [spec, resumes] : cases) {
+    const auto [samples, resumed] = chunk_stream(spec);
+    const std::string what = std::to_string(samples) + " samples, block " +
+                             std::to_string(spec.stream_block_samples);
+    EXPECT_EQ(samples, 2 * spec.stream_block_samples + (resumes ? 0 : 1))
+        << what;
+    EXPECT_EQ(resumed, resumes) << what;
+    api::LinkSpec rerun = spec;
+    rerun.stream_block_samples = 7;
+    api::RunReport a = sim.run(spec);
+    api::RunReport b = sim.run(rerun);
+    a.spec = b.spec;
+    EXPECT_EQ(api::to_json(a).dump(), api::to_json(b).dump()) << what;
   }
 }
 
