@@ -15,6 +15,7 @@
 // crossover the dsp engine's BlockFir::use_fft constants encode.
 //
 // Usage: bench_perf_kernels [output.json] [--deep-bits=N]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -264,11 +265,14 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
                   channel::LossyLineChannel(p, cfg.sample_period()));
   }
 
-  const auto stage_bench = [&](const char* name, pipe::Stage& stage,
+  // The receive stages as a link runs them: the lane stages' one-lane
+  // case.
+  const auto stage_bench = [&](const char* name, pipe::LaneStage& stage,
                                double fill) {
-    pipe::Block in;
-    in.samples().assign(block, fill);
-    pipe::Block out;
+    pipe::LaneBlock in;
+    in.shape(block, 1, 0, util::seconds(0.0), cfg.sample_period(), false);
+    std::fill_n(in.data(), block, fill);
+    pipe::LaneBlock out;
     run_bench(results, name, nsamp, [&] {
       for (std::size_t i = 0; i < nsamp; i += block) {
         stage.process(in.view(), out);
@@ -276,22 +280,22 @@ void bench_stage_kernels(std::vector<BenchResult>& results) {
     });
   };
   {
-    pipe::AwgnStage awgn(0.001, 1234);
+    pipe::LaneAwgnStage awgn(0.001, {1234});
     stage_bench("stage_awgn_sample", awgn, 0.5);
   }
   {
-    pipe::CtleStage ctle(util::decibels(4.0), util::megahertz(700.0),
-                         cfg.sample_period());
+    pipe::LaneCtleStage ctle(util::decibels(4.0), util::megahertz(700.0),
+                             cfg.sample_period(), 1);
     stage_bench("stage_ctle_sample", ctle, 0.5);
   }
   core::Receiver rx(cfg);
   {
-    pipe::RfiFrontEndStage rfi(rx.rfi_stage(), cfg.sample_period());
-    rfi.set_mean(0.0005);
+    pipe::LaneRfiStage rfi(rx.rfi_stage(), cfg.sample_period(), 1);
+    rfi.set_mean(0, 0.0005);
     stage_bench("stage_rfi_sample", rfi, 0.0005);
   }
   {
-    pipe::RestoringStage restore(rx.restoring(), cfg.sample_period());
+    pipe::LaneRestoreStage restore(rx.restoring(), cfg.sample_period(), 1);
     stage_bench("stage_restore_sample", restore, 0.9);
   }
 

@@ -91,23 +91,19 @@ __attribute__((target("avx2"))) void one_pole_lanes8_avx2(
 void OnePoleLowPass::process_lanes(const double* in, double* out,
                                    std::size_t n, std::size_t lanes,
                                    double* x1, double* y1) const {
-  const double b = b_;
-  const double a = a_;
 #if SERDES_X86_DISPATCH
   if (lanes == 8 && util::cpu_has_avx2()) {
-    one_pole_lanes8_avx2(b, a, in, out, n, x1, y1);
+    one_pole_lanes8_avx2(b_, a_, in, out, n, x1, y1);
     return;
   }
 #endif
+  // A local copy keeps the coefficients in registers across the stores.
+  const OnePoleLowPass filter = *this;
   for (std::size_t i = 0; i < n; ++i) {
     const double* xi = in + i * lanes;
     double* yi = out + i * lanes;
     for (std::size_t l = 0; l < lanes; ++l) {
-      const double x = xi[l];
-      const double y = b * (x + x1[l]) + a * y1[l];
-      x1[l] = x;
-      y1[l] = y;
-      yi[l] = y;
+      yi[l] = filter.step(xi[l], x1[l], y1[l]);
     }
   }
 }

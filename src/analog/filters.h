@@ -40,10 +40,15 @@ class OnePoleLowPass : public Filter {
  public:
   OnePoleLowPass(util::Hertz cutoff, util::Second sample_period);
 
-  double step(double x) override {
-    const double y = b_ * (x + x1_) + a_ * y1_;
-    x1_ = x;
-    y1_ = y;
+  double step(double x) override { return step(x, x1_, y1_); }
+
+  /// The recurrence over caller-held state `x1` / `y1`, advanced in place:
+  /// what step(x) runs on the filter's own state.  A stage that copies the
+  /// filter and its state into locals for a block keeps both in registers.
+  [[nodiscard]] double step(double x, double& x1, double& y1) const {
+    const double y = b_ * (x + x1) + a_ * y1;
+    x1 = x;
+    y1 = y;
     return y;
   }
 

@@ -16,7 +16,7 @@
 namespace serdes::api {
 
 bool Simulator::tile_eligible(const LinkSpec& spec) {
-  // Lane tiles run NRZ only — PAM4 lanes always take the scalar path.
+  // Lane tiles run NRZ only — PAM4 lanes always run one lane at a time.
   // Trained lanes are excluded as well: each lane trains its own EQ from
   // its derived seed, so tiles could no longer share one instruction
   // stream over identical physics.

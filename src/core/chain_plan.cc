@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -100,7 +101,6 @@ std::vector<ChainPlan::Step> ChainPlan::steps(Stop stop, bool noise,
   if (stop != Stop::kNoisy && use_ctle_) s.push_back(Step::kCtle);
   if (stop == Stop::kSlicer && !pam4_) {
     s.push_back(Step::kRfi);
-    if (all) s.push_back(Step::kRfiProbe);
     s.push_back(Step::kRestore);
   }
   // A pass that ends at the receiver input reads both probes off one tap.
@@ -142,10 +142,10 @@ std::size_t ChainPlan::capture_samples(const Launch& tx,
 }
 
 ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
-                                const PassOptions& options,
-                                ScalarKept kept) const {
+                                const PassOptions& options, Kept kept) const {
   if (!kept.resumes()) return build(ch, tx, steps(options), options);
-  Pass p = build(ch, tx, resumed(steps(options), options.awgn_seed.has_value()),
+  Pass p = build(ch, tx,
+                 resumed(steps(options), !options.awgn_seeds.empty()),
                  options);
   if (kept.noisy) {
     p.noisy = kept.noisy.get();
@@ -158,70 +158,15 @@ ChainPlan::Pass ChainPlan::pass(const channel::Channel& ch, const Launch& tx,
 ChainPlan::Pass ChainPlan::build(const channel::Channel& ch, const Launch& tx,
                                  std::span<const Step> run,
                                  const PassOptions& options) const {
+  const std::size_t n = std::max<std::size_t>(1, options.awgn_seeds.size());
+  if (pam4_ && n > 1) {
+    throw std::invalid_argument("ChainPlan: lane tiles run NRZ only");
+  }
   Pass p;
   const auto probe = [&](std::size_t capture) {
-    return &p.pipeline.add_probe(std::make_unique<pipe::WaveformTap>(
-        capture_samples(tx, capture), options.statistics));
-  };
-  for (const Step step : run) {
-    switch (step) {
-      case Step::kChannel:
-        p.pipeline.add(std::make_unique<pipe::ChannelStage>(ch.open_stream()));
-        break;
-      case Step::kXtalk:
-        p.pipeline.add(xtalk_stage(ch, tx));
-        break;
-      case Step::kAwgn:
-        p.pipeline.add(
-            std::make_unique<pipe::AwgnStage>(sigma_, *options.awgn_seed));
-        break;
-      case Step::kCtle:
-        p.pipeline.add(std::make_unique<pipe::CtleStage>(
-            config_.rx_ctle_boost, config_.rx_ctle_pole, dt_));
-        break;
-      case Step::kRfi: {
-        auto rfi =
-            std::make_unique<pipe::RfiFrontEndStage>(rx_->rfi_stage(), dt_);
-        rfi->set_mean(options.mean);
-        p.pipeline.add(std::move(rfi));
-        break;
-      }
-      case Step::kRestore:
-        p.pipeline.add(
-            std::make_unique<pipe::RestoringStage>(rx_->restoring(), dt_));
-        break;
-      case Step::kNoisyProbe:
-        p.noisy = probe(options.capture);
-        break;
-      case Step::kRfiProbe:
-        p.rfi = probe(options.capture);
-        break;
-      case Step::kOutProbe:
-        p.out = probe(end_capture(options.stop, options.capture));
-        break;
-    }
-  }
-  if (p.out == nullptr) p.out = p.noisy;
-  return p;
-}
-
-ChainPlan::TilePass ChainPlan::tile_pass(
-    const channel::Channel& ch, const Launch& tx,
-    const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
-    const std::vector<double>& means, Probes probes, std::size_t capture,
-    bool statistics, TileKept kept) const {
-  TilePass p;
-  const std::size_t n = awgn_seeds.size();
-  const auto probe = [&](std::size_t keep) {
     return &p.lanes.add_probe(std::make_unique<pipe::LaneWaveformTap>(
-        n, capture_samples(tx, keep), statistics));
+        n, capture_samples(tx, capture), options.statistics));
   };
-  std::vector<Step> run = steps(stop, /*noise=*/true, probes);
-  if (kept.resumes()) {
-    run = resumed(std::move(run), /*noise=*/true);
-    p.noisy = kept.noisy.get();
-    p.kept = std::move(kept);
-  }
   for (const Step step : run) {
     switch (step) {
       case Step::kChannel:
@@ -231,16 +176,20 @@ ChainPlan::TilePass ChainPlan::tile_pass(
         p.shared.add(xtalk_stage(ch, tx));
         break;
       case Step::kAwgn:
-        p.lanes.add(std::make_unique<pipe::LaneAwgnStage>(sigma_, awgn_seeds));
+        p.lanes.add(std::make_unique<pipe::LaneAwgnStage>(
+            sigma_, options.awgn_seeds));
         break;
       case Step::kCtle:
         p.lanes.add(std::make_unique<pipe::LaneCtleStage>(
             config_.rx_ctle_boost, config_.rx_ctle_pole, dt_, n));
         break;
       case Step::kRfi: {
+        if (options.means.size() != n) {
+          throw std::invalid_argument("ChainPlan: need one RFI mean per lane");
+        }
         auto rfi =
             std::make_unique<pipe::LaneRfiStage>(rx_->rfi_stage(), dt_, n);
-        for (std::size_t l = 0; l < n; ++l) rfi->set_mean(l, means[l]);
+        for (std::size_t l = 0; l < n; ++l) rfi->set_mean(l, options.means[l]);
         p.lanes.add(std::move(rfi));
         break;
       }
@@ -249,12 +198,10 @@ ChainPlan::TilePass ChainPlan::tile_pass(
             std::make_unique<pipe::LaneRestoreStage>(rx_->restoring(), dt_, n));
         break;
       case Step::kNoisyProbe:
-        p.noisy = probe(capture);
-        break;
-      case Step::kRfiProbe:
+        p.noisy = probe(options.capture);
         break;
       case Step::kOutProbe:
-        p.out = probe(end_capture(stop, capture));
+        p.out = probe(end_capture(options.stop, options.capture));
         break;
     }
   }
@@ -279,10 +226,12 @@ std::size_t ChainPlan::capture_limit() const {
 namespace {
 
 /// Streams `source` block by block into `each`, capturing the first `cap`
-/// samples as launched when `capture_tx` (the TX output).
-analog::Waveform launch_blocks(
-    pipe::LevelPulseSource& source, std::size_t block, bool capture_tx,
-    std::size_t cap, const std::function<void(const pipe::BlockView&)>& each) {
+/// samples as launched when `capture_tx` (the TX output) before `each`
+/// may overwrite them.
+analog::Waveform launch_blocks(pipe::LevelPulseSource& source,
+                               std::size_t block, bool capture_tx,
+                               std::size_t cap,
+                               const std::function<void(pipe::Block&)>& each) {
   std::vector<double> tx;
   if (capture_tx) {
     tx.reserve(static_cast<std::size_t>(
@@ -290,12 +239,11 @@ analog::Waveform launch_blocks(
   }
   pipe::Block blk;
   while (source.produce(blk, block) > 0) {
-    const pipe::BlockView view = blk.view();
     if (capture_tx && tx.size() < cap) {
-      const std::size_t take = std::min(cap - tx.size(), view.size);
-      tx.insert(tx.end(), view.data, view.data + take);
+      const std::size_t take = std::min(cap - tx.size(), blk.size());
+      tx.insert(tx.end(), blk.data(), blk.data() + take);
     }
-    each(view);
+    each(blk);
   }
   if (!capture_tx) return {};
   return analog::Waveform{source.stream_t0(), source.dt(), std::move(tx)};
@@ -305,23 +253,6 @@ analog::Waveform launch_blocks(
 
 analog::Waveform ChainPlan::stream(
     pipe::LevelPulseSource& source, Pass& pass,
-    const std::function<void(const pipe::BlockView&)>& each,
-    bool capture_tx) const {
-  if (pass.kept.resumes()) {
-    for (pipe::Block& blk : pass.kept.blocks) {
-      pass.pipeline.process_in_place(blk);
-      each(blk.view());
-    }
-    return std::move(pass.kept.tx);
-  }
-  return launch_blocks(source, block_, capture_tx, capture_limit(),
-                       [&](const pipe::BlockView& in) {
-                         each(pass.pipeline.process(in));
-                       });
-}
-
-analog::Waveform ChainPlan::stream(
-    pipe::LevelPulseSource& source, TilePass& pass,
     const std::function<void(const pipe::LaneView&)>& each,
     bool capture_tx) const {
   if (pass.kept.resumes()) {
@@ -331,115 +262,161 @@ analog::Waveform ChainPlan::stream(
     }
     return std::move(pass.kept.tx);
   }
-  return launch_blocks(
-      source, block_, capture_tx, capture_limit(),
-      [&](const pipe::BlockView& in) { each(pass.process(in)); });
+  return launch_blocks(source, block_, capture_tx, capture_limit(),
+                       [&](pipe::Block& blk) { each(pass.process(blk)); });
 }
 
 // ---- First pass -------------------------------------------------------------
 
-FirstPass ChainPlan::first_pass(const channel::Channel& ch, const Launch& tx,
-                                std::uint64_t awgn_seed, Probes probes,
-                                std::size_t capture,
-                                ScalarKept* kept) const {
+std::vector<FirstPass> ChainPlan::first_pass(
+    const channel::Channel& ch, const Launch& tx,
+    const std::vector<std::uint64_t>& awgn_seeds, Probes probes,
+    std::size_t capture, Kept* kept) const {
   const bool keep = kept != nullptr && resumes(tx);
   // A resumed pass 2 streams neither the launch nor the receiver input, so
   // their probes run here.
   const bool front_probes = keep && probes == Probes::kAll;
-  const PassOptions noisy_options{first_stop(), awgn_seed, 0.0, Probes::kAll,
-                                  front_probes ? capture : 0,
-                                  /*statistics=*/true};
-  const std::vector<Step> noisy_steps = steps(noisy_options);
-  // PAM4 also measures a noise-free replay of the equalized stream.  The
-  // two branches start with the same steps (the channel and the
-  // crosstalk), whose output depends only on the launch, so that front
-  // runs once per block and feeds both.
-  std::optional<Pass> front;
+  PassOptions noisy_options;
+  noisy_options.stop = first_stop();
+  noisy_options.awgn_seeds = awgn_seeds;
+  noisy_options.probes = Probes::kAll;
+  noisy_options.capture = front_probes ? capture : 0;
+  noisy_options.statistics = true;
+  Pass noisy = pass(ch, tx, noisy_options);
+  // PAM4 also measures a noise-free replay of the equalized stream, with
+  // one probe at its end.  It runs only its lane steps, those after the
+  // channel and the crosstalk, on the shared prefix's output, so that
+  // prefix runs once per block for both.
   std::optional<Pass> clean;
-  auto noisy_run = std::span<const Step>(noisy_steps);
   if (pam4_) {
-    const PassOptions clean_options{Stop::kEqualized, std::nullopt, 0.0,
-                                    Probes::kAll, 0, /*statistics=*/true};
+    PassOptions clean_options;
+    clean_options.stop = Stop::kEqualized;
+    clean_options.probes = Probes::kOut;
+    clean_options.statistics = true;
     const std::vector<Step> clean_steps = steps(clean_options);
-    const auto [noisy_tail, clean_tail] =
-        std::mismatch(noisy_steps.begin(), noisy_steps.end(),
-                      clean_steps.begin(), clean_steps.end());
-    front = build(ch, tx, {noisy_steps.begin(), noisy_tail}, noisy_options);
-    noisy_run = {noisy_tail, noisy_steps.end()};
-    clean = build(ch, tx, {clean_tail, clean_steps.end()}, clean_options);
+    clean = build(ch, tx,
+                  std::span(clean_steps).subspan(has_xtalk_ ? 2 : 1),
+                  clean_options);
   }
-  Pass noisy = build(ch, tx, noisy_run, noisy_options);
-  pipe::LevelPulseSource src = source(tx);
-  std::vector<pipe::Block> blocks;
-  analog::Waveform tx_out = launch_blocks(
-      src, block_, front_probes, capture,
-      [&](const pipe::BlockView& blk) {
-        const pipe::BlockView in =
-            front ? front->pipeline.process(blk) : blk;
-        (void)noisy.pipeline.process(in);
-        // The noisy branch always runs the AWGN, so its output is a block
-        // of its own.
-        if (keep) blocks.push_back(noisy.pipeline.release_output());
-        if (clean) (void)clean->pipeline.process(in);
-      });
-  FirstPass first;
-  const std::uint64_t total = src.total_samples();
-  if (total == 0) return first;
-  first.swing_pp = noisy.noisy->max() - noisy.noisy->min();
-  if (clean) {
-    first.clean_min = clean->out->min();
-    first.clean_max = clean->out->max();
-  } else {
-    first.mean = noisy.out->sum() / static_cast<double>(total);
-  }
-  if (keep) {
-    kept->blocks = std::move(blocks);
-    kept->tx = std::move(tx_out);
-    if (front_probes) {
-      kept->noisy =
-          std::make_unique<pipe::WaveformTap>(std::move(*noisy.noisy));
-    }
-  }
-  return first;
-}
-
-std::vector<FirstPass> ChainPlan::first_pass(
-    const channel::Channel& ch, const Launch& tx,
-    const std::vector<std::uint64_t>& awgn_seeds, Probes probes,
-    std::size_t capture, TileKept* kept) const {
-  if (pam4_) {
-    throw std::invalid_argument("ChainPlan: lane tiles run NRZ only");
-  }
-  const bool keep = kept != nullptr && resumes(tx);
-  const bool front_probes = keep && probes == Probes::kAll;
-  TilePass p = tile_pass(ch, tx, awgn_seeds, first_stop(), {}, Probes::kAll,
-                         front_probes ? capture : 0, /*statistics=*/true);
   pipe::LevelPulseSource src = source(tx);
   std::vector<pipe::LaneBlock> blocks;
   analog::Waveform tx_out = launch_blocks(
-      src, block_, front_probes, capture,
-      [&](const pipe::BlockView& blk) {
-        (void)p.process(blk);
-        // The AWGN fans the shared stream out, so the output is a tile of
-        // the lane pipeline's own.
-        if (keep) blocks.push_back(p.lanes.release_output());
+      src, block_, front_probes, capture, [&](pipe::Block& blk) {
+        (void)noisy.process(blk);
+        // The noisy branch always runs the AWGN, so its output is a tile of
+        // its own.
+        if (keep) blocks.push_back(noisy.lanes.release_output());
+        if (clean) (void)clean->lanes.process(pipe::as_tile(blk.view()));
       });
   std::vector<FirstPass> first(awgn_seeds.size());
   const std::uint64_t total = src.total_samples();
   if (total == 0) return first;
   for (std::size_t l = 0; l < first.size(); ++l) {
-    first[l].swing_pp = p.noisy->max(l) - p.noisy->min(l);
-    first[l].mean = p.out->sum(l) / static_cast<double>(total);
+    first[l].swing_pp = noisy.noisy->max(l) - noisy.noisy->min(l);
+    if (clean) {
+      first[l].clean_min = clean->out->min(0);
+      first[l].clean_max = clean->out->max(0);
+    } else {
+      first[l].mean = noisy.out->sum(l) / static_cast<double>(total);
+    }
   }
   if (keep) {
     kept->blocks = std::move(blocks);
     kept->tx = std::move(tx_out);
     if (front_probes) {
       kept->noisy =
-          std::make_unique<pipe::LaneWaveformTap>(std::move(*p.noisy));
+          std::make_unique<pipe::LaneWaveformTap>(std::move(*noisy.noisy));
     }
   }
   return first;
+}
+
+// ---- Runs -------------------------------------------------------------------
+
+std::vector<LinkResult> ChainPlan::run(
+    const channel::Channel& ch, const Launch& tx,
+    const std::vector<std::uint64_t>& noise_seeds, std::uint64_t run_index,
+    Probes probes) const {
+  const std::size_t n = noise_seeds.size();
+  if (n == 0) throw std::invalid_argument("ChainPlan: run needs a lane");
+  // Receiver-input AWGN: a fresh seed per run keeps repeated runs
+  // statistically independent while the whole experiment stays
+  // deterministic.
+  PassOptions options;
+  for (const std::uint64_t seed : noise_seeds) {
+    options.awgn_seeds.push_back(awgn_seed(seed, run_index));
+  }
+  options.probes = probes;
+  options.capture = capture_limit();
+
+  // ---- Pass 1: what the second pass must know up front ---------------------
+  // The RFI front end subtracts the whole-stream mean (the AC coupling in
+  // steady state), and the PAM4 slicers sit on the clean stream's range;
+  // streaming can only know either after a full pass over the cheap front
+  // half of the datapath.  A short chunk's pass 1 keeps its output, and the
+  // probes in front of it run there.
+  Kept kept;
+  const std::vector<FirstPass> first = first_pass(
+      ch, tx, options.awgn_seeds, probes, options.capture, &kept);
+
+  // ---- Pass 2: the chain into the sampler/CDR sink -------------------------
+  // It resumes from pass 1's output when pass 1 kept it, and otherwise
+  // re-runs the same deterministic front half; either way it carries on to
+  // the slicers.  The slicer threshold is lane-invariant (the
+  // restoring-stage midpoint; PAM4 runs one lane).
+  for (const FirstPass& f : first) options.means.push_back(f.mean);
+  Pass chain = pass(ch, tx, options, std::move(kept));
+  pipe::LevelPulseSource src = source(tx);
+  pipe::SamplerCdrSink sink(sink_config(first[0], src, noise_seeds));
+  const bool capture = probes == Probes::kAll;
+  analog::Waveform tx_out = stream(
+      src, chain, [&](const pipe::LaneView& in) { sink.consume(in); },
+      capture);
+  sink.finish();
+
+  std::vector<LinkResult> results(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    LinkResult& result = results[l];
+    result.rx_swing_pp = first[l].swing_pp;
+    result.decision_threshold = decision_threshold(first[l]);
+    result.rx = recovered(sink, l);
+    if (capture) {
+      result.tx_out = l + 1 < n ? tx_out : std::move(tx_out);
+      result.channel_out = chain.noisy->take(l);
+    }
+    // PAM4 has no RFI: the slicers read the equalized stream, which fills
+    // the report's "restored" slot (the receiver input itself when there is
+    // no CTLE either, and one probe serves both).
+    if (chain.out != nullptr) {
+      result.rx.restored =
+          chain.out == chain.noisy ? result.channel_out : chain.out->take(l);
+    }
+  }
+  return results;
+}
+
+std::vector<double> ChainPlan::slicer_input(const channel::Channel& ch,
+                                            const Launch& tx,
+                                            std::uint64_t awgn_seed) const {
+  PassOptions options;
+  options.awgn_seeds = {awgn_seed};
+  Kept kept;
+  if (!pam4_) {
+    options.means = {
+        first_pass(ch, tx, options.awgn_seeds, Probes::kNone, 0, &kept)[0]
+            .mean};
+  }
+  Pass chain = pass(ch, tx, options, std::move(kept));
+  pipe::LevelPulseSource src = source(tx);
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(src.total_samples()));
+  (void)stream(
+      src, chain,
+      [&](const pipe::LaneView& v) {
+        samples.insert(samples.end(), v.data, v.data + v.size);
+      },
+      /*capture_tx=*/false);
+  return samples;
 }
 
 // ---- Sink -------------------------------------------------------------------

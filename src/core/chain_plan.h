@@ -12,8 +12,11 @@
 //   * the TX level mapping — rail levels at the driver delay, TX-FFE
 //     levels at t0 = 0, and the PAM4 gray map with its 3,0 preamble;
 //   * the stage order — channel -> crosstalk -> AWGN -> CTLE ->
-//     RFI(mean) -> restore, where PAM4 slices the CTLE output — as a
-//     scalar pipe::Pipeline or as an N-lane tile of the lane stages;
+//     RFI(mean) -> restore, where PAM4 slices the CTLE output.  One pass
+//     type runs it: the lane-invariant channel and crosstalk once, in
+//     place over the source block, then the AWGN fans the stream out into
+//     a tile of one lane per noise seed and the lane stages run the rest.
+//     A link is a one-lane tile; tiles of more than one lane run NRZ only;
 //   * the first-pass statistic — NRZ: the equalized stream's DC mean,
 //     which the RFI subtracts, and the receiver-input swing; PAM4: the
 //     swing and the noise-free range that places the three slicers;
@@ -23,23 +26,24 @@
 //     +100+n the AWGN of run n, +500 training;
 //   * the pipe::SamplerCdrSink settings.
 //
-// SerDesLink, LaneLink, train_equalizer and the stat engine's pulse
-// extraction all instantiate their chains here.  Only the tests'
-// whole-waveform reference (tests/whole_waveform_reference.h) builds its
-// own.
+// run() drives one chunk through both passes into the sink for
+// SerDesLink and LaneLink alike, slicer_input() replays the chain for
+// train_equalizer, and the stat engine's pulse extraction runs a
+// noise-free pass.  Only the tests' whole-waveform reference
+// (tests/whole_waveform_reference.h) builds its own chain.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "analog/waveform.h"
 #include "channel/channel.h"
 #include "core/config.h"
+#include "core/link.h"
 #include "core/receiver.h"
 #include "pipe/lane_stages.h"
 #include "pipe/pam_stages.h"
@@ -75,23 +79,24 @@ class ChainPlan {
     kSlicer,     // what the slicers read: restored (NRZ), equalized (PAM4)
   };
 
-  /// Where a pass carries probes (pipe::WaveformTap; pipe::LaneWaveformTap
-  /// in a tile).
+  /// Where a pass carries probes (pipe::LaneWaveformTap).
   enum class Probes {
     kNone,
-    kOut,  // at the end only: what the slicers read, in a kSlicer pass
-    kAll,  // after the AWGN, after the RFI (scalar passes) and at the end
+    kOut,  // at the end only (in a kSlicer pass, what the slicers read)
+    kAll,  // after the AWGN and at the end
   };
 
   struct PassOptions {
     Stop stop = Stop::kSlicer;
-    /// AWGN stream seed; nullopt replays the chain noise-free.
-    std::optional<std::uint64_t> awgn_seed;
-    /// NRZ: the stream mean the RFI subtracts (FirstPass::mean).
-    double mean = 0.0;
-    /// The probes, each capturing up to `capture` samples (its storage
-    /// reserved once for at most the stream's length), except the end
-    /// probe of a pass that stops before the slicers, which reads no
+    /// One AWGN stream seed per lane; empty replays the chain noise-free,
+    /// as one lane.
+    std::vector<std::uint64_t> awgn_seeds;
+    /// NRZ: each lane's stream mean the RFI subtracts (FirstPass::mean),
+    /// when the pass reaches the RFI.
+    std::vector<double> means;
+    /// The probes, each capturing up to `capture` samples per lane (its
+    /// storage reserved once for at most the stream's length), except the
+    /// end probe of a pass that stops before the slicers, which reads no
     /// slicer input and keeps only statistics.  One tap serves as both the
     /// first and the last when the pass ends at the receiver input.
     Probes probes = Probes::kNone;
@@ -105,46 +110,38 @@ class ChainPlan {
   /// the stream where pass 1 stopped, and the receiver-input probe, which
   /// ran in pass 1 because the resumed pass never streams that position.
   /// Empty when pass 2 re-runs the front.
-  template <class BlockT, class Tap>
   struct Kept {
-    /// Pass 1's output blocks, taken from its pipeline without a copy, at
-    /// the source's block boundaries and with its stream metadata.  NRZ:
+    /// Pass 1's output tiles, taken from its pipeline without a copy, at
+    /// the source's block boundaries and with their stream metadata.  NRZ:
     /// the equalized stream, which the RFI reads; PAM4: the noisy receiver
     /// input, which the CTLE reads.
-    std::vector<BlockT> blocks;
+    std::vector<pipe::LaneBlock> blocks;
     /// Pass 1's TX capture and receiver-input probe, under Probes::kAll.
     analog::Waveform tx;
-    std::unique_ptr<Tap> noisy;
+    std::unique_ptr<pipe::LaneWaveformTap> noisy;
 
     [[nodiscard]] bool resumes() const { return !blocks.empty(); }
   };
-  using ScalarKept = Kept<pipe::Block, pipe::WaveformTap>;
-  using TileKept = Kept<pipe::LaneBlock, pipe::LaneWaveformTap>;
 
-  /// An instantiated scalar pass and its probes (null when absent).
+  /// An instantiated pass and its probes (null when absent): the
+  /// lane-invariant prefix (channel, crosstalk) runs once, in place over
+  /// the source block, the AWGN fans it out into a tile, and the rest runs
+  /// per lane.  A resumed pass starts from the kept tiles and has no
+  /// shared prefix.
   struct Pass {
-    pipe::Pipeline pipeline;
-    pipe::WaveformTap* noisy = nullptr;
-    pipe::WaveformTap* rfi = nullptr;
-    pipe::WaveformTap* out = nullptr;
-    /// A resumed pass 2's input, and the probe pass 1 ran for it.
-    ScalarKept kept;
-  };
-
-  /// An instantiated N-lane pass: the lane-invariant prefix (channel,
-  /// crosstalk) runs once on the shared stream, the AWGN fans it out into
-  /// a tile, and the rest runs per lane.  Nothing reads a tile's RFI
-  /// output, so it has no RFI probe.  A resumed tile pass starts from the
-  /// kept per-lane tile and has no shared prefix.
-  struct TilePass {
     pipe::Pipeline shared;
     pipe::LanePipeline lanes;
     pipe::LaneWaveformTap* noisy = nullptr;
     pipe::LaneWaveformTap* out = nullptr;
-    TileKept kept;
+    /// A resumed pass 2's input, and the probe pass 1 ran for it.
+    Kept kept;
 
-    [[nodiscard]] pipe::LaneView process(const pipe::BlockView& in) {
-      return lanes.process(pipe::as_tile(shared.process(in)));
+    /// Runs one source block through the pass; `blk` is left holding the
+    /// shared prefix's output.  The returned view is valid until the next
+    /// call.
+    [[nodiscard]] pipe::LaneView process(pipe::Block& blk) {
+      shared.process_in_place(blk);
+      return lanes.process(pipe::as_tile(blk.view()));
     }
   };
 
@@ -204,56 +201,42 @@ class ChainPlan {
   // ---- Chain instantiation --------------------------------------------------
   /// The chain for `tx` over `ch` (which must outlive the pass).  With a
   /// `kept` stream, only the steps after the point where pass 1 stopped:
-  /// NRZ from the RFI, PAM4 from the CTLE.
+  /// NRZ from the RFI, PAM4 from the CTLE.  Throws std::invalid_argument
+  /// for a PAM4 pass of more than one lane, or when a pass that reaches
+  /// the RFI lacks a mean per lane.
   [[nodiscard]] Pass pass(const channel::Channel& ch, const Launch& tx,
-                          const PassOptions& options,
-                          ScalarKept kept = {}) const;
-  /// The chain as an N-lane tile, one lane per AWGN seed; `means` holds
-  /// the lanes' RFI means when the pass reaches the RFI.  `probes`,
-  /// `capture` and `statistics` as in PassOptions, `kept` as in pass().
-  [[nodiscard]] TilePass tile_pass(
-      const channel::Channel& ch, const Launch& tx,
-      const std::vector<std::uint64_t>& awgn_seeds, Stop stop,
-      const std::vector<double>& means, Probes probes, std::size_t capture,
-      bool statistics, TileKept kept = {}) const;
+                          const PassOptions& options, Kept kept = {}) const;
 
   // ---- Waveform capture -----------------------------------------------------
   /// The probes a run of this config captures into: every position under
   /// LinkConfig::capture_waveforms, the slicer input alone under
   /// capture_slicer_input, none otherwise.
   [[nodiscard]] Probes capture_probes() const;
-  /// Samples each capture probe keeps: LinkConfig::capture_max_samples,
-  /// where 0 keeps the whole stream.
-  [[nodiscard]] std::size_t capture_limit() const;
 
   // ---- Streaming ------------------------------------------------------------
   /// Streams pass 2 of `source`'s launch through `pass` block by block,
-  /// handing each output block to `each`: from the blocks pass 1 kept when
+  /// handing each output tile to `each`: from the tiles pass 1 kept when
   /// the pass resumes, and from `source` otherwise.  With `capture_tx`,
   /// returns the stream's first capture_limit() samples as launched (the
   /// TX output, captured in pass 1 when the pass resumes); an empty
   /// waveform otherwise.
   [[nodiscard]] analog::Waveform stream(
       pipe::LevelPulseSource& source, Pass& pass,
-      const std::function<void(const pipe::BlockView&)>& each,
-      bool capture_tx) const;
-  /// The same for a tile pass.
-  [[nodiscard]] analog::Waveform stream(
-      pipe::LevelPulseSource& source, TilePass& pass,
       const std::function<void(const pipe::LaneView&)>& each,
       bool capture_tx) const;
 
   // ---- First pass -----------------------------------------------------------
-  /// Streams `tx` once through the front of the chain and measures what
-  /// the second pass needs.  NRZ: the swing at the receiver input and the
-  /// equalized stream's mean, accumulated in sample order (the exact sum
-  /// Waveform::mean_value() computes for analog::RfiStage::process in
-  /// tests/whole_waveform_reference.h).  PAM4: the swing and the range of
-  /// a noise-free replay of the equalized stream — its midpoint,
-  /// unlike the mean, is immune to the duty skew of the leading and
-  /// trailing zero-level regions, and leaving the noise out keeps its
+  /// Streams `tx` once through the front of the chain, one lane per AWGN
+  /// seed, and measures what the second pass needs.  NRZ: each lane's
+  /// swing at the receiver input and its equalized stream's mean,
+  /// accumulated in sample order (the exact sum Waveform::mean_value()
+  /// computes for analog::RfiStage::process in
+  /// tests/whole_waveform_reference.h).  PAM4 (one lane): the swing and
+  /// the range of a noise-free replay of the equalized stream — its
+  /// midpoint, unlike the mean, is immune to the duty skew of the leading
+  /// and trailing zero-level regions, and leaving the noise out keeps its
   /// tails from pushing the outer slicers off the sub-eye boundaries.  The
-  /// two PAM4 branches share one run of the channel and crosstalk.
+  /// replay reads the same run of the shared channel and crosstalk.
   ///
   /// With `kept`, when resumes(tx), also keeps the stream where this pass
   /// stops (NRZ: after the CTLE; PAM4: after the AWGN) for pass 2 to
@@ -261,28 +244,31 @@ class ChainPlan {
   /// boundaries compute exactly the samples pass 2 would re-run.  A pass 2
   /// with `probes` kAll then streams neither the launch nor the receiver
   /// input, so this pass captures them, up to `capture` samples each.
-  [[nodiscard]] FirstPass first_pass(
-      const channel::Channel& ch, const Launch& tx, std::uint64_t awgn_seed,
-      Probes probes = Probes::kNone, std::size_t capture = 0,
-      ScalarKept* kept = nullptr) const;
-  /// The NRZ first pass of every lane of a tile; `kept` keeps the tile.
   [[nodiscard]] std::vector<FirstPass> first_pass(
       const channel::Channel& ch, const Launch& tx,
       const std::vector<std::uint64_t>& awgn_seeds,
       Probes probes = Probes::kNone, std::size_t capture = 0,
-      TileKept* kept = nullptr) const;
+      Kept* kept = nullptr) const;
 
-  // ---- Sink -----------------------------------------------------------------
-  /// The sampler/CDR sink for `source`'s stream, one lane per noise seed.
-  [[nodiscard]] pipe::SamplerCdrSink::Config sink_config(
-      const FirstPass& first, const pipe::LevelPulseSource& source,
-      const std::vector<std::uint64_t>& noise_seeds) const;
-  /// The threshold the slicers run at: the restoring-stage midpoint under
-  /// NRZ, the calibrated middle threshold under PAM4.
-  [[nodiscard]] double decision_threshold(const FirstPass& first) const;
-  /// Lane `lane`'s recovered stream, aligned and deserialized.
-  [[nodiscard]] ReceiveResult recovered(const pipe::SamplerCdrSink& sink,
-                                        std::size_t lane) const;
+  // ---- Runs -----------------------------------------------------------------
+  /// One chunk over `ch`: `tx` as run number `run_index` of one lane per
+  /// noise seed — pass 1, pass 2 (resumed or re-run, see resumes()), the
+  /// sampler/CDR sink, and each lane's LinkResult short of
+  /// SerDesLink::finalize_result, which compares it against the payload.
+  /// `probes` capture into the result's waveforms, capture_limit()
+  /// samples each; the TX output is lane-invariant and copied per lane.
+  /// Throws std::invalid_argument without a noise seed.
+  [[nodiscard]] std::vector<LinkResult> run(
+      const channel::Channel& ch, const Launch& tx,
+      const std::vector<std::uint64_t>& noise_seeds, std::uint64_t run_index,
+      Probes probes) const;
+  /// What the slicers read when `tx` streams over `ch` with the AWGN of
+  /// `awgn_seed`: the NRZ chain takes a first pass for its RFI mean and
+  /// resumes from it as a run does; the PAM4 chain ends at the CTLE and
+  /// needs none.  The training replay.
+  [[nodiscard]] std::vector<double> slicer_input(
+      const channel::Channel& ch, const Launch& tx,
+      std::uint64_t awgn_seed) const;
 
  private:
   /// One stage of the chain, or a probe position.
@@ -293,7 +279,6 @@ class ChainPlan {
     kNoisyProbe,
     kCtle,
     kRfi,
-    kRfiProbe,
     kRestore,
     kOutProbe
   };
@@ -303,10 +288,9 @@ class ChainPlan {
   /// NRZ — with the positions of `probes`.
   [[nodiscard]] std::vector<Step> steps(Stop stop, bool noise,
                                         Probes probes) const;
-  /// The steps of a scalar pass with `options`.
+  /// The steps of a pass with `options`.
   [[nodiscard]] std::vector<Step> steps(const PassOptions& options) const {
-    return steps(options.stop, options.awgn_seed.has_value(),
-                 options.probes);
+    return steps(options.stop, !options.awgn_seeds.empty(), options.probes);
   }
   /// Where a first pass stops: the receiver input under PAM4, whose
   /// slicers sit on a separate noise-free replay, the equalized stream
@@ -318,7 +302,7 @@ class ChainPlan {
   /// pass's last stage, less the receiver-input probe, which ran there.
   [[nodiscard]] std::vector<Step> resumed(std::vector<Step> s,
                                           bool noise) const;
-  /// Instantiates `run`, a run of steps(options), as a scalar pass.
+  /// Instantiates `run`, a run of steps(options), as a pass.
   [[nodiscard]] Pass build(const channel::Channel& ch, const Launch& tx,
                            std::span<const Step> run,
                            const PassOptions& options) const;
@@ -329,6 +313,19 @@ class ChainPlan {
   /// bus lane stays byte-identical to a standalone link.
   [[nodiscard]] std::unique_ptr<pipe::XtalkInjectStage> xtalk_stage(
       const channel::Channel& ch, const Launch& tx) const;
+  /// Samples each capture probe keeps: LinkConfig::capture_max_samples,
+  /// where 0 keeps the whole stream.
+  [[nodiscard]] std::size_t capture_limit() const;
+  /// The sampler/CDR sink for `source`'s stream, one lane per noise seed.
+  [[nodiscard]] pipe::SamplerCdrSink::Config sink_config(
+      const FirstPass& first, const pipe::LevelPulseSource& source,
+      const std::vector<std::uint64_t>& noise_seeds) const;
+  /// The threshold the slicers run at: the restoring-stage midpoint under
+  /// NRZ, the calibrated middle threshold under PAM4.
+  [[nodiscard]] double decision_threshold(const FirstPass& first) const;
+  /// Lane `lane`'s recovered stream, aligned and deserialized.
+  [[nodiscard]] ReceiveResult recovered(const pipe::SamplerCdrSink& sink,
+                                        std::size_t lane) const;
   /// Samples a probe captures for a `capture` cap: no more than the
   /// stream of `tx` holds.
   [[nodiscard]] std::size_t capture_samples(const Launch& tx,

@@ -27,35 +27,6 @@ constexpr double kTapClampFraction = 0.45;
 constexpr double kMaxCtleBoostDb = 12.0;
 constexpr double kMaxFfeAlpha = 0.4;
 
-/// One training replay: streams `tx` through the crosstalk-free chain to
-/// the slicer input and returns its samples.  The NRZ tail needs the
-/// whole-stream DC mean first, so it takes the same first pass as a link
-/// run, and resumes from it as a link run does; the PAM4 chain ends at the
-/// CTLE and needs none.
-std::vector<double> replay(const ChainPlan& plan, bool nrz,
-                           const channel::Channel& channel, const Launch& tx,
-                           std::uint64_t awgn_seed) {
-  ChainPlan::PassOptions options;
-  options.awgn_seed = awgn_seed;
-  ChainPlan::ScalarKept kept;
-  if (nrz) {
-    options.mean = plan.first_pass(channel, tx, awgn_seed,
-                                   ChainPlan::Probes::kNone, 0, &kept)
-                       .mean;
-  }
-  ChainPlan::Pass chain = plan.pass(channel, tx, options, std::move(kept));
-  pipe::LevelPulseSource source = plan.source(tx);
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(source.total_samples()));
-  (void)plan.stream(
-      source, chain,
-      [&](const pipe::BlockView& v) {
-        samples.insert(samples.end(), v.data, v.data + v.size);
-      },
-      /*capture_tx=*/false);
-  return samples;
-}
-
 /// Best integer-sample alignment of symbol n against y[n*spu + L]: the lag
 /// in [0, 8*spu) maximizing the symbol/sample correlation.  The chain's
 /// group delay (driver, channel, filter poles) stays well inside 8 UIs for
@@ -236,7 +207,7 @@ TrainingResult train_equalizer(const LinkConfig& config,
     const Launch tx =
         nrz ? plan.nrz_launch(bits) : plan.pam4_launch(bits, /*preamble=*/0);
     Replay r;
-    r.y = replay(plan, nrz, channel, tx, train_seed);
+    r.y = plan.slicer_input(channel, tx, train_seed);
     // Reference the symbol deviation is measured against: the sampler
     // threshold in the restored NRZ domain; the stream mean in the PAM4
     // CTLE domain (the slicer calibration midpoint converges to it).

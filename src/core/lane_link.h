@@ -4,26 +4,23 @@
 // The lanes of a tile share everything that is seed-independent — the PRBS
 // payload, TX wire bits and launch levels, the pulse-shaping source and
 // the channel stream — computed once per tile instead of once per lane.
-// core::ChainPlan lays the tile out in the scalar chain's stage order: the
-// datapath fans out at the receiver-input AWGN (the first seeded stage)
-// into lane-major SoA tiles (pipe/lane_block.h) processed by the
-// lane-batched stages in pipe/lane_stages.h, whose inner lane loops
-// vectorize across the lane axis, and ends in the same
-// pipe::SamplerCdrSink a scalar link uses — one sink, N lanes.  Tiles run
-// NRZ only.
+// Each chunk is core::ChainPlan::run over one lane per seed, the datapath
+// a SerDesLink runs over one: the channel and crosstalk run once, the
+// receiver-input AWGN (the first seeded stage) fans them out into
+// lane-major SoA tiles (pipe/lane_block.h) processed by the lane stages in
+// pipe/lane_stages.h, whose inner lane loops vectorize across the lane
+// axis, and the tile ends in the one pipe::SamplerCdrSink.  Tiles of more
+// than one lane run NRZ only.
 //
 // Hard contract: lane l of a tile run with seed s_l is bit-identical to a
-// scalar SerDesLink + measure_ber run whose config carries noise_seed s_l
-// — same AWGN/jitter/sampler RNG streams drawn in the same order, same
-// filter-state arithmetic, same BER accounting (enforced as a tier-1
-// test, tests/lane_batch_test.cc).  measure() is measure_ber's own chunk
-// loop (core::measure_chunks) over every lane at once.  Footage counts
-// bits sent, so every lane advances by the same chunk whether or not it
-// aligned, and one payload sequence serves them all.
-//
-// The one observable difference: the lane path does not materialize the
-// RFI probe waveform (ReceiveResult::rfi_out stays empty — reports never
-// serialize waveforms and the simulator never reads that tap).
+// SerDesLink + measure_ber run whose config carries noise_seed s_l — same
+// AWGN/jitter/sampler RNG streams drawn in the same order, same
+// filter-state arithmetic, same BER accounting, same captured waveforms
+// (enforced as a tier-1 test, tests/lane_batch_test.cc).  measure() is
+// measure_ber's own chunk loop (core::measure_chunks) over every lane at
+// once.  Footage counts bits sent, so every lane advances by the same
+// chunk whether or not it aligned, and one payload sequence serves them
+// all.
 #pragma once
 
 #include <cstdint>
@@ -55,24 +52,17 @@ class LaneLink {
   /// observer.  Capture follows the config on the first chunk alone (what
   /// capture_waveforms / capture_slicer_input ask for, trimmed to
   /// capture_max_samples).  Throws std::invalid_argument when chunk_bits
-  /// is 0.
+  /// is 0, or for PAM4 over more than one lane.
   [[nodiscard]] std::vector<LaneOutcome> measure(std::uint64_t total_bits,
                                                  std::uint64_t chunk_bits,
                                                  double confidence_level,
-                                                 util::PrbsOrder order);
+                                                 util::PrbsOrder order) const;
 
   [[nodiscard]] const Receiver& receiver() const { return rx_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] std::size_t lanes() const { return lane_seeds_.size(); }
 
  private:
-  /// One shared datapath sweep over `payload` as run number `run_index`
-  /// of every lane, one LinkResult per lane (SerDesLink::run's const form,
-  /// N lanes).  tx_out is lane-invariant, copied per lane.
-  [[nodiscard]] std::vector<LinkResult> run_chunk(
-      const std::vector<std::uint8_t>& payload,
-      std::uint64_t run_index) const;
-
   LinkConfig config_;
   Transmitter tx_;
   Receiver rx_;

@@ -21,63 +21,12 @@ LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload) {
 
 LinkResult SerDesLink::run(const std::vector<std::uint8_t>& payload,
                            std::uint64_t run_index) const {
-  // Receiver-input AWGN: a fresh seed per run keeps repeated runs
-  // statistically independent while the whole experiment stays
-  // deterministic.
-  const std::uint64_t noise_run_seed =
-      ChainPlan::awgn_seed(config_.noise_seed, run_index);
   const ChainPlan plan(config_, rx_);
-  const Launch tx = plan.launch(tx_.wire_bits(payload));
-  // Capture probes sit at the TX output, the receiver input, the RFI output
-  // and the slicer input, or at the slicer input alone.
-  const ChainPlan::Probes probes = plan.capture_probes();
-  const bool capture = probes == ChainPlan::Probes::kAll;
-
-  // ---- Pass 1: what the second pass must know up front ---------------------
-  // The RFI front end subtracts the whole-stream mean (the AC coupling in
-  // steady state), and the PAM4 slicers sit on the clean stream's range;
-  // streaming can only know either after a full pass over the cheap front
-  // half of the datapath.  A short chunk's pass 1 keeps its output, and the
-  // probes in front of it run there.
-  ChainPlan::ScalarKept kept;
-  const FirstPass first = plan.first_pass(
-      *channel_, tx, noise_run_seed, probes, plan.capture_limit(), &kept);
-
-  // ---- Pass 2: the chain into the sampler/CDR sink -------------------------
-  // It resumes from pass 1's output when pass 1 kept it, and otherwise
-  // re-runs the same deterministic front half; either way it carries on to
-  // the slicers.
-  ChainPlan::PassOptions options;
-  options.awgn_seed = noise_run_seed;
-  options.mean = first.mean;
-  options.probes = probes;
-  options.capture = plan.capture_limit();
-  ChainPlan::Pass chain = plan.pass(*channel_, tx, options, std::move(kept));
-  pipe::LevelPulseSource source = plan.source(tx);
-  pipe::SamplerCdrSink sink(
-      plan.sink_config(first, source, {config_.noise_seed}));
-
-  LinkResult result;
-  result.tx_out = plan.stream(
-      source, chain, [&](const pipe::BlockView& in) { sink.consume(in); },
-      capture);
-  sink.finish();
-  result.rx_swing_pp = first.swing_pp;
-  result.rx = plan.recovered(sink, 0);
-  if (capture) {
-    result.channel_out = chain.noisy->take();
-    if (chain.rfi != nullptr) result.rx.rfi_out = chain.rfi->take();
-  }
-  // PAM4 has no RFI: the slicers read the equalized stream, which fills
-  // the report's "restored" slot (the receiver input itself when there is
-  // no CTLE either, and one probe serves both).
-  if (chain.out != nullptr) {
-    result.rx.restored =
-        chain.out == chain.noisy ? result.channel_out : chain.out->take();
-  }
-  result.decision_threshold = plan.decision_threshold(first);
-  finalize_result(config_, payload, result);
-  return result;
+  std::vector<LinkResult> result =
+      plan.run(*channel_, plan.launch(tx_.wire_bits(payload)),
+               {config_.noise_seed}, run_index, plan.capture_probes());
+  finalize_result(config_, payload, result[0]);
+  return std::move(result[0]);
 }
 
 void SerDesLink::finalize_result(const LinkConfig& config,
@@ -110,12 +59,6 @@ void SerDesLink::finalize_result(const LinkConfig& config,
   if (result.payload_bits_compared > 0) {
     result.ber = static_cast<double>(result.bit_errors) /
                  static_cast<double>(result.payload_bits_compared);
-  }
-  if (!config.capture_waveforms) {
-    result.tx_out = {};
-    result.channel_out = {};
-    result.rx.rfi_out = {};
-    if (!config.capture_slicer_input) result.rx.restored = {};
   }
 }
 

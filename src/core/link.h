@@ -1,5 +1,7 @@
 // End-to-end SerDes link: transmitter -> channel -> receiver, plus BER
 // accounting.  The top-level object every example and benchmark drives.
+// A run is one chunk of core::ChainPlan::run over a one-lane tile, the
+// datapath a lane tile (core::LaneLink) runs at N lanes.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,7 @@ struct LinkResult {
   ReceiveResult rx;
   /// TX output and channel output waveforms (for plotting / eye analysis).
   /// Empty when `LinkConfig::capture_waveforms` is false.  `rx.restored`
-  /// (the slicer input) and `rx.rfi_out` follow the same rule, except that
+  /// (the slicer input) follows the same rule, except that
   /// `LinkConfig::capture_slicer_input` keeps `rx.restored` alone.
   analog::Waveform tx_out;
   analog::Waveform channel_out;
@@ -51,12 +53,13 @@ class SerDesLink {
 
   /// Transmits `payload` through the streaming block pipeline
   /// core::ChainPlan lays out (O(block) waveform memory, NRZ and PAM4) and
-  /// compares what the receiver recovered.  A first pass learns the RFI
-  /// mean (NRZ) or the slicer range (PAM4); the second pass resumes from
-  /// its kept output when the stream fits in two blocks and re-runs the
-  /// front otherwise (ChainPlan::resumes), with the same bits either way.
-  /// Each call is the link's next run: run(payload, i) with i taken from
-  /// the run counter.
+  /// compares what the receiver recovered: ChainPlan::run over one lane,
+  /// then finalize_result.  A first pass learns the RFI mean (NRZ) or the
+  /// slicer range (PAM4); the second pass resumes from its kept output
+  /// when the stream fits in two blocks and re-runs the front otherwise
+  /// (ChainPlan::resumes), with the same bits either way.  Each call is
+  /// the link's next run: run(payload, i) with i taken from the run
+  /// counter.
   [[nodiscard]] LinkResult run(const std::vector<std::uint8_t>& payload);
 
   /// `payload` as run number `run_index` of this link, whose receiver
@@ -95,8 +98,7 @@ class SerDesLink {
 
   /// Shared tail of every run path (including the lane-batched LaneLink):
   /// the sent count and alignment, payload comparison, truncated-tail
-  /// error accounting, BER, and dropping the waveforms `config` does not
-  /// capture.
+  /// error accounting and BER.
   static void finalize_result(const LinkConfig& config,
                               const std::vector<std::uint8_t>& payload,
                               LinkResult& result);

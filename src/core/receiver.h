@@ -27,8 +27,6 @@ struct ReceiveResult {
   int cdr_decision_phase = 0;
   std::uint64_t cdr_phase_updates = 0;
   std::uint64_t metastable_samples = 0;
-  /// RFI output waveform (for eye analysis / Fig 8 plots).
-  analog::Waveform rfi_out;
   /// Restored (rail-to-rail) waveform presented to the samplers.
   analog::Waveform restored;
 };

@@ -34,24 +34,14 @@ OversamplingCdr::OversamplingCdr(const CdrConfig& config) : config_(config) {
                       static_cast<std::uint64_t>(config.window_uis);
 }
 
-bool OversamplingCdr::majority_at(std::uint64_t center) const {
+bool OversamplingCdr::majority_at(const std::vector<std::uint8_t>& ring,
+                                  std::uint64_t center) const {
   const int g = config_.glitch_filter_radius;
   int ones = 0;
-  const auto size = static_cast<std::uint64_t>(ring_.size());
+  const auto size = static_cast<std::uint64_t>(ring.size());
   for (int off = -g; off <= g; ++off) {
     const std::uint64_t idx = center + static_cast<std::uint64_t>(off);
-    ones += ring_[idx % size];
-  }
-  return ones * 2 > 2 * g + 1;
-}
-
-bool OversamplingCdr::aux_majority_at(std::uint64_t center) const {
-  const int g = config_.glitch_filter_radius;
-  int ones = 0;
-  const auto size = static_cast<std::uint64_t>(aux_ring_.size());
-  for (int off = -g; off <= g; ++off) {
-    const std::uint64_t idx = center + static_cast<std::uint64_t>(off);
-    ones += aux_ring_[idx % size];
+    ones += ring[idx % size];
   }
   return ones * 2 > 2 * g + 1;
 }

@@ -35,40 +35,8 @@ class OversamplingCdr {
 
   /// Pushes one raw oversampled comparator output.  Recovered bits appear
   /// in recovered() with a small pipeline delay (the glitch filter is
-  /// non-causal by G samples).  Inline, with the ring/phase positions kept
-  /// as wrapping cursors — this runs once per oversample, so the hot path
-  /// must stay free of 64-bit divisions.
-  void push(bool sample) {
-    ring_[ring_pos_] = sample ? 1 : 0;
-
-    if (count_ > 0 && sample != last_sample_) {
-      // Transition between samples count_-1 and count_: bin it at the
-      // phase of the later sample.
-      ++votes_[phase_pos_];
-      ++edges_;
-    }
-    last_sample_ = sample;
-
-    // Decide the bit whose centre sample is `count_ - G` once its trailing
-    // glitch-filter context has arrived.
-    const auto g = static_cast<std::uint64_t>(config_.glitch_filter_radius);
-    if (count_ >= g) {
-      const std::uint64_t center = count_ - g;
-      if (center == next_decision_) {
-        recovered_.push_back(majority_at(center) ? 1 : 0);
-        next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
-      }
-    }
-
-    ++count_;
-    if (++ring_pos_ == ring_.size()) ring_pos_ = 0;
-    if (++phase_pos_ == votes_.size()) phase_pos_ = 0;
-    if (--window_countdown_ == 0) {
-      window_countdown_ = static_cast<std::uint64_t>(config_.oversampling) *
-                          static_cast<std::uint64_t>(config_.window_uis);
-      evaluate_window();
-    }
-  }
+  /// non-causal by G samples).
+  void push(bool sample) { push_rails<false>(sample, false); }
 
   /// Dual-rail push for PAM4: `sample` is the middle-threshold (MSB)
   /// comparator output — it alone drives edge detection and phase picks,
@@ -77,36 +45,7 @@ class OversamplingCdr {
   /// majority vote at each decision instant.  Recovered LSBs appear in
   /// aux_recovered(), index-aligned with recovered().  push() and push2()
   /// must not be mixed on one instance.
-  void push2(bool sample, bool aux) {
-    if (aux_ring_.empty()) aux_ring_.assign(ring_.size(), 0);
-    ring_[ring_pos_] = sample ? 1 : 0;
-    aux_ring_[ring_pos_] = aux ? 1 : 0;
-
-    if (count_ > 0 && sample != last_sample_) {
-      ++votes_[phase_pos_];
-      ++edges_;
-    }
-    last_sample_ = sample;
-
-    const auto g = static_cast<std::uint64_t>(config_.glitch_filter_radius);
-    if (count_ >= g) {
-      const std::uint64_t center = count_ - g;
-      if (center == next_decision_) {
-        recovered_.push_back(majority_at(center) ? 1 : 0);
-        aux_recovered_.push_back(aux_majority_at(center) ? 1 : 0);
-        next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
-      }
-    }
-
-    ++count_;
-    if (++ring_pos_ == ring_.size()) ring_pos_ = 0;
-    if (++phase_pos_ == votes_.size()) phase_pos_ = 0;
-    if (--window_countdown_ == 0) {
-      window_countdown_ = static_cast<std::uint64_t>(config_.oversampling) *
-                          static_cast<std::uint64_t>(config_.window_uis);
-      evaluate_window();
-    }
-  }
+  void push2(bool sample, bool aux) { push_rails<true>(sample, aux); }
 
   /// Batch helper: pushes all samples and returns the recovered bits.
   [[nodiscard]] std::vector<std::uint8_t> recover(
@@ -133,9 +72,53 @@ class OversamplingCdr {
   [[nodiscard]] const CdrConfig& config() const { return config_; }
 
  private:
+  /// The body of push (kAux false) and push2 (kAux true).  Inline, with
+  /// the ring/phase positions kept as wrapping cursors — this runs once per
+  /// oversample, so the hot path must stay free of 64-bit divisions.
+  template <bool kAux>
+  void push_rails(bool sample, bool aux) {
+    if (kAux && aux_ring_.empty()) aux_ring_.assign(ring_.size(), 0);
+    ring_[ring_pos_] = sample ? 1 : 0;
+    if (kAux) aux_ring_[ring_pos_] = aux ? 1 : 0;
+
+    if (count_ > 0 && sample != last_sample_) {
+      // Transition between samples count_-1 and count_: bin it at the
+      // phase of the later sample.
+      ++votes_[phase_pos_];
+      ++edges_;
+    }
+    last_sample_ = sample;
+
+    // Decide the bit whose centre sample is `count_ - G` once its trailing
+    // glitch-filter context has arrived.
+    const auto g = static_cast<std::uint64_t>(config_.glitch_filter_radius);
+    if (count_ >= g) {
+      const std::uint64_t center = count_ - g;
+      if (center == next_decision_) {
+        recovered_.push_back(majority_at(ring_, center) ? 1 : 0);
+        if (kAux) {
+          aux_recovered_.push_back(majority_at(aux_ring_, center) ? 1 : 0);
+        }
+        next_decision_ += static_cast<std::uint64_t>(config_.oversampling);
+      }
+    }
+
+    ++count_;
+    if (++ring_pos_ == ring_.size()) ring_pos_ = 0;
+    if (++phase_pos_ == votes_.size()) phase_pos_ = 0;
+    if (--window_countdown_ == 0) {
+      window_countdown_ = static_cast<std::uint64_t>(config_.oversampling) *
+                          static_cast<std::uint64_t>(config_.window_uis);
+      evaluate_window();
+    }
+  }
+
   void evaluate_window();
-  [[nodiscard]] bool majority_at(std::uint64_t center) const;
-  [[nodiscard]] bool aux_majority_at(std::uint64_t center) const;
+  /// The glitch filter: the majority of `ring`'s (2G+1)-sample
+  /// neighbourhood of absolute sample `center`.  Out of line: it runs once
+  /// per decided bit, off the per-oversample path push_rails inlines.
+  [[nodiscard]] bool majority_at(const std::vector<std::uint8_t>& ring,
+                                 std::uint64_t center) const;
 
   CdrConfig config_;
   std::vector<std::uint32_t> votes_;     // edge votes per phase bin

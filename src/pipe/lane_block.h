@@ -3,13 +3,12 @@
 // A LaneBlock carries one block of samples for L independent lanes in an
 // interleaved structure-of-arrays layout: sample index i of lane l lives at
 // data[i * lanes + l], so the values every lane needs at one stream
-// position are contiguous.  Lane-batched stage kernels walk the sample
-// axis exactly like their scalar counterparts and run the per-lane
-// arithmetic in the inner lane loop — one instruction stream, L lanes —
-// which auto-vectorizes across lanes while preserving each lane's
-// operation order bit-for-bit (no cross-lane arithmetic ever mixes
-// values, so lane l of a tile reproduces the scalar pipeline for lane l
-// exactly).
+// position are contiguous.  The lane stages walk the sample axis in the
+// outer loop and run the per-lane arithmetic in the inner lane loop — one
+// instruction stream, L lanes — which auto-vectorizes across lanes while
+// preserving each lane's operation order bit-for-bit (no cross-lane
+// arithmetic ever mixes values, so lane l of a tile reproduces a one-lane
+// tile of lane l exactly).
 #pragma once
 
 #include <cstdint>

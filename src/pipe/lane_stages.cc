@@ -26,10 +26,15 @@ void LaneAwgnStage::process(const LaneView& in, LaneBlock& out) {
   out.shape(in.size, lanes, in.start_index, in.stream_t0, in.dt, in.last);
   double* samples = out.data();
   const double sigma = sigma_;
-  if (sigma > 0.0) {
+  if (sigma > 0.0 && lanes == 1) {
+    util::Rng& rng = rngs_[0];
+    for (std::size_t i = 0; i < in.size; ++i) {
+      samples[i] = in.data[i] + rng.gaussian(0.0, sigma);
+    }
+  } else if (sigma > 0.0) {
     // The gaussian draw itself stays scalar (ziggurat edge path redraws a
     // data-dependent number of times); each lane advances its own stream
-    // one draw per sample, exactly like the scalar AwgnStage.
+    // one draw per sample, exactly as it does alone.
     for (std::size_t i = 0; i < in.size; ++i) {
       const double base = in.data[i];
       double* dst = samples + i * lanes;
@@ -58,13 +63,28 @@ LaneCtleStage::LaneCtleStage(util::Decibel boost, util::Hertz pole,
 void LaneCtleStage::process(const LaneView& in, LaneBlock& out) {
   out.match(in);
   double* samples = out.data();
+  const double k = k_;
+  if (in.lanes == 1) {
+    // The pole steps in locals (state in registers, see analog/filters.h)
+    // in the same loop as the peaking combine.  Each iteration reads in[i]
+    // before writing out[i], so `out` may alias `in`.
+    const analog::OnePoleLowPass lpf = lpf_;
+    double x1 = x1_[0];
+    double y1 = y1_[0];
+    for (std::size_t i = 0; i < in.size; ++i) {
+      const double x = in.data[i];
+      samples[i] = x + k * (x - lpf.step(x, x1, y1));
+    }
+    x1_[0] = x1;
+    y1_[0] = y1;
+    return;
+  }
   const std::size_t values = in.size * in.lanes;
   scratch_.resize(values);
   lpf_.process_lanes(in.data, scratch_.data(), in.size, in.lanes, x1_.data(),
                      y1_.data());
   // The peaking combine is element-wise, so one flat pass over the tile
-  // keeps every lane's operation order identical to the scalar stage.
-  const double k = k_;
+  // keeps every lane's operation order that of the one-lane loop.
   const double* low = scratch_.data();
   for (std::size_t i = 0; i < values; ++i) {
     const double x = in.data[i];
@@ -85,6 +105,26 @@ LaneRfiStage::LaneRfiStage(const analog::RfiStage& rfi, util::Second dt,
 void LaneRfiStage::process(const LaneView& in, LaneBlock& out) {
   out.match(in);
   double* samples = out.data();
+  // The saturating VTC with its loop-invariant loads hoisted; the formula
+  // itself has one home (saturate_value).  tanh dominates.
+  const double bias = rfi_->bias();
+  const double gain = rfi_->gain();
+  const double half = rfi_->vdd() / 2.0;
+  if (in.lanes == 1) {
+    // DC removal, the output pole (state in locals) and the VTC in one
+    // loop.
+    const double delta = deltas_[0];
+    const analog::OnePoleLowPass lpf = lpf_;
+    double x1 = x1_[0];
+    double y1 = y1_[0];
+    for (std::size_t i = 0; i < in.size; ++i) {
+      samples[i] = analog::RfiStage::saturate_value(
+          lpf.step(in.data[i] + delta, x1, y1), bias, gain, half);
+    }
+    x1_[0] = x1;
+    y1_[0] = y1;
+    return;
+  }
   const double* deltas = deltas_.data();
   for (std::size_t i = 0; i < in.size; ++i) {
     const double* src = in.data + i * in.lanes;
@@ -93,11 +133,7 @@ void LaneRfiStage::process(const LaneView& in, LaneBlock& out) {
   }
   lpf_.process_lanes(samples, samples, in.size, in.lanes, x1_.data(),
                      y1_.data());
-  // Element-wise saturating VTC: flat pass, loads hoisted like the scalar
-  // stage.
-  const double bias = rfi_->bias();
-  const double gain = rfi_->gain();
-  const double half = rfi_->vdd() / 2.0;
+  // Element-wise saturating VTC: one flat pass.
   const std::size_t values = in.size * in.lanes;
   for (std::size_t i = 0; i < values; ++i) {
     samples[i] = analog::RfiStage::saturate_value(samples[i], bias, gain,
@@ -116,6 +152,17 @@ void LaneRestoreStage::process(const LaneView& in, LaneBlock& out) {
   out.match(in);
   double* samples = out.data();
   const analog::RestoringInverter& inv = *inv_;
+  if (in.lanes == 1) {
+    const analog::OnePoleLowPass pole = pole_;
+    double x1 = x1_[0];
+    double y1 = y1_[0];
+    for (std::size_t i = 0; i < in.size; ++i) {
+      samples[i] = pole.step(inv.restore_level(in.data[i]), x1, y1);
+    }
+    x1_[0] = x1;
+    y1_[0] = y1;
+    return;
+  }
   const std::size_t values = in.size * in.lanes;
   for (std::size_t i = 0; i < values; ++i) {
     samples[i] = inv.restore_level(in.data[i]);
@@ -144,6 +191,27 @@ void LaneWaveformTap::observe(const LaneView& in) {
     stamped_ = true;
   }
   const std::size_t lanes = captured_.size();
+  if (lanes == 1) {
+    // One lane: the statistics run in locals and the capture is one copy.
+    if (statistics_) {
+      double lo = min_[0];
+      double hi = max_[0];
+      double sum = sum_[0];
+      for (std::size_t i = 0; i < in.size; ++i) {
+        const double v = in.data[i];
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+        sum += v;
+      }
+      min_[0] = lo;
+      max_[0] = hi;
+      sum_[0] = sum;
+    }
+    std::vector<double>& lane = captured_[0];
+    const std::size_t take = std::min(capture_ - lane.size(), in.size);
+    lane.insert(lane.end(), in.data, in.data + take);
+    return;
+  }
   if (statistics_) {
     for (std::size_t i = 0; i < in.size; ++i) {
       const double* row = in.data + i * lanes;

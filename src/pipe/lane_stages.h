@@ -1,26 +1,32 @@
-// Lane-batched (SoA) streaming stages for the multi-lane datapath.
+// The streaming receive stages after the channel, over lane-major tiles.
 //
-// Each stage here is the L-lane counterpart of a scalar stage in
-// pipe/stages.h, operating on lane-major tiles (pipe/lane_block.h): the
-// sample loop is the outer loop exactly as in the scalar stage, and the
-// per-lane arithmetic runs in an inner lane loop with per-lane state held
-// in arrays — one instruction stream, L lanes.  No cross-lane arithmetic
-// ever mixes values and each lane draws from its own RNG stream in the
-// scalar order, so lane l of a tile is bit-identical to the scalar
-// pipeline run over lane l alone.  core::ChainPlan chains them in the same
-// order as the scalar stages, and the tile ends in the one
-// pipe::SamplerCdrSink (pipe/stages.h), which reads N-lane tiles natively.
+// Every stage here runs an N-lane tile (pipe/lane_block.h): the sample
+// loop is the outer loop, and the per-lane arithmetic runs in an inner
+// lane loop with per-lane state held in arrays — one instruction stream,
+// L lanes.  No cross-lane arithmetic ever mixes values and each lane draws
+// from its own RNG stream, so lane l of a tile is bit-identical to a tile
+// of lane l alone.  A link is a one-lane tile, and each stage runs that
+// case as its own loop, with the filter state in locals (so in registers,
+// through analog::OnePoleLowPass::step(x, x1, y1)) instead of the generic
+// loops' per-lane state arrays.  Each stage reproduces its
+// whole-waveform counterpart sample by sample while carrying its state
+// across tiles, so a stream processed at any block size is bit-identical
+// to the whole-waveform reference the tests compare against
+// (tests/whole_waveform_reference.h).  core::ChainPlan chains them after
+// the shared channel and crosstalk, and the tile ends in the one
+// pipe::SamplerCdrSink (pipe/stages.h).
 //
-//   LaneAwgnStage      — fans a shared (lane-invariant) channel block, a
+//   LaneAwgnStage      — fans the shared (lane-invariant) channel block, a
 //                        one-lane tile, out into L lanes, adding per-lane
-//                        AWGN streams
-//   LaneCtleStage      — CTLE peaking with per-lane pole state
-//   LaneRfiStage       — RFI front end with per-lane DC means and poles
-//   LaneRestoreStage   — restoring inverter VTC + per-lane output pole
+//                        AWGN streams (Waveform::add_noise, blockwise)
+//   LaneCtleStage      — channel::RxCtle::equalize with per-lane pole state
+//   LaneRfiStage       — analog::RfiStage::process given each lane's stream
+//                        DC mean, with per-lane poles
+//   LaneRestoreStage   — analog::RestoringInverter::process: VTC lookup +
+//                        per-lane output pole
 //   LaneWaveformTap    — per-lane probe: capture window and, in first
 //                        passes, range/sum
-//   LanePipeline       — pipe::Pipeline's chain of stages and probes,
-//                        over tiles
+//   LanePipeline       — the chain of stages and probes, over tiles
 //
 // The gaussian draw (ziggurat with a variable-draw edge path) stays scalar
 // per lane by design: batching it across lanes would change each lane's
@@ -46,13 +52,14 @@
 
 namespace serdes::pipe {
 
-/// Tile-to-tile stage: the lane counterpart of pipe::Stage.
+/// Tile-to-tile stage.
 class LaneStage {
  public:
   virtual ~LaneStage() = default;
-  /// Transforms one tile; `out` is shaped by the stage.  As with
-  /// Stage::process, the stages a resumed pass runs allow `out` to be the
-  /// tile `in` views.
+  /// Transforms one tile; `out` is shaped by the stage.  The stages a
+  /// resumed pass runs (CTLE, RFI, restore) read each sample before
+  /// writing it, so `out` may also be the tile `in` views
+  /// (BasicPipeline::process_in_place).
   virtual void process(const LaneView& in, LaneBlock& out) = 0;
 };
 
@@ -62,7 +69,7 @@ using LanePipeline = BasicPipeline<LaneStage, LaneBlock, LaneView>;
 /// Fan-out stage: replicates a shared one-lane tile (the lane-invariant
 /// TX + channel output) across L lanes, adding each lane's own AWGN
 /// stream — per lane, blockwise Waveform::add_noise with a carried RNG
-/// that advances one gaussian per sample exactly like AwgnStage.
+/// that advances one gaussian per sample.
 class LaneAwgnStage final : public LaneStage {
  public:
   LaneAwgnStage(double sigma, const std::vector<std::uint64_t>& seeds);
@@ -93,13 +100,15 @@ class LaneCtleStage final : public LaneStage {
 
 /// RFI front end across a tile: per-lane DC removal (each lane's stream
 /// mean, supplied via set_mean once measured), per-lane output pole, then
-/// the shared saturating VTC — blockwise RfiFrontEndStage per lane.
+/// the shared saturating VTC — blockwise analog::RfiStage per lane.
 class LaneRfiStage final : public LaneStage {
  public:
   LaneRfiStage(const analog::RfiStage& rfi, util::Second dt,
                std::size_t lanes);
 
-  /// Lane `lane`'s full-stream DC mean; must be set before the first tile.
+  /// Lane `lane`'s full-stream DC mean, which analog::RfiStage::process
+  /// subtracts; must be set before the first tile (the link measures it in
+  /// a first streaming pass over the cheap front half of the datapath).
   void set_mean(std::size_t lane, double mean) { deltas_[lane] = -mean; }
 
   void process(const LaneView& in, LaneBlock& out) override;
@@ -128,10 +137,14 @@ class LaneRestoreStage final : public LaneStage {
   std::vector<double> y1_;
 };
 
-/// Per-lane probe (the lane WaveformTap): captures the first `capture`
-/// samples of each lane's stream flowing past, storage reserved once at
-/// construction, and, with `statistics`, keeps each lane's running
-/// minimum, maximum and sample-order sum.
+/// Per-lane probe: captures the first `capture` samples of each lane's
+/// stream flowing past (the waveform-capture window; its storage is
+/// reserved once, so callers pass at most the stream's length) and, with
+/// `statistics`, keeps each lane's running minimum, maximum and
+/// sample-order sum (what first passes measure).  Links insert probes
+/// only into first passes and while diagnostics capture is on (the first
+/// chunk of a BER run), so bulk streaming never accumulates waveform
+/// memory.
 class LaneWaveformTap final : public LaneProbe {
  public:
   LaneWaveformTap(std::size_t lanes, std::size_t capture, bool statistics);

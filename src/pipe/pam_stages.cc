@@ -58,7 +58,7 @@ void XtalkInjectStage::process(const BlockView& in, Block& out) {
   };
   // Each sample adds its paths' contributions in path order, two paths per
   // sweep over the block: half the loads and stores of the running sums.
-  std::copy(in.data, in.data + in.size, samples);
+  if (in.data != samples) std::copy(in.data, in.data + in.size, samples);
   const std::size_t n_taps = taps_.size();
   std::size_t k = 0;
   for (; k + 1 < n_taps; k += 2) {

@@ -56,8 +56,8 @@ class XtalkInjectStage final : public Stage {
                    util::Second unit_interval, int samples_per_ui,
                    util::Second rise_time, util::Second stream_t0);
 
+  /// `out` may be the block `in` views (the chain runs it in place).
   void process(const BlockView& in, Block& out) override;
-  [[nodiscard]] std::string_view name() const override { return "xtalk"; }
 
  private:
   /// One distinct delayed launch and, when a FEXT path reads it, its

@@ -4,17 +4,18 @@
 // A Stage maps one input block to one output block, carrying whatever
 // state it needs (IIR filter memories, RNG streams, tap delay lines)
 // across calls so that processing a stream block-by-block is bit-identical
-// to processing it as one waveform.  A Probe only observes: it reads each
-// block as it flows past (statistics, a capture window) and never writes
-// it.  A Pipeline chains stages and probes; stages ping-pong between two
-// scratch blocks, so the whole datapath holds at most two blocks of
-// samples regardless of stream length, while a probe is handed the
-// current view and the same view goes on to the next step — no copy and
-// no swap.
+// to processing it as one waveform.  The scalar Stage runs the shared,
+// lane-invariant prefix of the chain (channel, crosstalk) over the one
+// launched stream; pipe::LaneStage (pipe/lane_stages.h) runs the rest over
+// N-lane tiles.  A probe only observes: it reads each tile as it flows past
+// (statistics, a capture window) and never writes it.  A pipeline chains
+// stages and probes; stages ping-pong between two scratch blocks, so the
+// whole datapath holds at most two blocks of samples regardless of stream
+// length, while a probe is handed the current view and the same view goes
+// on to the next step — no copy and no swap.
 #pragma once
 
 #include <memory>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,18 +29,15 @@ class Stage {
 
   /// Transforms one block.  `out` must be sized/stamped via
   /// `out.match(in)`; `in` stays valid only for the duration of the call.
-  /// The stages a resumed pass runs (CTLE, RFI, restore and their lane
-  /// forms) read each sample before writing it, so `out` may also be the
-  /// block `in` views (BasicPipeline::process_in_place).
+  /// `out` may also be the block `in` views: the chain runs its shared
+  /// prefix in place over the source block
+  /// (BasicPipeline::process_in_place).
   virtual void process(const BlockView& in, Block& out) = 0;
-
-  /// Diagnostic label.
-  [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
 /// Pass-through observer of a block stream: reads each block as it flows
 /// past and leaves it untouched.  `ViewT` is the view type of the pipeline
-/// it sits in (BlockView, or LaneView for lane tiles).
+/// it sits in (LaneView for lane tiles).
 template <class ViewT>
 class BasicProbe {
  public:
@@ -49,8 +47,6 @@ class BasicProbe {
   /// call.
   virtual void observe(const ViewT& in) = 0;
 };
-
-using Probe = BasicProbe<BlockView>;
 
 /// Runs blocks through an ordered chain of stages and probes.  Owns them
 /// and two scratch blocks (the only per-pipeline sample storage).  Scalar

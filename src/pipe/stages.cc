@@ -104,104 +104,6 @@ std::size_t LevelPulseSource::produce(Block& out, std::size_t max_samples) {
   return n;
 }
 
-// ---- AwgnStage --------------------------------------------------------------
-
-void AwgnStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  const double sigma = sigma_;
-  if (sigma > 0.0) {
-    util::Rng& rng = rng_;
-    for (std::size_t i = 0; i < in.size; ++i) {
-      samples[i] = in.data[i] + rng.gaussian(0.0, sigma);
-    }
-  } else {
-    std::copy(in.data, in.data + in.size, samples);
-  }
-}
-
-// ---- CtleStage --------------------------------------------------------------
-
-void CtleStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  // The pole steps in a local copy (state in registers, see
-  // analog/filters.h) in the same loop as the peaking combine.  Each
-  // iteration reads in[i] before writing out[i], so `out` may alias `in`.
-  const double k = k_;
-  analog::OnePoleLowPass lpf = lpf_;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    const double x = in.data[i];
-    samples[i] = x + k * (x - lpf.step(x));
-  }
-  lpf_ = lpf;
-}
-
-// ---- RfiFrontEndStage -------------------------------------------------------
-
-void RfiFrontEndStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  // DC removal, the output pole (a local copy, state in registers) and
-  // RfiStage::saturate with the loop-invariant loads hoisted, in one loop;
-  // the formula itself has one home (saturate_value).  tanh dominates.
-  const double delta = delta_;
-  const double bias = rfi_->bias();
-  const double gain = rfi_->gain();
-  const double half = rfi_->vdd() / 2.0;
-  analog::OnePoleLowPass lpf = lpf_;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    samples[i] = analog::RfiStage::saturate_value(lpf.step(in.data[i] + delta),
-                                                  bias, gain, half);
-  }
-  lpf_ = lpf;
-}
-
-// ---- RestoringStage ---------------------------------------------------------
-
-void RestoringStage::process(const BlockView& in, Block& out) {
-  out.match(in);
-  double* samples = out.data();
-  const analog::RestoringInverter& inv = *inv_;
-  analog::OnePoleLowPass pole = pole_;
-  for (std::size_t i = 0; i < in.size; ++i) {
-    samples[i] = pole.step(inv.restore_level(in.data[i]));
-  }
-  pole_ = pole;
-}
-
-// ---- WaveformTap ------------------------------------------------------------
-
-WaveformTap::WaveformTap(std::size_t capture, bool statistics)
-    : capture_(capture), statistics_(statistics) {
-  captured_.reserve(capture_);
-}
-
-void WaveformTap::observe(const BlockView& in) {
-  if (statistics_) {
-    double lo = min_;
-    double hi = max_;
-    double sum = sum_;
-    for (std::size_t i = 0; i < in.size; ++i) {
-      const double v = in.data[i];
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      sum += v;
-    }
-    min_ = lo;
-    max_ = hi;
-    sum_ = sum;
-  }
-  if (captured_.empty()) {
-    t0_ = in.stream_t0;
-    dt_ = in.dt;
-  }
-  if (captured_.size() < capture_) {
-    const std::size_t take = std::min(capture_ - captured_.size(), in.size);
-    captured_.insert(captured_.end(), in.data, in.data + take);
-  }
-}
-
 // ---- SamplerCdrSink ---------------------------------------------------------
 
 namespace {

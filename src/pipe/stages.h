@@ -1,7 +1,9 @@
-// Concrete streaming stages for the TX -> channel -> noise -> EQ -> RX
-// datapath, and the one sampler/CDR sink every streaming path ends in.
+// The two ends of the streaming datapath and the channel between them:
+// the TX source, the channel stage, and the one sampler/CDR sink every
+// streaming path ends in.  The receive stages in between run over lane
+// tiles (pipe/lane_stages.h); a link is a one-lane tile.
 //
-// Each stage reproduces the arithmetic of its whole-waveform counterpart
+// Each reproduces the arithmetic of its whole-waveform counterpart
 // exactly, sample by sample, while carrying state (filter memories, RNG
 // streams, rolling sample windows) across blocks — so a stream processed
 // at any block size is bit-identical to the whole-waveform reference the
@@ -10,28 +12,18 @@
 //
 //   LevelPulseSource   — per-UI launch levels to the line waveform
 //                        (Waveform::nrz and TxFfe::shape, blockwise)
-//   ChannelStage       — wraps a channel::Channel::Stream
-//   AwgnStage          — Waveform::add_noise with a carried RNG
-//   CtleStage          — channel::RxCtle::equalize with a carried pole
-//   RfiFrontEndStage   — analog::RfiStage::process given the stream DC mean
-//   RestoringStage     — analog::RestoringInverter::process, blockwise
-//   WaveformTap        — probe: capture window and, in first passes,
-//                        range/sum
+//   ChannelStage       — wraps a channel::Channel::Stream (in place or not)
 //   SamplerCdrSink     — jittered multiphase sampling, 1 (NRZ) or 3 (PAM4)
 //                        DFF slicers, DFE feedback and the oversampling CDR
-//                        over a rolling window of an N-lane tile (scalar
-//                        blocks are 1-lane tiles)
+//                        over a rolling window of an N-lane tile
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "analog/filters.h"
-#include "analog/rfi.h"
 #include "analog/sampler.h"
 #include "analog/waveform.h"
 #include "channel/channel.h"
@@ -40,7 +32,6 @@
 #include "digital/sampling.h"
 #include "pipe/lane_block.h"
 #include "pipe/stage.h"
-#include "util/random.h"
 #include "util/units.h"
 
 namespace serdes::pipe {
@@ -82,6 +73,7 @@ class LevelPulseSource {
 };
 
 /// Streams blocks through a channel model (carrying its filter state).
+/// Every channel stream allows `out` to be the block `in` views.
 class ChannelStage final : public Stage {
  public:
   explicit ChannelStage(std::unique_ptr<channel::Channel::Stream> stream)
@@ -91,113 +83,15 @@ class ChannelStage final : public Stage {
     out.match(in);
     stream_->transmit_block(in.data, out.data(), in.size);
   }
-  [[nodiscard]] std::string_view name() const override { return "channel"; }
 
  private:
   std::unique_ptr<channel::Channel::Stream> stream_;
 };
 
-/// Additive white gaussian noise with a carried deterministic RNG —
-/// blockwise Waveform::add_noise.
-class AwgnStage final : public Stage {
- public:
-  AwgnStage(double sigma, std::uint64_t seed) : sigma_(sigma), rng_(seed) {}
-
-  void process(const BlockView& in, Block& out) override;
-  [[nodiscard]] std::string_view name() const override { return "awgn"; }
-
- private:
-  double sigma_;
-  util::Rng rng_;
-};
-
-/// CTLE peaking stage: out = x + k*(x - LPF(x)), pole state carried.
-class CtleStage final : public Stage {
- public:
-  CtleStage(util::Decibel boost, util::Hertz pole, util::Second dt)
-      : k_(util::db_to_amplitude(boost) - 1.0), lpf_(pole, dt) {}
-
-  void process(const BlockView& in, Block& out) override;
-  [[nodiscard]] std::string_view name() const override { return "ctle"; }
-
- private:
-  double k_;
-  analog::OnePoleLowPass lpf_;
-};
-
-/// RFI front end: DC removal (the stream mean, supplied via set_mean once
-/// known), output pole, saturating VTC — blockwise analog::RfiStage.
-class RfiFrontEndStage final : public Stage {
- public:
-  RfiFrontEndStage(const analog::RfiStage& rfi, util::Second dt)
-      : rfi_(&rfi), lpf_(rfi.bandwidth(), dt) {}
-
-  /// The full-stream DC mean analog::RfiStage::process subtracts (the
-  /// whole-waveform reference in tests/whole_waveform_reference.h); must
-  /// be set before the first block (the link driver measures it in a first
-  /// streaming pass over the cheap front half of the datapath).
-  void set_mean(double mean) { delta_ = -mean; }
-
-  void process(const BlockView& in, Block& out) override;
-  [[nodiscard]] std::string_view name() const override { return "rfi"; }
-
- private:
-  const analog::RfiStage* rfi_;
-  analog::OnePoleLowPass lpf_;
-  double delta_ = 0.0;
-};
-
-/// Rail-restoring inverter: VTC lookup then output pole, state carried.
-class RestoringStage final : public Stage {
- public:
-  RestoringStage(const analog::RestoringInverter& inv, util::Second dt)
-      : inv_(&inv), pole_(inv.bandwidth(), dt) {}
-
-  void process(const BlockView& in, Block& out) override;
-  [[nodiscard]] std::string_view name() const override { return "restore"; }
-
- private:
-  const analog::RestoringInverter* inv_;
-  analog::OnePoleLowPass pole_;
-};
-
-/// Probe: captures the first `capture` samples of the stream flowing past
-/// (the waveform-capture window; its storage is reserved once, so callers
-/// pass at most the stream's length) and, with `statistics`, keeps the
-/// running minimum, maximum and sample-order sum (what first passes
-/// measure).  Links insert probes only into first passes and while
-/// diagnostics capture is on (the first chunk of a BER run), so bulk
-/// streaming never accumulates waveform memory.
-class WaveformTap final : public Probe {
- public:
-  WaveformTap(std::size_t capture, bool statistics);
-
-  void observe(const BlockView& in) override;
-
-  /// Moves the captured window out as a Waveform (stream t0 / dt stamped).
-  [[nodiscard]] analog::Waveform take() {
-    return analog::Waveform{t0_, dt_, std::move(captured_)};
-  }
-  /// Statistics of the whole stream (with `statistics` only).
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t capture_;
-  bool statistics_;
-  std::vector<double> captured_;
-  util::Second t0_{0.0};
-  util::Second dt_{1e-12};
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-  double sum_ = 0.0;
-};
-
 /// Terminal sink of every streaming path: multiphase sampling instants
 /// (with jitter), DFF slicers and the oversampling CDR, evaluated
-/// incrementally over a rolling window of a lane tile — a scalar block is
-/// a tile with one lane.  NRZ runs one slicer per instant; PAM4 runs three
+/// incrementally over a rolling window of a lane tile — a link is a tile
+/// with one lane.  NRZ runs one slicer per instant; PAM4 runs three
 /// (low < middle < high) and gray-decodes them ((0,0) (0,1) (1,1) (1,0)
 /// for levels 0..3: MSB = above middle, LSB = above low and not above
 /// high) onto the CDR's dual rails, whose edge detection and phase picking

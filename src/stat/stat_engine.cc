@@ -380,7 +380,7 @@ std::vector<double> run_linear_chain(const core::ChainPlan& plan,
   out.reserve(static_cast<std::size_t>(source.total_samples()));
   pipe::Block blk;
   while (source.produce(blk, 16384) > 0) {
-    const pipe::BlockView processed = front.pipeline.process(blk.view());
+    const pipe::LaneView processed = front.process(blk);
     // Without rx_poles (PAM4) the slicers read the CTLE output directly:
     // no RFI or restoring stage in the datapath, so no output poles either.
     for (std::size_t i = 0; i < processed.size; ++i) {
@@ -396,7 +396,7 @@ std::vector<double> run_linear_chain(const core::ChainPlan& plan,
 double noise_power_gain(const core::LinkConfig& cfg, util::Hertz rfi_bandwidth,
                         util::Hertz restore_bandwidth, bool rx_poles) {
   const util::Second dt = cfg.sample_period();
-  // pipe::CtleStage's arithmetic, stepped here one sample at a time.
+  // pipe::LaneCtleStage's arithmetic, stepped here one sample at a time.
   std::optional<analog::OnePoleLowPass> ctle_pole;
   double ctle_k = 0.0;
   if (cfg.rx_ctle_boost.value() > 0.0) {

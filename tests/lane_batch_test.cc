@@ -20,6 +20,8 @@
 #include "api/link_spec.h"
 #include "api/simulator.h"
 #include "api/spec_json.h"
+#include "core/ber.h"
+#include "core/link.h"
 #include "core/lane_link.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
@@ -344,6 +346,100 @@ TEST(LaneBatch, SlicerOnlyCaptureMatchesFullCapture) {
     EXPECT_EQ(got[l].measurement.bits, want[l].measurement.bits);
     EXPECT_EQ(got[l].measurement.errors, want[l].measurement.errors);
   }
+}
+
+/// Bitwise equality of two waveforms, time base included.
+void expect_same_waveform(const analog::Waveform& got,
+                          const analog::Waveform& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(got.start_time().value(), want.start_time().value()) << what;
+  EXPECT_EQ(got.sample_period().value(), want.sample_period().value())
+      << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << ", sample " << i;
+  }
+}
+
+TEST(LaneBatch, OneLaneTileMatchesSerDesLinkAndMeasureBer) {
+  // A link is a one-lane tile: LaneLink over one seed must report what
+  // SerDesLink + measure_ber report with that noise seed, with the
+  // observer api::Simulator uses — the tally of every chunk, and the
+  // first chunk's LinkResult as LaneOutcome keeps it, waveforms included.
+  // PAM4 with FEXT and NEXT runs too, which only a one-lane tile can.
+  struct Case {
+    const char* name;
+    core::LinkConfig cfg;
+    ChannelSpec channel;
+  };
+  const ChannelSpec line = ChannelSpec::lossy_line(6.0, 18.0, 14.0);
+  const ChannelSpec flat = ChannelSpec::flat(4.0);
+  core::LinkConfig nrz = tile_spec(line).to_link_config();
+  nrz.capture_max_samples = 3001;
+  core::LinkConfig nrz_capture = nrz;
+  nrz_capture.capture_waveforms = true;
+  core::LinkConfig pam4 = LinkBuilder()
+                              .channel(flat)
+                              .modulation("pam4")
+                              .noise_rms(0.005)
+                              .preamble_bits(256)
+                              .rx_ctle(util::decibels(3.0))
+                              .build_spec()
+                              .to_link_config();
+  pam4.xtalk = {{0.03, true, 1}, {0.01, false, 1}};
+  pam4.capture_waveforms = true;
+  pam4.capture_max_samples = 3001;
+  constexpr std::uint64_t kSeed = 29;
+  for (Case c : {Case{"nrz", nrz, line},
+                 Case{"nrz, capture", nrz_capture, line},
+                 Case{"pam4, fext + next", pam4, flat}}) {
+    // The default block resumes each 512-bit chunk's second pass; 4096
+    // re-runs it.
+    for (const std::size_t block : {std::size_t{16384}, std::size_t{4096}}) {
+      SCOPED_TRACE(std::string(c.name) + ", block " + std::to_string(block));
+      c.cfg.stream_block_samples = block;
+      c.cfg.noise_seed = kSeed;
+      const auto channel = [&] {
+        return ChannelFactory::instance().create(c.channel, c.cfg);
+      };
+      core::SerDesLink link(c.cfg, channel());
+      core::LaneOutcome want;
+      want.measurement = core::measure_ber(
+          link, 1024, 512, 0.95, util::PrbsOrder::kPrbs31,
+          [&](core::LinkResult& first) {
+            want.take_first_chunk(first);
+            link.set_capture_waveforms(false);
+          });
+      const core::LaneLink tile(c.cfg, channel(), {kSeed});
+      const core::LaneOutcome got =
+          tile.measure(1024, 512, 0.95, util::PrbsOrder::kPrbs31)[0];
+
+      EXPECT_GT(want.measurement.bits, 0u);
+      EXPECT_EQ(got.measurement.bits, want.measurement.bits);
+      EXPECT_EQ(got.measurement.errors, want.measurement.errors);
+      EXPECT_EQ(got.measurement.aligned, want.measurement.aligned);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.measurement.ber),
+                std::bit_cast<std::uint64_t>(want.measurement.ber));
+      EXPECT_EQ(got.cdr_decision_phase, want.cdr_decision_phase);
+      EXPECT_EQ(got.cdr_phase_updates, want.cdr_phase_updates);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rx_swing_pp),
+                std::bit_cast<std::uint64_t>(want.rx_swing_pp));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.decision_threshold),
+                std::bit_cast<std::uint64_t>(want.decision_threshold));
+      EXPECT_EQ(got.restored.empty(), !c.cfg.capture_waveforms);
+      expect_same_waveform(got.tx_out, want.tx_out, "tx_out");
+      expect_same_waveform(got.channel_out, want.channel_out, "channel_out");
+      expect_same_waveform(got.restored, want.restored, "restored");
+    }
+  }
+
+  // Tiles of more than one lane still run NRZ only.
+  const core::LaneLink pam4_tile(
+      pam4, ChannelFactory::instance().create(flat, pam4), {1, 2});
+  EXPECT_THROW((void)pam4_tile.measure(512, 512, 0.95,
+                                       util::PrbsOrder::kPrbs31),
+               std::invalid_argument);
 }
 
 TEST(LaneBatch, ZeroChunkBitsIsRejected) {

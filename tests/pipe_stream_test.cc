@@ -22,6 +22,7 @@
 #include "core/eye.h"
 #include "core/link.h"
 #include "core/receiver.h"
+#include "pipe/lane_stages.h"
 #include "pipe/pam_stages.h"
 #include "pipe/stage.h"
 #include "pipe/stages.h"
@@ -113,12 +114,13 @@ TEST(ChannelStreaming, StreamResetRestartsFromZeroState) {
 }
 
 // ---- One loop per stage vs separate passes ----------------------------------
-// The channel streams and the CTLE, RFI and restoring stages step their
-// filters in one loop per block.  The references below are the separate
-// passes those loops replaced, written with OnePoleLowPass::step on their
-// own filter objects: fusing reorders independent operations but changes
-// none, so the two agree bit for bit — across block boundaries (odd sizes
-// carry state mid-stream) and when a block's output aliases its input.
+// The channel streams and the one-lane CTLE, RFI and restoring stages step
+// their filters in one loop per block.  The references below are the
+// separate passes those loops replaced, written with OnePoleLowPass::step
+// on their own filter objects: fusing reorders independent operations but
+// changes none, so the two agree bit for bit — across block boundaries
+// (odd sizes carry state mid-stream) and when a block's output aliases its
+// input.
 
 /// Out-of-place blocks of odd sizes; the rest of the stream goes in place.
 constexpr std::size_t kFusedBlocks[] = {1, 7, 333, 4097, 1001};
@@ -150,6 +152,27 @@ std::vector<double> run_fused(pipe::Stage& stage,
   blk.set_last(true);
   stage.process(blk.view(), blk);
   out.insert(out.end(), blk.samples().begin(), blk.samples().end());
+  return out;
+}
+
+/// The same through a lane stage's one-lane case.
+std::vector<double> run_fused(pipe::LaneStage& stage,
+                              const std::vector<double>& in) {
+  std::vector<double> out;
+  pipe::LaneBlock tile;
+  std::size_t pos = 0;
+  for (const std::size_t n : kFusedBlocks) {
+    stage.process(pipe::LaneView{in.data() + pos, n, 1, pos,
+                                 util::seconds(0.0), kDt, false},
+                  tile);
+    out.insert(out.end(), tile.data(), tile.data() + tile.size());
+    pos += n;
+  }
+  tile.shape(in.size() - pos, 1, pos, util::seconds(0.0), kDt, true);
+  std::copy(in.begin() + static_cast<std::ptrdiff_t>(pos), in.end(),
+            tile.data());
+  stage.process(tile.view(), tile);
+  out.insert(out.end(), tile.data(), tile.data() + tile.size());
   return out;
 }
 
@@ -203,7 +226,7 @@ TEST(FusedStageLoops, ChannelStreamsMatchSeparatePasses) {
 TEST(FusedStageLoops, CtleMatchesSeparatePasses) {
   const std::vector<double> in = fused_input(1.0, 0.0);
   const util::Hertz pole = util::megahertz(700.0);
-  pipe::CtleStage stage(util::decibels(6.0), pole, kDt);
+  pipe::LaneCtleStage stage(util::decibels(6.0), pole, kDt, 1);
 
   const double k = util::db_to_amplitude(util::decibels(6.0)) - 1.0;
   analog::OnePoleLowPass lpf(pole, kDt);
@@ -223,8 +246,8 @@ TEST(FusedStageLoops, RfiAndRestoringMatchSeparatePasses) {
   const analog::RfiStage& rfi = rx.rfi_stage();
   const double mean = 0.0004;
   const std::vector<double> small = fused_input(0.01, -0.009);
-  pipe::RfiFrontEndStage rfi_stage(rfi, kDt);
-  rfi_stage.set_mean(mean);
+  pipe::LaneRfiStage rfi_stage(rfi, kDt, 1);
+  rfi_stage.set_mean(0, mean);
   analog::OnePoleLowPass rfi_pole(rfi.bandwidth(), kDt);
   std::vector<double> want = small;
   const double delta = -mean;  // the stage's DC removal
@@ -236,7 +259,7 @@ TEST(FusedStageLoops, RfiAndRestoringMatchSeparatePasses) {
   // Restoring: VTC lookup across the rails, then the output pole.
   const analog::RestoringInverter& inv = rx.restoring();
   const std::vector<double> rails = fused_input(0.5, 0.45);
-  pipe::RestoringStage restore(inv, kDt);
+  pipe::LaneRestoreStage restore(inv, kDt, 1);
   analog::OnePoleLowPass pole(inv.bandwidth(), kDt);
   want = rails;
   for (double& x : want) x = inv.restore_level(x);
@@ -515,7 +538,7 @@ DirectStats direct_stats(const std::vector<double>& x) {
   return s;
 }
 
-/// Streams `tx` through a scalar pass; returns the concatenated output.
+/// Streams `tx` through a pass; returns the lane-interleaved output.
 std::vector<double> run_pass(const core::ChainPlan& plan,
                              core::ChainPlan::Pass& pass,
                              const core::Launch& tx) {
@@ -523,21 +546,7 @@ std::vector<double> run_pass(const core::ChainPlan& plan,
   pipe::Block blk;
   std::vector<double> out;
   while (src.produce(blk, plan.block()) > 0) {
-    const pipe::BlockView v = pass.pipeline.process(blk.view());
-    out.insert(out.end(), v.data, v.data + v.size);
-  }
-  return out;
-}
-
-/// Streams `tx` through a tile pass; returns the interleaved output.
-std::vector<double> run_tile(const core::ChainPlan& plan,
-                             core::ChainPlan::TilePass& pass,
-                             const core::Launch& tx) {
-  pipe::LevelPulseSource src = plan.source(tx);
-  pipe::Block blk;
-  std::vector<double> out;
-  while (src.produce(blk, plan.block()) > 0) {
-    const pipe::LaneView v = pass.process(blk.view());
+    const pipe::LaneView v = pass.process(blk);
     out.insert(out.end(), v.data, v.data + v.size * v.lanes);
   }
   return out;
@@ -558,7 +567,9 @@ std::vector<std::uint8_t> probe_bits() {
   return prbs.next_bits(300);  // 4800 samples
 }
 
-TEST(ChainPlanProbes, ScalarProbesObserveWithoutChangingTheStream) {
+/// A pass with probes at every position leaves the stream as it is, and
+/// each probe sees, per lane, what a pass without probes streams there.
+void expect_probes_observe(const std::vector<std::uint64_t>& seeds) {
   const channel::LossyLineChannel line(
       channel::LossyLineChannel::Params{2.0, 10.0, 8.0}, kDt);
   constexpr std::size_t kCapture = 3001;
@@ -568,77 +579,23 @@ TEST(ChainPlanProbes, ScalarProbesObserveWithoutChangingTheStream) {
     const core::ChainPlan plan(cfg, rx);
     const core::Launch tx = plan.launch(probe_bits());
     core::ChainPlan::PassOptions bare;
-    bare.awgn_seed = 77;
-    bare.mean = 0.012;
+    bare.awgn_seeds = seeds;
+    bare.means.assign(seeds.size(), 0.012);
     core::ChainPlan::PassOptions probed = bare;
     probed.probes = core::ChainPlan::Probes::kAll;
     probed.capture = kCapture;
     probed.statistics = true;
+    core::ChainPlan::PassOptions to_noisy = bare;
+    to_noisy.stop = core::ChainPlan::Stop::kNoisy;
 
     core::ChainPlan::Pass plain = plan.pass(line, tx, bare);
     core::ChainPlan::Pass with = plan.pass(line, tx, probed);
+    core::ChainPlan::Pass noisy_pass = plan.pass(line, tx, to_noisy);
     ASSERT_NE(with.noisy, nullptr);
-    ASSERT_NE(with.rfi, nullptr);
     ASSERT_NE(with.out, nullptr);
     const std::vector<double> out = run_pass(plan, plain, tx);
     EXPECT_TRUE(same_bits(run_pass(plan, with, tx), out)) << "block " << block;
-
-    // The streams at the other probe positions, computed without probes:
-    // the receiver input, and the RFI front end over the equalized stream.
-    core::ChainPlan::PassOptions to_noisy = bare;
-    to_noisy.stop = core::ChainPlan::Stop::kNoisy;
-    core::ChainPlan::Pass noisy_pass = plan.pass(line, tx, to_noisy);
     const std::vector<double> noisy = run_pass(plan, noisy_pass, tx);
-    core::ChainPlan::PassOptions to_eq = bare;
-    to_eq.stop = core::ChainPlan::Stop::kEqualized;
-    core::ChainPlan::Pass eq_pass = plan.pass(line, tx, to_eq);
-    const std::vector<double> equalized = run_pass(plan, eq_pass, tx);
-    pipe::RfiFrontEndStage rfi_stage(rx.rfi_stage(), kDt);
-    rfi_stage.set_mean(bare.mean);
-    pipe::Block eq_block;
-    eq_block.samples() = equalized;
-    pipe::Block rfi_block;
-    rfi_stage.process(eq_block.view(), rfi_block);
-    const std::vector<double>& rfi = rfi_block.samples();
-
-    const std::pair<pipe::WaveformTap*, const std::vector<double>*> probes[] =
-        {{with.noisy, &noisy}, {with.rfi, &rfi}, {with.out, &out}};
-    for (const auto& [tap, stream] : probes) {
-      const DirectStats direct = direct_stats(*stream);
-      EXPECT_EQ(tap->min(), direct.min) << "block " << block;
-      EXPECT_EQ(tap->max(), direct.max) << "block " << block;
-      EXPECT_EQ(tap->sum(), direct.sum) << "block " << block;
-      const analog::Waveform captured = tap->take();
-      EXPECT_TRUE(same_bits(captured.samples(), head(*stream, kCapture)))
-          << "block " << block;
-      EXPECT_EQ(captured.sample_period().value(), kDt.value());
-    }
-  }
-}
-
-TEST(ChainPlanProbes, LaneTileProbesObserveWithoutChangingTheStream) {
-  const channel::LossyLineChannel line(
-      channel::LossyLineChannel::Params{2.0, 10.0, 8.0}, kDt);
-  const std::vector<std::uint64_t> seeds = {11, 12, 13, 14, 15, 16, 17, 18};
-  const std::vector<double> means(seeds.size(), 0.012);
-  constexpr std::size_t kCapture = 3001;
-  for (const std::size_t block : {1u, 7u, 4096u, 16384u}) {
-    const core::LinkConfig cfg = probed_chain_config(block);
-    const core::Receiver rx(cfg);
-    const core::ChainPlan plan(cfg, rx);
-    const core::Launch tx = plan.launch(probe_bits());
-    core::ChainPlan::TilePass plain =
-        plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kSlicer, means,
-                       core::ChainPlan::Probes::kNone, 0, false);
-    core::ChainPlan::TilePass with =
-        plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kSlicer, means,
-                       core::ChainPlan::Probes::kAll, kCapture, true);
-    core::ChainPlan::TilePass noisy_pass =
-        plan.tile_pass(line, tx, seeds, core::ChainPlan::Stop::kNoisy, means,
-                       core::ChainPlan::Probes::kNone, 0, false);
-    const std::vector<double> out = run_tile(plan, plain, tx);
-    EXPECT_TRUE(same_bits(run_tile(plan, with, tx), out)) << "block " << block;
-    const std::vector<double> noisy = run_tile(plan, noisy_pass, tx);
 
     for (std::size_t l = 0; l < seeds.size(); ++l) {
       const std::pair<pipe::LaneWaveformTap*, const std::vector<double>*>
@@ -651,11 +608,21 @@ TEST(ChainPlanProbes, LaneTileProbesObserveWithoutChangingTheStream) {
         EXPECT_EQ(tap->min(l), direct.min) << where;
         EXPECT_EQ(tap->max(l), direct.max) << where;
         EXPECT_EQ(tap->sum(l), direct.sum) << where;
-        EXPECT_TRUE(same_bits(tap->take(l).samples(), head(stream, kCapture)))
+        const analog::Waveform captured = tap->take(l);
+        EXPECT_TRUE(same_bits(captured.samples(), head(stream, kCapture)))
             << where;
+        EXPECT_EQ(captured.sample_period().value(), kDt.value()) << where;
       }
     }
   }
+}
+
+TEST(ChainPlanProbes, OneLaneProbesObserveWithoutChangingTheStream) {
+  expect_probes_observe({77});
+}
+
+TEST(ChainPlanProbes, LaneTileProbesObserveWithoutChangingTheStream) {
+  expect_probes_observe({11, 12, 13, 14, 15, 16, 17, 18});
 }
 
 // ---- Crosstalk and the PAM4 first pass: shared work, same bits -----------
@@ -701,18 +668,34 @@ TEST(XtalkInjectStage, SharedLaunchesMatchOneSourceAndStreamPerPath) {
     }
   }
 
-  for (const std::size_t block : {1u, 7u, 4096u}) {
-    pipe::XtalkInjectStage stage(levels, paths, line, ui, spu, rise, t0);
-    std::vector<double> got;
-    pipe::Block out;
-    for (std::size_t pos = 0; pos < in.size(); pos += block) {
-      const std::size_t n = std::min(block, in.size() - pos);
-      stage.process(pipe::BlockView{in.data() + pos, n, pos, t0, kDt,
-                                    pos + n == in.size()},
-                    out);
-      got.insert(got.end(), out.samples().begin(), out.samples().end());
+  // Out of place, and in place: the output block is the block the input
+  // views, as when a pass runs its shared prefix over the source block.
+  for (const bool in_place : {false, true}) {
+    for (const std::size_t block : {1u, 7u, 4096u}) {
+      pipe::XtalkInjectStage stage(levels, paths, line, ui, spu, rise, t0);
+      std::vector<double> got;
+      pipe::Block out;
+      for (std::size_t pos = 0; pos < in.size(); pos += block) {
+        const std::size_t n = std::min(block, in.size() - pos);
+        const pipe::BlockView chunk{in.data() + pos, n, pos, t0, kDt,
+                                    pos + n == in.size()};
+        if (in_place) {
+          out.samples().assign(chunk.data, chunk.data + n);
+          out.set_start_index(pos);
+          out.set_stream_t0(t0);
+          out.set_dt(kDt);
+          out.set_last(chunk.last);
+          stage.process(out.view(), out);
+        } else {
+          stage.process(chunk, out);
+        }
+        got.insert(got.end(), out.samples().begin(), out.samples().end());
+      }
+      expect_same_bits(got, want,
+                       ((in_place ? "in place, block " : "block ") +
+                        std::to_string(block))
+                           .c_str());
     }
-    expect_same_bits(got, want, ("block " + std::to_string(block)).c_str());
   }
 }
 
@@ -740,18 +723,18 @@ TEST(ChainPlanFirstPass, Pam4SharedFrontMatchesTwoSeparatePipelines) {
       const core::Receiver rx(cfg);
       const core::ChainPlan plan(cfg, rx);
       const core::Launch tx = plan.launch(bits);
-      const core::FirstPass got = plan.first_pass(line, tx, 77);
+      const core::FirstPass got = plan.first_pass(line, tx, {77})[0];
 
       // The noisy receiver input and the noise-free equalized stream, each
       // through its own channel and crosstalk.
       core::ChainPlan::PassOptions noisy_options;
       noisy_options.stop = core::ChainPlan::Stop::kNoisy;
-      noisy_options.awgn_seed = 77;
+      noisy_options.awgn_seeds = {77};
       noisy_options.probes = core::ChainPlan::Probes::kAll;
       noisy_options.statistics = true;
       core::ChainPlan::PassOptions clean_options = noisy_options;
       clean_options.stop = core::ChainPlan::Stop::kEqualized;
-      clean_options.awgn_seed.reset();
+      clean_options.awgn_seeds.clear();
       core::ChainPlan::Pass noisy = plan.pass(line, tx, noisy_options);
       core::ChainPlan::Pass clean = plan.pass(line, tx, clean_options);
       (void)run_pass(plan, noisy, tx);
@@ -760,10 +743,10 @@ TEST(ChainPlanFirstPass, Pam4SharedFrontMatchesTwoSeparatePipelines) {
       const std::string where = std::string(ctle ? "ctle" : "no ctle") +
                                 (xtalk ? ", xtalk" : ", no xtalk");
       EXPECT_EQ(bits_of(got.swing_pp),
-                bits_of(noisy.noisy->max() - noisy.noisy->min()))
+                bits_of(noisy.noisy->max(0) - noisy.noisy->min(0)))
           << where;
-      EXPECT_EQ(bits_of(got.clean_min), bits_of(clean.out->min())) << where;
-      EXPECT_EQ(bits_of(got.clean_max), bits_of(clean.out->max())) << where;
+      EXPECT_EQ(bits_of(got.clean_min), bits_of(clean.out->min(0))) << where;
+      EXPECT_EQ(bits_of(got.clean_max), bits_of(clean.out->max(0))) << where;
       EXPECT_LT(got.clean_min, got.clean_max) << where;
     }
   }
@@ -799,7 +782,6 @@ void expect_identical_runs(core::LinkConfig cfg, const api::ChannelSpec& ch,
   EXPECT_EQ(reference.decision_threshold, streamed.decision_threshold);
   expect_identical(reference.tx_out, streamed.tx_out, "tx_out");
   expect_identical(reference.channel_out, streamed.channel_out, "channel_out");
-  expect_identical(reference.rx.rfi_out, streamed.rx.rfi_out, "rfi_out");
   expect_identical(reference.rx.restored, streamed.rx.restored, "restored");
 }
 

@@ -24,7 +24,7 @@
 #include "api/spec_json.h"
 #include "analog/filters.h"
 #include "core/receiver.h"
-#include "pipe/stages.h"
+#include "pipe/lane_stages.h"
 #include "stat/stat_engine.h"
 #include "util/math.h"
 #include "util/parallel.h"
@@ -306,31 +306,31 @@ TEST(IsiMixtureTest, BuildMatchesPlainLoopsBitForBit) {
   EXPECT_GT(grid_at_floor, 20);
 }
 
-/// The noise gain as a plain loop: pipe::CtleStage over whole 4096-sample
-/// blocks, then the RFI and restoring poles, until a block adds less than
-/// 1e-18 of the total.
+/// The noise gain as a plain loop: pipe::LaneCtleStage's one-lane case
+/// over whole 4096-sample blocks, then the RFI and restoring poles, until a
+/// block adds less than 1e-18 of the total.
 double plain_noise_power_gain(const core::LinkConfig& cfg,
                               util::Hertz rfi_bandwidth,
                               util::Hertz restore_bandwidth, bool rx_poles) {
-  std::optional<pipe::CtleStage> ctle;
+  std::optional<pipe::LaneCtleStage> ctle;
   if (cfg.rx_ctle_boost.value() > 0.0) {
-    ctle.emplace(cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period());
+    ctle.emplace(cfg.rx_ctle_boost, cfg.rx_ctle_pole, cfg.sample_period(), 1);
   }
   analog::OnePoleLowPass pole(rfi_bandwidth, cfg.sample_period());
   analog::OnePoleLowPass restore_pole(restore_bandwidth, cfg.sample_period());
   constexpr std::size_t kBlock = 4096;
   std::vector<double> buf(kBlock, 0.0);
-  pipe::Block out;
+  pipe::LaneBlock out;
   double total = 0.0;
   buf[0] = 1.0;
   for (std::size_t fed = 0; fed < (1u << 22); fed += kBlock) {
-    const pipe::BlockView view{buf.data(),          kBlock, fed,
-                               util::seconds(0.0),  cfg.sample_period(),
-                               false};
+    const pipe::LaneView view{buf.data(),         kBlock, 1, fed,
+                              util::seconds(0.0), cfg.sample_period(),
+                              false};
     const double* data = view.data;
     if (ctle) {
       ctle->process(view, out);
-      data = out.view().data;
+      data = out.data();
     }
     double block_sum = 0.0;
     for (std::size_t i = 0; i < kBlock; ++i) {

@@ -41,8 +41,8 @@ inline core::ReceiveResult receive(const core::LinkConfig& config,
   core::ReceiveResult result;
 
   // Analog front end.
-  result.rfi_out = rx.rfi_stage().process(channel_out);
-  result.restored = rx.restoring().process(result.rfi_out);
+  result.restored =
+      rx.restoring().process(rx.rfi_stage().process(channel_out));
 
   // Multi-phase sampling.
   digital::MultiphaseClockGenerator clocks(
@@ -133,11 +133,18 @@ inline core::LinkResult run(const core::LinkConfig& config,
   result.decision_threshold = rx.decision_threshold();
 
   core::SerDesLink::finalize_result(config, payload, result);
-  // Trim to the diagnostic window the streaming probes stop at.
-  if (config.capture_waveforms && config.capture_max_samples > 0) {
+  // Keep what the streaming probes capture: the waveforms under
+  // capture_waveforms, the slicer input alone under capture_slicer_input,
+  // each trimmed to the diagnostic window.
+  if (!config.capture_waveforms) {
+    result.tx_out = {};
+    result.channel_out = {};
+    if (!config.capture_slicer_input) result.rx.restored = {};
+  }
+  if (config.capture_max_samples > 0) {
     const std::size_t cap = config.capture_max_samples;
-    for (analog::Waveform* w : {&result.tx_out, &result.channel_out,
-                                &result.rx.rfi_out, &result.rx.restored}) {
+    for (analog::Waveform* w :
+         {&result.tx_out, &result.channel_out, &result.rx.restored}) {
       if (w->size() > cap) w->samples().resize(cap);
     }
   }

@@ -21,6 +21,13 @@ Contracts checked, over everything under src/:
    its own translation unit (`g++ -fsyntax-only`), so include order
    never becomes load-bearing.
 
+4. One receive chain.  `core::ChainPlan` alone lays out the streaming
+   datapath, so a link, a lane tile, training and the stat engine all run
+   the same chain.  Outside src/pipe/ and src/core/chain_plan.*, no line
+   under src/ names a `pipe::` stage, pipeline, waveform tap or the
+   `SamplerCdrSink`: a second instantiation of the chain cannot creep
+   back.
+
 Usage:  python3 tools/check_contracts.py [--repo-root DIR] [--skip-compile]
 Exits nonzero with file:line diagnostics on any violation.
 """
@@ -55,6 +62,11 @@ UNORDERED_CONTAINERS = re.compile(
 # Files allowed to use unordered containers (none today; add a path
 # relative to the repo root plus a justification comment to except one).
 UNORDERED_ALLOWLIST: set[str] = set()
+
+# Contract 4: what builds the receive chain, and where it may be named.
+CHAIN_PARTS = re.compile(
+    r"\bpipe\s*::\s*(?:\w*Stage|\w*Pipeline|\w*WaveformTap|SamplerCdrSink)\b")
+CHAIN_HOMES = ("src/pipe/", "src/core/chain_plan.")
 
 
 def iter_source_lines(path: Path):
@@ -104,6 +116,12 @@ def check_tokens(src_root: Path, repo_root: Path) -> list[str]:
                     "hash-order iteration can leak into serialized output; "
                     "use std::map/std::vector or extend the allowlist with "
                     "a justification")
+            if not rel.startswith(CHAIN_HOMES) and CHAIN_PARTS.search(line):
+                failures.append(
+                    f"{rel}:{lineno}: names a pipe:: stage, pipeline, "
+                    "waveform tap or sink — only core::ChainPlan builds the "
+                    "receive chain; run it through ChainPlan::run, pass, "
+                    "stream or slicer_input")
     return failures
 
 
