@@ -47,7 +47,7 @@ namespace {
 
 /// Sets the capture of `spec`'s Monte Carlo run.  The first chunk carries
 /// the lock diagnostics and the eye, so it always captures the slicer
-/// input the eye folds; it captures all four waveforms only when the spec
+/// input the eye folds; it captures all three waveforms only when the spec
 /// keeps them in the report.  Capture is bounded to the diagnostic window
 /// so a deep first chunk does not cost O(chunk) memory.
 void capture_diagnostics(const LinkSpec& spec, core::LinkConfig& cfg) {

@@ -294,9 +294,10 @@ std::vector<FirstPass> ChainPlan::first_pass(
     clean_options.probes = Probes::kOut;
     clean_options.statistics = true;
     const std::vector<Step> clean_steps = steps(clean_options);
-    clean = build(ch, tx,
-                  std::span(clean_steps).subspan(has_xtalk_ ? 2 : 1),
-                  clean_options);
+    const auto lane_steps = std::find_if(
+        clean_steps.begin(), clean_steps.end(),
+        [](Step s) { return s != Step::kChannel && s != Step::kXtalk; });
+    clean = build(ch, tx, {lane_steps, clean_steps.end()}, clean_options);
   }
   pipe::LevelPulseSource src = source(tx);
   std::vector<pipe::LaneBlock> blocks;

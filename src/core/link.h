@@ -87,7 +87,7 @@ class SerDesLink {
   [[nodiscard]] const LinkConfig& config() const { return config_; }
 
   /// Toggles waveform capture after construction (see
-  /// LinkConfig::capture_waveforms): on captures all four waveforms, off
+  /// LinkConfig::capture_waveforms): on captures all three waveforms, off
   /// captures none (LinkConfig::capture_slicer_input included).
   /// api::Simulator keeps the first diagnostic chunk and drops waveforms
   /// for the bulk BER chunks.

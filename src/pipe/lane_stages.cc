@@ -112,7 +112,8 @@ void LaneRfiStage::process(const LaneView& in, LaneBlock& out) {
   const double half = rfi_->vdd() / 2.0;
   if (in.lanes == 1) {
     // DC removal, the output pole (state in locals) and the VTC in one
-    // loop.
+    // loop, so the pole's recurrence overlaps the tanh of earlier samples
+    // instead of running as a pass of its own.
     const double delta = deltas_[0];
     const analog::OnePoleLowPass lpf = lpf_;
     double x1 = x1_[0];
@@ -191,35 +192,24 @@ void LaneWaveformTap::observe(const LaneView& in) {
     stamped_ = true;
   }
   const std::size_t lanes = captured_.size();
-  if (lanes == 1) {
-    // One lane: the statistics run in locals and the capture is one copy.
-    if (statistics_) {
-      double lo = min_[0];
-      double hi = max_[0];
-      double sum = sum_[0];
+  if (statistics_) {
+    // Lane by lane, the running statistics in locals: a lane's sum is one
+    // dependency chain either way, and this keeps it in a register instead
+    // of a store and reload per sample, so a one-lane tile (a link) is a
+    // plain pass over its block.
+    for (std::size_t l = 0; l < lanes; ++l) {
+      double lo = min_[l];
+      double hi = max_[l];
+      double sum = sum_[l];
       for (std::size_t i = 0; i < in.size; ++i) {
-        const double v = in.data[i];
+        const double v = in.data[i * lanes + l];
         lo = std::min(lo, v);
         hi = std::max(hi, v);
         sum += v;
       }
-      min_[0] = lo;
-      max_[0] = hi;
-      sum_[0] = sum;
-    }
-    std::vector<double>& lane = captured_[0];
-    const std::size_t take = std::min(capture_ - lane.size(), in.size);
-    lane.insert(lane.end(), in.data, in.data + take);
-    return;
-  }
-  if (statistics_) {
-    for (std::size_t i = 0; i < in.size; ++i) {
-      const double* row = in.data + i * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        min_[l] = std::min(min_[l], row[l]);
-        max_[l] = std::max(max_[l], row[l]);
-        sum_[l] += row[l];
-      }
+      min_[l] = lo;
+      max_[l] = hi;
+      sum_[l] = sum;
     }
   }
   for (std::size_t l = 0; l < lanes; ++l) {

@@ -141,7 +141,8 @@ class LaneRestoreStage final : public LaneStage {
 /// stream flowing past (the waveform-capture window; its storage is
 /// reserved once, so callers pass at most the stream's length) and, with
 /// `statistics`, keeps each lane's running minimum, maximum and
-/// sample-order sum (what first passes measure).  Links insert probes
+/// sample-order sum (what first passes measure), lane by lane in locals,
+/// so one loop serves a one-lane tile too.  Links insert probes
 /// only into first passes and while diagnostics capture is on (the first
 /// chunk of a BER run), so bulk streaming never accumulates waveform
 /// memory.
